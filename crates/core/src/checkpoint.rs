@@ -340,17 +340,25 @@ pub fn config_to_bytes(cfg: &MachineConfig) -> Vec<u8> {
     w.finish()
 }
 
+/// What one dispatched event is. A warmup of `N` events stops at a
+/// different point of the run whenever this changes, so it is part of
+/// [`warm_key`]. Version 1 delivered every flush check as its own
+/// queue entry; version 2 delivers a run of consecutive flush checks
+/// of one disk at one time as one entry.
+pub const EVENT_ACCOUNTING_VERSION: u64 = 2;
+
 /// Content address of a warm machine state: FNV-1a 64 over the
-/// canonical CONFIG bytes, the workload spec, and the warmup event
-/// count. The server's warm-state cache keys on this, so a cached
-/// post-warmup checkpoint is only ever replayed into a run whose
-/// config, workload, and warmup prefix are all bit-equal to the run
-/// that produced it — the property the warm-equals-cold guarantee
-/// rests on.
+/// canonical CONFIG bytes, the workload spec, the warmup event count
+/// and the [`EVENT_ACCOUNTING_VERSION`]. The server's warm-state cache
+/// keys on this, so a cached post-warmup checkpoint is only ever
+/// replayed into a run whose config, workload, and warmup prefix are
+/// all bit-equal to the run that produced it — the property the
+/// warm-equals-cold guarantee rests on.
 pub fn warm_key(cfg: &MachineConfig, spec: &str, warmup_events: u64) -> u64 {
     let mut bytes = config_to_bytes(cfg);
     bytes.extend_from_slice(spec.as_bytes());
     bytes.extend_from_slice(&warmup_events.to_le_bytes());
+    bytes.extend_from_slice(&EVENT_ACCOUNTING_VERSION.to_le_bytes());
     nw_sim::ckpt::fnv1a(&bytes)
 }
 

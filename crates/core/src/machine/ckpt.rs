@@ -21,13 +21,18 @@
 //! * `fatal` — always `None` at a checkpoint boundary (a fatal error
 //!   aborts the run before it can be checkpointed).
 
+use super::io::{FlushRuns, MAX_FLUSH_RUN};
 use super::{BlockKind, Event, FaultInfo, FaultSource, Machine};
 use crate::checkpoint::sections;
 use crate::vm::{PageState, Vpn};
 use nw_apps::Action;
 use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
 
-fn save_event(w: &mut CkptWriter, ev: &Event) {
+/// ENGINE tag of a flush-check run of `k >= 2` checks. A run of one
+/// keeps tag 7, so run-free checkpoints encode as they always have.
+const TAG_FLUSH_RUN: u32 = 19;
+
+fn save_event(w: &mut CkptWriter, ev: &Event, runs: &FlushRuns) {
     match *ev {
         Event::Resume(p) => {
             w.u32(0);
@@ -64,10 +69,17 @@ fn save_event(w: &mut CkptWriter, ev: &Event) {
             w.u64(vpn);
             w.u32(disk);
         }
-        Event::FlushCheck { disk } => {
-            w.u32(7);
-            w.u32(disk);
-        }
+        Event::FlushCheck { disk, run } => match runs.count(run) {
+            1 => {
+                w.u32(7);
+                w.u32(disk);
+            }
+            k => {
+                w.u32(TAG_FLUSH_RUN);
+                w.u32(disk);
+                w.u32(k);
+            }
+        },
         Event::NackRecheck { disk } => {
             w.u32(8);
             w.u32(disk);
@@ -134,7 +146,7 @@ fn save_event(w: &mut CkptWriter, ev: &Event) {
     }
 }
 
-fn load_event(r: &mut CkptReader<'_>) -> Result<Event, CkptError> {
+fn load_event(r: &mut CkptReader<'_>, runs: &mut FlushRuns) -> Result<Event, CkptError> {
     Ok(match r.u32()? {
         0 => Event::Resume(r.u32()?),
         1 => Event::DiskRequest {
@@ -160,7 +172,10 @@ fn load_event(r: &mut CkptReader<'_>) -> Result<Event, CkptError> {
             vpn: r.u64()?,
             disk: r.u32()?,
         },
-        7 => Event::FlushCheck { disk: r.u32()? },
+        7 => Event::FlushCheck {
+            disk: r.u32()?,
+            run: runs.open(1),
+        },
         8 => Event::NackRecheck { disk: r.u32()? },
         9 => Event::RingInsertDone {
             node: r.u32()?,
@@ -200,6 +215,20 @@ fn load_event(r: &mut CkptReader<'_>) -> Result<Event, CkptError> {
             node: r.u32()?,
         },
         18 => Event::SpecCheck { disk: r.u32()? },
+        TAG_FLUSH_RUN => {
+            let disk = r.u32()?;
+            let k = r.u32()?;
+            if !(2..=MAX_FLUSH_RUN).contains(&k) {
+                return Err(CkptError::Invalid {
+                    offset: r.offset(),
+                    what: format!("flush-check run of {k} checks (must be 2..={MAX_FLUSH_RUN})"),
+                });
+            }
+            Event::FlushCheck {
+                disk,
+                run: runs.open(k),
+            }
+        }
         tag => {
             return Err(CkptError::Invalid {
                 offset: r.offset(),
@@ -379,7 +408,7 @@ impl Machine {
         for (at, eseq, ev) in entries {
             w.time(at);
             w.u64(eseq);
-            save_event(w, ev);
+            save_event(w, ev, &self.flush_runs);
         }
         w.bool(self.started);
         w.u64(self.events_dispatched);
@@ -589,10 +618,18 @@ impl Machine {
         let delivered = r.u64()?;
         let n = r.usize()?;
         let mut entries = Vec::with_capacity(n.min(1 << 20));
+        self.flush_runs.clear();
         for _ in 0..n {
             let at = r.time()?;
             let eseq = r.u64()?;
-            let ev = load_event(r)?;
+            let ev = load_event(r, &mut self.flush_runs)?;
+            // The run scheduled last can still grow, exactly as it
+            // could in the run that was saved.
+            if let Event::FlushCheck { disk, run } = ev {
+                if seq.checked_sub(1) == Some(eseq) {
+                    self.flush_runs.set_tail(eseq, at, disk, run);
+                }
+            }
             entries.push((at, eseq, ev));
         }
         self.queue
@@ -841,5 +878,131 @@ impl Machine {
         }
 
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nw_sim::ckpt::{fnv1a, put_varint, MAGIC, VERSION};
+    use nw_sim::Pcg32;
+
+    /// Frame `payload` as an ENGINE section of a checksummed container
+    /// whose header declares `len` payload bytes, so mutated bytes get
+    /// past the checksum and reach the event decoder.
+    fn container(payload: &[u8], len: usize) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION);
+        put_varint(&mut buf, sections::ENGINE as u64);
+        put_varint(&mut buf, len as u64);
+        buf.extend_from_slice(payload);
+        let sum = fnv1a(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
+    /// Decode one event entry: the event and, for a flush check, the
+    /// number of checks it stands for.
+    fn decode(bytes: &[u8]) -> Result<(Event, u32), CkptError> {
+        let mut r = CkptReader::new(bytes)?;
+        r.begin_section(sections::ENGINE)?;
+        let mut runs = FlushRuns::default();
+        let ev = load_event(&mut r, &mut runs)?;
+        r.end_section()?;
+        let k = match ev {
+            Event::FlushCheck { run, .. } => runs.count(run),
+            _ => 1,
+        };
+        Ok((ev, k))
+    }
+
+    fn flush_run_payload(disk: u32, k: u32) -> Vec<u8> {
+        let mut p = Vec::new();
+        for v in [TAG_FLUSH_RUN, disk, k] {
+            put_varint(&mut p, v as u64);
+        }
+        p
+    }
+
+    #[test]
+    fn flush_runs_round_trip_and_runs_of_one_keep_tag_7() {
+        for k in [1, 2, 3, 1000, MAX_FLUSH_RUN] {
+            let mut runs = FlushRuns::default();
+            let ev = Event::FlushCheck {
+                disk: 3,
+                run: runs.open(k),
+            };
+            let mut w = CkptWriter::new();
+            w.begin_section(sections::ENGINE);
+            save_event(&mut w, &ev, &runs);
+            w.end_section();
+            let bytes = w.finish();
+            // Payload starts after magic, version, section id, length.
+            let tag = bytes[MAGIC.len() + 3];
+            assert_eq!(tag as u32, if k == 1 { 7 } else { TAG_FLUSH_RUN }, "k={k}");
+            let (back, got) = decode(&bytes).expect("round trip");
+            assert!(matches!(back, Event::FlushCheck { disk: 3, .. }));
+            assert_eq!(got, k);
+        }
+    }
+
+    #[test]
+    fn flush_run_decoder_rejects_bad_multiplicities() {
+        for k in [0, 1, MAX_FLUSH_RUN + 1, u32::MAX] {
+            let p = flush_run_payload(0, k);
+            match decode(&container(&p, p.len())) {
+                Err(CkptError::Invalid { what, .. }) => {
+                    assert!(what.contains("flush-check run"), "k={k}: {what}")
+                }
+                other => panic!("k={k}: expected Invalid, got {other:?}"),
+            }
+        }
+        // A multiplicity past u32 is refused by the integer reader.
+        let mut p = Vec::new();
+        for v in [TAG_FLUSH_RUN as u64, 0, 1 << 40] {
+            put_varint(&mut p, v);
+        }
+        assert!(decode(&container(&p, p.len())).is_err());
+    }
+
+    #[test]
+    fn flush_run_decoder_survives_seeded_mutations() {
+        let valid = flush_run_payload(2, 37);
+        for case in 0..4000u64 {
+            let mut rng = Pcg32::new(0xF1C5, case);
+            let mut p = valid.clone();
+            let mut len = p.len();
+            match case % 4 {
+                // Truncation anywhere, the header still claiming less.
+                0 => {
+                    p.truncate(rng.gen_below(valid.len() as u32) as usize);
+                    len = p.len();
+                }
+                // Bit flips.
+                1 => {
+                    for _ in 0..1 + rng.gen_below(3) {
+                        let i = rng.gen_below(p.len() as u32) as usize;
+                        p[i] ^= 1 << rng.gen_below(8);
+                    }
+                    len = p.len();
+                }
+                // Varint overflow in the disk or multiplicity field.
+                2 => {
+                    let at = 1 + rng.gen_below(2) as usize;
+                    let run = 10 + rng.gen_below(4) as usize;
+                    p.splice(at..at + 1, std::iter::repeat_n(0xff, run));
+                    len = p.len();
+                }
+                // Length inflation: the frame claims bytes it lacks.
+                _ => len += 1 + rng.gen_below(64) as usize,
+            }
+            // Never a panic; a decoded run always has a legal size.
+            if let Ok((ev, k)) = decode(&container(&p, len)) {
+                assert!((1..=MAX_FLUSH_RUN).contains(&k), "case {case}: {ev:?} k={k}");
+            }
+            if case % 4 >= 2 {
+                assert!(decode(&container(&p, len)).is_err(), "case {case} decoded");
+            }
+        }
     }
 }

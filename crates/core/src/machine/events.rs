@@ -56,9 +56,14 @@ pub enum Event {
         disk: u32,
     },
     /// The controller should try to flush dirty pages to the platters.
+    /// One entry stands for a run of consecutive checks of the disk at
+    /// the same time, delivered back to back (see `FlushRuns`).
     FlushCheck {
         /// The disk.
         disk: u32,
+        /// Run id: how many checks the entry stands for is kept by the
+        /// machine under this id.
+        run: u32,
     },
     /// A flush completed: hand freed slots to NACKed requesters that
     /// queued while the flush was in flight.
@@ -207,8 +212,8 @@ impl Machine {
             }
             Event::SwapAck { node, vpn } => self.on_swap_ack(node, vpn),
             Event::SwapOk { node, vpn, disk } => self.on_swap_ok(node, vpn, disk),
-            Event::FlushCheck { disk } => {
-                self.on_flush_check(disk);
+            Event::FlushCheck { disk, run } => {
+                self.on_flush_run(disk, run);
                 Ok(())
             }
             Event::NackRecheck { disk } => {

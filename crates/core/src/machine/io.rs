@@ -9,8 +9,115 @@ use crate::error::SimError;
 use crate::observe::groups;
 use crate::vm::{PageState, Vpn};
 use nw_disk::{DiskFault, ReadOutcome, WriteOutcome};
+use nw_sim::Time;
+
+/// Most flush checks one queue entry may stand for. A longer run just
+/// opens a new entry, so the cap never changes behaviour; it bounds
+/// the multiplicity a checkpoint decoder has to accept.
+pub(crate) const MAX_FLUSH_RUN: u32 = 1 << 16;
+
+/// Flush-check runs: one queue entry standing for `k` consecutive
+/// [`super::Event::FlushCheck`]s of the same disk at the same time.
+///
+/// Sequence numbers are global and strictly increasing, so when a
+/// check is scheduled right after another check of the same disk at
+/// the same time — no event scheduled in between — nothing can ever be
+/// delivered between the two. Running the check `k` times back to
+/// back from one entry is then the same event sequence as `k`
+/// entries. The payload carries a run id; the multiplicity lives here.
+#[derive(Debug, Default)]
+pub(crate) struct FlushRuns {
+    /// Checks each pending run stands for, indexed by run id.
+    counts: Vec<u32>,
+    /// Run ids free for reuse.
+    free: Vec<u32>,
+    /// The most recently scheduled run, while it can still grow.
+    tail: Option<RunTail>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct RunTail {
+    seq: u64,
+    at: Time,
+    disk: u32,
+    run: u32,
+}
+
+impl FlushRuns {
+    /// Allocate a run id standing for `k` checks.
+    pub(crate) fn open(&mut self, k: u32) -> u32 {
+        match self.free.pop() {
+            Some(run) => {
+                self.counts[run as usize] = k;
+                run
+            }
+            None => {
+                self.counts.push(k);
+                (self.counts.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Checks run `run` stands for.
+    pub(crate) fn count(&self, run: u32) -> u32 {
+        self.counts[run as usize]
+    }
+
+    /// Retire a delivered run, returning its multiplicity. A delivered
+    /// run can no longer grow.
+    fn take(&mut self, run: u32) -> u32 {
+        if self.tail.is_some_and(|t| t.run == run) {
+            self.tail = None;
+        }
+        self.free.push(run);
+        self.counts[run as usize]
+    }
+
+    /// Let the pending run scheduled as `(at, seq)` for `disk` grow
+    /// (a restored queue re-derives its tail with this).
+    pub(crate) fn set_tail(&mut self, seq: u64, at: Time, disk: u32, run: u32) {
+        self.tail = Some(RunTail { seq, at, disk, run });
+    }
+
+    /// Forget every run (restore rebuilds them from the queue).
+    pub(crate) fn clear(&mut self) {
+        self.counts.clear();
+        self.free.clear();
+        self.tail = None;
+    }
+}
 
 impl Machine {
+    /// Schedule a flush check of `disk` at `at`. When the most recently
+    /// scheduled event is a check of the same disk at the same time,
+    /// the check joins that entry's run instead of taking a new one.
+    pub(crate) fn schedule_flush_check(&mut self, at: Time, disk: u32) {
+        let next = self.queue.next_seq();
+        let runs = &mut self.flush_runs;
+        if let Some(t) = runs.tail {
+            if t.seq + 1 == next
+                && t.at == at
+                && t.disk == disk
+                && runs.counts[t.run as usize] < MAX_FLUSH_RUN
+            {
+                runs.counts[t.run as usize] += 1;
+                return;
+            }
+        }
+        let run = runs.open(1);
+        runs.set_tail(next, at, disk, run);
+        self.queue
+            .schedule_at(at, super::Event::FlushCheck { disk, run });
+    }
+
+    /// Deliver flush-check run `run`: the check, once per check the
+    /// run stands for.
+    pub(crate) fn on_flush_run(&mut self, disk: u32, run: u32) {
+        for _ in 0..self.flush_runs.take(run) {
+            self.on_flush_check(disk);
+        }
+    }
+
     /// A page-read request reached disk `disk`'s controller.
     pub(crate) fn on_disk_request(&mut self, disk: u32, vpn: Vpn) -> Result<(), SimError> {
         let t = self.queue.now();
@@ -135,8 +242,7 @@ impl Machine {
         match self.disks[disk as usize].write_page(g.end, vpn, block, from) {
             WriteOutcome::Ack { flush_check_at } => {
                 self.obs_instant(g.end, groups::DISK, disk, "disk.admit", vpn, from as u64);
-                self.queue
-                    .schedule_at(flush_check_at, super::Event::FlushCheck { disk });
+                self.schedule_flush_check(flush_check_at, disk);
                 let d = self.mesh_send(g.end, io, from, self.cfg.ctl_msg_bytes, "mesh.ctl");
                 // A lost ACK leaves the swap pending; the swap timeout
                 // re-issues the write and the duplicate is tolerated.
@@ -251,8 +357,7 @@ impl Machine {
         let free_at = self.disks[disk as usize].arm_free_at(t);
         if free_at > t {
             if self.disks[disk as usize].has_pending_dirty() {
-                self.queue
-                    .schedule_at(free_at, super::Event::FlushCheck { disk });
+                self.schedule_flush_check(free_at, disk);
             }
             return;
         }
@@ -283,8 +388,7 @@ impl Machine {
             // More dirty runs may remain; cache room also lets the
             // NWCache interface drain more swap-outs, and requesters
             // NACKed during the flush get first claim on freed slots.
-            self.queue
-                .schedule_at(res.done_at, super::Event::FlushCheck { disk });
+            self.schedule_flush_check(res.done_at, disk);
             self.queue
                 .schedule_at(res.done_at, super::Event::NackRecheck { disk });
             if self.cfg.has_ring() {
@@ -412,8 +516,7 @@ impl Machine {
                     self.pt[vpn as usize].state = PageState::OnDisk;
                     self.trace(t, vpn, crate::trace::TraceKind::Drained { disk });
                     self.obs_instant(t, groups::DISK, disk, "disk.admit", vpn, origin as u64);
-                    self.queue
-                        .schedule_at(flush_check_at, super::Event::FlushCheck { disk });
+                    self.schedule_flush_check(flush_check_at, disk);
                 }
                 WriteOutcome::Nack => {
                     // Room vanished between the check and the copy:

@@ -201,3 +201,155 @@ fn exec_time_is_max_of_processors() {
     assert_eq!(m.exec_time, max_local);
 }
 
+/// Queue entries and flush-check multiplicities of everything pending,
+/// in delivery order: `(time, disk, checks)` for flush-check runs and
+/// `(time, u32::MAX, 1)` for any other event.
+fn pending(m: &Machine) -> Vec<(u64, u32, u32)> {
+    m.queue
+        .ckpt_entries()
+        .into_iter()
+        .map(|(at, _, ev)| match *ev {
+            Event::FlushCheck { disk, run } => (at, disk, m.flush_runs.count(run)),
+            _ => (at, u32::MAX, 1),
+        })
+        .collect()
+}
+
+#[test]
+fn flush_checks_merge_only_when_scheduled_back_to_back() {
+    let cfg = MachineConfig::scaled_paper(MachineKind::Standard, PrefetchMode::Naive, SCALE);
+    let mut m = Machine::new(cfg, AppId::Sor);
+    // Same disk, same time, adjacent sequence numbers: one entry.
+    m.schedule_flush_check(100, 0);
+    m.schedule_flush_check(100, 0);
+    m.schedule_flush_check(100, 0);
+    // Another disk or another time opens a new run.
+    m.schedule_flush_check(100, 1);
+    m.schedule_flush_check(200, 1);
+    m.schedule_flush_check(200, 1);
+    // Any other event scheduled in between ends the run.
+    m.queue.schedule_at(200, Event::NackRecheck { disk: 1 });
+    m.schedule_flush_check(200, 1);
+    m.schedule_flush_check(200, 0);
+    let other = (200, u32::MAX, 1);
+    assert_eq!(
+        pending(&m),
+        vec![(100, 0, 3), (100, 1, 1), (200, 1, 2), other, (200, 1, 1), (200, 0, 1)]
+    );
+
+    // A delivered run cannot grow, even with nothing scheduled since:
+    // a check at the same time takes a fresh entry behind it.
+    let mut m = Machine::new(m.cfg.clone(), AppId::Sor);
+    m.schedule_flush_check(50, 2);
+    m.schedule_flush_check(50, 2);
+    let Some((50, Event::FlushCheck { disk: 2, run })) = m.queue.pop() else {
+        panic!("expected the run at t=50");
+    };
+    m.on_flush_run(2, run);
+    m.schedule_flush_check(50, 2);
+    assert_eq!(pending(&m), vec![(50, 2, 1)]);
+}
+
+/// The flush-check storm cell: radix on the standard machine with
+/// windowed prefetching, where swap-outs crowd the 4-slot controller
+/// cache and every admitted write polls the busy disk arm.
+const STORM_SCALE: f64 = 0.08;
+/// Queue entries the storm cell dispatches with flush-check runs.
+const STORM_EVENTS: u64 = 38_805;
+/// Events it dispatched when every flush check was its own entry —
+/// the number of handler invocations, which merging must preserve.
+const STORM_CHECKS: u64 = 56_673;
+
+fn storm_machine() -> Machine {
+    let cfg = MachineConfig::scaled_paper(MachineKind::Standard, PrefetchMode::Window, STORM_SCALE);
+    let build = crate::AppSel::parse("radix").unwrap().build(&cfg).unwrap();
+    let mut m = Machine::try_from_build(cfg, build).unwrap();
+    m.set_sim_threads(1);
+    m
+}
+
+fn storm_finish(mut m: Machine) -> String {
+    match m.try_run_events(u64::MAX).unwrap() {
+        RunOutcome::Done(r) => r.summary().to_json(),
+        RunOutcome::Paused => unreachable!("unbounded run cannot pause"),
+    }
+}
+
+/// True when the most recently scheduled pending entry is a run of
+/// more than one check — a run the next flush check could still join.
+fn growable_run_pending(m: &Machine) -> bool {
+    let last = m.queue.next_seq().wrapping_sub(1);
+    m.queue.ckpt_entries().into_iter().any(|(_, seq, ev)| {
+        seq == last && matches!(*ev, Event::FlushCheck { run, .. } if m.flush_runs.count(run) > 1)
+    })
+}
+
+#[test]
+fn storm_cell_merges_checks_into_runs_without_losing_any() {
+    let mut m = storm_machine();
+    let mut checks = 0u64;
+    let mut longest = 0;
+    loop {
+        if let Some((_, &Event::FlushCheck { run, .. })) = m.queue.peek() {
+            let k = m.flush_runs.count(run);
+            longest = longest.max(k);
+            checks += k as u64;
+        } else {
+            checks += 1;
+        }
+        if let RunOutcome::Done(_) = m.try_run_events(1).unwrap() {
+            break;
+        }
+    }
+    assert_eq!(m.events_dispatched(), STORM_EVENTS, "queue entries");
+    assert_eq!(checks, STORM_CHECKS, "flush checks lost or invented");
+    assert!(longest > 1, "no flush-check run formed");
+}
+
+fn storm_pause_at(m: &mut Machine, mark: u64) {
+    let budget = mark - m.events_dispatched();
+    assert!(matches!(m.try_run_events(budget).unwrap(), RunOutcome::Paused));
+}
+
+#[test]
+fn storm_cell_checkpoints_restore_and_resave_identically() {
+    use crate::checkpoint::{machine_from_bytes, machine_to_bytes};
+    // Marks spread over the run, plus the first point past a third of
+    // it where a run of several checks is pending and can still grow.
+    let mut m = storm_machine();
+    storm_pause_at(&mut m, STORM_EVENTS / 3);
+    while !growable_run_pending(&m) {
+        let next = m.events_dispatched() + 1;
+        storm_pause_at(&mut m, next);
+    }
+    let mut marks = vec![STORM_EVENTS / 5, STORM_EVENTS / 2, STORM_EVENTS * 4 / 5];
+    marks.push(m.events_dispatched());
+    marks.sort_unstable();
+    marks.dedup();
+
+    let mut m = storm_machine();
+    let mut snaps = Vec::new();
+    for &mark in &marks {
+        storm_pause_at(&mut m, mark);
+        snaps.push(machine_to_bytes("radix", &m));
+    }
+    let reference = storm_finish(m);
+
+    for (i, snap) in snaps.iter().enumerate() {
+        let (_, mut r) = machine_from_bytes(snap).unwrap();
+        assert_eq!(machine_to_bytes("radix", &r), *snap, "resave at {}", marks[i]);
+        // A restored run merges exactly where the uninterrupted one
+        // did, so every later checkpoint lands on the same bytes.
+        for j in i + 1..marks.len() {
+            storm_pause_at(&mut r, marks[j]);
+            assert_eq!(
+                machine_to_bytes("radix", &r),
+                snaps[j],
+                "restored at {}, saved at {}",
+                marks[i],
+                marks[j]
+            );
+        }
+        assert_eq!(storm_finish(r), reference, "restored at {}", marks[i]);
+    }
+}

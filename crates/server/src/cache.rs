@@ -4,8 +4,8 @@
 //! every variant of the *measured* remainder. The cache memoizes the
 //! post-warmup [`Machine`] as `nwckpt-v1` bytes, content-addressed by
 //! [`nwcache::checkpoint::warm_key`] — the FNV-1a 64 of the canonical
-//! CONFIG bytes, the workload spec, and the warmup event count — so a
-//! cached state is only ever replayed into a run whose config,
+//! CONFIG bytes, the workload spec, the warmup event count and the
+//! engine's event-accounting version — so a cached state is only ever replayed into a run whose config,
 //! workload, and warmup prefix are all bit-equal to the run that
 //! produced it.
 //!
@@ -392,6 +392,36 @@ mod tests {
             WarmStart::Finished(_) => panic!("run finished inside warmup"),
         }
         assert_eq!(cache.misses(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_states_keyed_by_older_event_accounting_are_misses() {
+        // The key the first event accounting (one queue entry per
+        // flush check) gave: no accounting version folded in.
+        fn v1_key(cfg: &MachineConfig, spec: &str, warmup_events: u64) -> u64 {
+            let mut bytes = checkpoint::config_to_bytes(cfg);
+            bytes.extend_from_slice(spec.as_bytes());
+            bytes.extend_from_slice(&warmup_events.to_le_bytes());
+            nw_sim::ckpt::fnv1a(&bytes)
+        }
+        let dir = scratch("v1-key");
+        let c = MachineConfig::scaled_paper(MachineKind::Standard, PrefetchMode::Naive, 0.05);
+        assert_ne!(v1_key(&c, "sor", 500), checkpoint::warm_key(&c, "sor", 500));
+        // An older binary's state for "500 events" cut the run at a
+        // different point than 500 events cut it now.
+        let stale = match cold_warmup(&c, "sor", 700).unwrap() {
+            WarmStart::Ready { machine, .. } => machine.checkpoint("sor"),
+            WarmStart::Finished(_) => panic!("run finished inside warmup"),
+        };
+        std::fs::write(WarmCache::entry_path(&dir, v1_key(&c, "sor", 500)), stale).unwrap();
+        let cache = WarmCache::new(Some(dir.clone()), 4);
+        // Verify mode sees a miss, not a spurious drift.
+        match warm_start(&cache, &c, "sor", 500, true).unwrap() {
+            WarmStart::Ready { hit, .. } => assert!(!hit),
+            WarmStart::Finished(_) => panic!("run finished inside warmup"),
+        }
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

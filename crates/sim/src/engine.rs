@@ -304,6 +304,12 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
+    /// Sequence number the next scheduled event will get. The event
+    /// with sequence `next_seq() - 1` is the most recently scheduled.
+    pub fn next_seq(&self) -> u64 {
+        self.seq
+    }
+
     /// Total number of events ever scheduled.
     pub fn total_scheduled(&self) -> u64 {
         self.scheduled

@@ -473,9 +473,13 @@ mod tests {
 
     #[test]
     fn job_handle_runs_cancels_and_joins() {
-        // A cooperative job that counts until cancelled.
-        let h = spawn_job(|tok: CancelToken| {
-            let mut n = 0u64;
+        // A cooperative job that counts until cancelled. It does one
+        // unit of work and signals before it first polls the token, so
+        // the cancel below can never overtake the job's start.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let h = spawn_job(move |tok: CancelToken| {
+            let mut n = 1u64;
+            started_tx.send(()).expect("test is waiting");
             while !tok.is_cancelled() {
                 n += 1;
                 std::thread::yield_now();
@@ -486,6 +490,7 @@ mod tests {
             n
         });
         assert!(!h.cancel_token().is_cancelled());
+        started_rx.recv().expect("job started");
         h.cancel();
         let n = h.join().expect("job completed");
         assert!(n >= 1);
