@@ -120,7 +120,6 @@ pub fn build(nprocs: usize, scale: f64, seed: u64) -> AppBuild {
         name: "em3d",
         data_bytes,
         streams,
-        node_private: false,
     }
 }
 

@@ -61,7 +61,6 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
         name: "fft",
         data_bytes,
         streams,
-        node_private: false,
     }
 }
 

@@ -60,7 +60,6 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
         name: "gauss",
         data_bytes,
         streams,
-        node_private: false,
     }
 }
 

@@ -77,13 +77,6 @@ pub struct AppBuild {
     pub data_bytes: u64,
     /// One action stream per processor.
     pub streams: Vec<ActionStream>,
-    /// Contract: processor `p` only ever touches pages in its own
-    /// block partition of the address space (no page or cache-line
-    /// sharing between processors). Lets the simulator run same-time
-    /// events from different partitions in parallel. Must only be set
-    /// by builders that guarantee it — a mislabel silently breaks the
-    /// parallel engine's bit-identical-to-serial property.
-    pub node_private: bool,
 }
 
 impl AppBuild {
@@ -103,7 +96,6 @@ impl AppBuild {
                 .into_iter()
                 .map(|v| Box::new(v.into_iter()) as ActionStream)
                 .collect(),
-            node_private: false,
         }
     }
 

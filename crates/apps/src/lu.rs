@@ -129,7 +129,6 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
         name: "lu",
         data_bytes,
         streams,
-        node_private: false,
     }
 }
 

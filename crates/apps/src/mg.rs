@@ -229,7 +229,6 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
         name: "mg",
         data_bytes,
         streams,
-        node_private: false,
     }
 }
 

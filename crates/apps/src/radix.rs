@@ -111,7 +111,6 @@ pub fn build(nprocs: usize, scale: f64, seed: u64) -> AppBuild {
         name: "radix",
         data_bytes,
         streams,
-        node_private: false,
     }
 }
 

@@ -58,7 +58,6 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
         name: "sor",
         data_bytes,
         streams,
-        node_private: false,
     }
 }
 

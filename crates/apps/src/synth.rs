@@ -85,33 +85,7 @@ pub fn build(cfg: SynthConfig, nprocs: usize, seed: u64) -> AppBuild {
         name: "synth",
         data_bytes,
         streams,
-        node_private: false,
     }
-}
-
-/// Build a node-private variant of the synthetic kernel: a pure block
-/// sweep where processor `p` touches only its own page-aligned slice
-/// of the array, so the [`AppBuild::node_private`] contract holds.
-///
-/// # Panics
-/// Panics unless `random_frac == 0` (random accesses cross
-/// partitions) and the line count splits into page-aligned per-proc
-/// blocks (`lines_total % (nprocs * 64) == 0`, 64 lines per 4 KB
-/// page), which makes every partition boundary a page boundary.
-pub fn build_private(cfg: SynthConfig, nprocs: usize, seed: u64) -> AppBuild {
-    assert!(
-        cfg.random_frac == 0.0,
-        "node-private synth cannot use random accesses"
-    );
-    let lines_total = cfg.data_bytes.div_ceil(64);
-    assert!(
-        lines_total.is_multiple_of(nprocs as u64 * 64),
-        "node-private synth needs page-aligned per-proc blocks \
-         ({lines_total} lines over {nprocs} procs)"
-    );
-    let mut b = build(cfg, nprocs, seed);
-    b.node_private = true;
-    b
 }
 
 #[cfg(test)]

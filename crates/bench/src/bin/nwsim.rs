@@ -4,9 +4,9 @@
 //! nwsim run     --app sor --machine nwcache --prefetch naive [--scale S]
 //!               [--topo SPEC] [--seed N] [--min-free N] [--disk-cache N]
 //!               [--ring-slots N] [--checkpoint PATH] [--checkpoint-every N]
-//!               [--stop-after N] [--sim-threads K] [--json]
+//!               [--stop-after N] [--json]
 //! nwsim resume  CKPT [--checkpoint PATH] [--checkpoint-every N]
-//!               [--stop-after N] [--sim-threads K] [--json]
+//!               [--stop-after N] [--json]
 //! nwsim ckpt-validate PATH
 //! nwsim ckpt-diff A B
 //! nwsim trace   <app> [--machine M] [--prefetch P] [--scale S] [--seed N]
@@ -15,7 +15,6 @@
 //! nwsim trace-validate PATH
 //! nwsim compare --app sor --prefetch naive [--scale S] [--jobs N]
 //! nwsim bench   [--quick] [--out PATH] [--baseline PATH] [--check-regress PCT]
-//!               [--sim-threads K]
 //! nwsim bench-validate PATH
 //! nwsim apps
 //! nwsim config  [--machine M] [--prefetch P] [--topo SPEC]
@@ -26,7 +25,7 @@
 //!                         [--scale S] [--json]
 //! nwsim workload describe PATH
 //! nwsim serve   [--addr H:P] [--job-slots N] [--warm-dir D] [--warm-capacity N]
-//!               [--autosave-dir D] [--chunk-events N] [--sim-threads K]
+//!               [--autosave-dir D] [--chunk-events N]
 //! nwsim client  <run|sweep|metrics|ping|shutdown> --addr H:P [--app SPEC]
 //!               [--machine M | --machines a,b,c] [--prefetch P] [--scale S]
 //!               [--seed N] [--topo SPEC] [--warm-events N] [--verify-warm]
@@ -63,13 +62,8 @@
 //! DESIGN.md §17 for the grammar.
 //!
 //! `--jobs N` bounds the sweep worker threads for multi-run commands
-//! (`0` = one per core); results are identical at any job count.
-//!
-//! `--sim-threads K` runs each simulation's event loop on K worker
-//! threads (`0` = one per core, `1` = the serial engine). Delivery
-//! order is bit-identical at any K — summaries, metrics and
-//! checkpoints do not change, only wall-clock time does. For `bench`
-//! it also sets the `pdes_large_par` kernel's worker count.
+//! (`0` = one per core); results are identical at any job count. Each
+//! simulation itself runs on one serial event loop.
 //!
 //! Checkpointing: `run --checkpoint ckpt.nwckpt --checkpoint-every N`
 //! autosaves an `nwckpt-v1` snapshot every N dispatched events
@@ -132,6 +126,10 @@ impl Args {
             let k = raw[i].clone();
             if !k.starts_with("--") {
                 die(&format!("unexpected argument '{k}'"));
+            }
+            if k == "--sim-threads" {
+                die("--sim-threads was removed: each simulation runs on one serial event \
+                     loop; use --jobs N to run independent simulations in parallel");
             }
             // Boolean flags take no value and may appear last.
             if k == "--json"
@@ -436,10 +434,6 @@ fn run_chunked(
 /// frame, draining in-flight jobs to autosaved checkpoints.
 fn serve_cmd(argv: &[String]) {
     let args = Args::parse(argv);
-    if let Some(v) = args.get("--sim-threads") {
-        let k: usize = v.parse().unwrap_or_else(|_| die("bad --sim-threads"));
-        nwcache::machine::set_default_sim_threads(k);
-    }
     let mut opts = ServeOptions::default();
     if let Some(v) = args.get("--addr") {
         opts.addr = v.to_string();
@@ -764,10 +758,6 @@ fn main() {
     if let Some(v) = args.get("--jobs") {
         nwcache::sweep::set_jobs(v.parse().unwrap_or_else(|_| die("bad --jobs")));
     }
-    if let Some(v) = args.get("--sim-threads") {
-        let k: usize = v.parse().unwrap_or_else(|_| die("bad --sim-threads"));
-        nwcache::machine::set_default_sim_threads(k);
-    }
     match cmd.as_str() {
         "run" => {
             let cfg = build_config(&args);
@@ -902,11 +892,7 @@ fn main() {
                 "nwsim bench: timing hot-path kernels ({}) ...",
                 if quick { "quick" } else { "full" }
             );
-            let par_threads = args
-                .get("--sim-threads")
-                .map(|v| v.parse().unwrap_or_else(|_| die("bad --sim-threads")))
-                .unwrap_or(0);
-            let mut report = nwcache::hotbench::BenchReport::run(quick, par_threads);
+            let mut report = nwcache::hotbench::BenchReport::run(quick);
             if let Some(json) = &baseline {
                 report.attach_baseline(json);
             }

@@ -1,7 +1,7 @@
 //! `reproduce` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! reproduce [--scale S] [--jobs N] [--sim-threads K]
+//! reproduce [--scale S] [--jobs N]
 //!           [table3|table4|table5|table6|table7|
 //!            table8|fig3|fig4|overall|minfree|diskcache|window|prefetch|
 //!            ablations|dcd|scaling|scale|reuse|zipf|ionodes|faults|all]
@@ -12,11 +12,13 @@
 //! scales shrink both the applications and the machine proportionally
 //! (useful for a quick pass).
 //!
+//! An unknown flag or target word exits 2 (`ExitCode::Validation`)
+//! and lists the valid targets.
+//!
 //! `--jobs N` fans independent runs out over N worker threads (`0` =
 //! one per core, the default). Results are bit-identical at any job
-//! count. `--sim-threads K` additionally parallelizes *inside* each
-//! simulation (the PDES engine; `0` = one per core) — also
-//! bit-identical at any K. `--json out.json` runs the full paper matrix and writes a
+//! count; each simulation itself runs on one serial event loop.
+//! `--json out.json` runs the full paper matrix and writes a
 //! stable-schema `SweepReport` (`nwcache-sweep-v1`) — the format the
 //! `BENCH_*.json` perf trajectories are recorded in. With `--json` and
 //! no explicit targets, only the export runs.
@@ -25,8 +27,8 @@
 //! (8 → 64 → 256 nodes, standard vs NWCache); `--scale-json out.json`
 //! additionally exports it as the frozen `nwcache-scale-v1` table.
 //! The export carries no wall-clock or worker-count fields, so two
-//! exports at different `--jobs` / `--sim-threads` settings are
-//! byte-identical (the CI scale-smoke job `cmp`s them).
+//! exports at different `--jobs` settings are byte-identical (the CI
+//! scale-smoke job `cmp`s them).
 //!
 //! `--trace-cell app:machine:prefetch` re-runs one cell of the paper
 //! matrix with the observer attached and writes a Perfetto-loadable
@@ -44,6 +46,30 @@ use nwcache::report;
 use nwcache::AppSel;
 use nw_apps::AppId;
 
+/// Every target word `reproduce` accepts. `all` selects each of them
+/// except `faults`, which perturbs runs and must be named.
+const TARGETS: [&str; 22] = [
+    "table3", "table4", "table5", "table6", "table7", "table8", "fig3", "fig4", "overall",
+    "minfree", "diskcache", "window", "prefetch", "ablations", "dcd", "scaling", "scale",
+    "reuse", "zipf", "ionodes", "faults", "all",
+];
+
+/// Usage errors: print the reason and exit 2.
+fn die(msg: &str) -> ! {
+    eprintln!("reproduce: {msg}");
+    std::process::exit(nwcache::ExitCode::Validation.code())
+}
+
+/// An unknown flag or target: name it and list the valid targets.
+fn unknown(what: &str, word: &str) -> ! {
+    die(&format!("unknown {what} '{word}' (valid targets: {})", TARGETS.join(" ")))
+}
+
+/// The value following `flag`.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    it.next().unwrap_or_else(|| die(&format!("{flag} needs a value")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 1.0f64;
@@ -56,40 +82,28 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--scale needs a number in (0, 1]");
+                scale = value(&mut it, "--scale")
+                    .parse()
+                    .unwrap_or_else(|_| die("--scale needs a number in (0, 1]"));
             }
-            "--json" => {
-                json_path = Some(it.next().expect("--json needs a path"));
-            }
-            "--scale-json" => {
-                scale_json_path = Some(it.next().expect("--scale-json needs a path"));
-            }
-            "--trace-cell" => {
-                trace_cell =
-                    Some(it.next().expect("--trace-cell needs app:machine:prefetch"));
-            }
-            "--trace-out" => {
-                trace_out = Some(it.next().expect("--trace-out needs a path"));
-            }
+            "--json" => json_path = Some(value(&mut it, "--json")),
+            "--scale-json" => scale_json_path = Some(value(&mut it, "--scale-json")),
+            "--trace-cell" => trace_cell = Some(value(&mut it, "--trace-cell")),
+            "--trace-out" => trace_out = Some(value(&mut it, "--trace-out")),
             "--jobs" => {
-                let n: usize = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--jobs needs a non-negative integer (0 = one per core)");
+                let n: usize = value(&mut it, "--jobs").parse().unwrap_or_else(|_| {
+                    die("--jobs needs a non-negative integer (0 = one per core)")
+                });
                 nwcache::sweep::set_jobs(n);
             }
-            "--sim-threads" => {
-                let k: usize = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--sim-threads needs a non-negative integer (0 = one per core)");
-                nwcache::machine::set_default_sim_threads(k);
-            }
+            "--sim-threads" => die(
+                "--sim-threads was removed: each simulation runs on one serial event \
+                 loop; use --jobs N to run independent simulations in parallel",
+            ),
             "--faults" => targets.push("faults".into()),
-            other => targets.push(other.to_string()),
+            other if other.starts_with("--") => unknown("flag", other),
+            other if TARGETS.contains(&other) => targets.push(other.to_string()),
+            other => unknown("target", other),
         }
     }
     // `--json`/`--scale-json`/`--trace-cell` with no explicit targets
@@ -151,7 +165,10 @@ fn main() {
     // The fault grid perturbs runs, so it never rides along with
     // `all` — ask for it explicitly (`faults` or `--faults`).
     let want_faults = targets.iter().any(|t| t == "faults");
-    let want = |t: &str| t != "faults" && (all || targets.iter().any(|x| x == t));
+    let want = |t: &str| {
+        assert!(TARGETS.contains(&t), "'{t}' is missing from TARGETS");
+        t != "faults" && (all || targets.iter().any(|x| x == t))
+    };
 
     if want("table3") {
         let rows = exp::table_swap_out(PrefetchMode::Optimal, scale);

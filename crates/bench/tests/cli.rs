@@ -246,3 +246,60 @@ fn exit_codes_are_the_documented_enum() {
     std::fs::remove_file(&a).ok();
     std::fs::remove_file(&b).ok();
 }
+
+fn reproduce() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+}
+
+/// `--sim-threads` is gone: every verb that took it refuses it with
+/// exit 2 and a pointer to `--jobs`, before doing any work.
+#[test]
+fn removed_sim_threads_flag_points_to_jobs() {
+    let nwsim_calls: [&[&str]; 4] = [
+        &["run", "--app", "sor", "--sim-threads", "4"],
+        &["resume", "missing.nwckpt", "--sim-threads", "1"],
+        &["bench", "--quick", "--sim-threads", "4"],
+        &["serve", "--sim-threads", "2"],
+    ];
+    let outs = nwsim_calls
+        .iter()
+        .map(|argv| (argv.join(" "), nwsim().args(*argv).output().expect("spawn nwsim")))
+        .chain(std::iter::once((
+            "reproduce --sim-threads 4 table3".to_string(),
+            reproduce()
+                .args(["--sim-threads", "4", "table3"])
+                .output()
+                .expect("spawn reproduce"),
+        )));
+    for (call, out) in outs {
+        assert_eq!(out.status.code(), Some(2), "{call}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--sim-threads was removed"), "{call}: {stderr}");
+        assert!(stderr.contains("--jobs"), "{call}: {stderr}");
+        assert!(out.stdout.is_empty(), "{call} printed output");
+    }
+}
+
+/// A misspelt target or flag used to match nothing and exit 0 with no
+/// output; now it exits 2 and lists the valid targets.
+#[test]
+fn reproduce_rejects_unknown_targets_and_flags() {
+    for argv in [
+        ["--scale", "0.05", "tabel3"],
+        ["--scale", "0.05", "--tabel3"],
+        ["table3", "--scale", "0.05x"],
+    ] {
+        let out = reproduce().args(argv).output().expect("spawn reproduce");
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if argv[2].contains("tabel3") {
+            assert!(stderr.contains("unknown"), "{argv:?}: {stderr}");
+            for target in ["table3", "fig4", "scale", "faults", "all"] {
+                assert!(stderr.contains(target), "{argv:?}: no '{target}' in {stderr}");
+            }
+        } else {
+            assert!(stderr.contains("--scale needs a number"), "{stderr}");
+        }
+    }
+}

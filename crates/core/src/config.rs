@@ -441,30 +441,6 @@ impl MachineConfig {
         self.kind == MachineKind::NwCache
     }
 
-    /// Conservative PDES lookahead: a lower bound (in pcycles) on how
-    /// long any cross-node interaction takes to become visible at
-    /// another node. An event executed at time `t` on one node can
-    /// only affect another node at `t + lookahead` or later, so
-    /// same-timestamp events on different nodes are causally
-    /// independent and a parallel engine may execute them in any
-    /// order (see `machine::pdes` and DESIGN.md §16).
-    ///
-    /// The floors per cross-domain channel:
-    /// * **mesh** — the cheapest message is a control payload over a
-    ///   single hop: two network-interface crossings, one switch
-    ///   delay, and the payload's serialization cycles;
-    /// * **ring** — a page is only visible to another node after at
-    ///   least a full ring round-trip;
-    /// * **disk** — the cheapest disk interaction is a perfectly
-    ///   sequential page transfer (no seek, no rotation) at the
-    ///   paper's 20 MB/s media rate.
-    pub fn pdes_lookahead(&self) -> Time {
-        let mesh = nw_mesh::MeshConfig::paper_default();
-        let mesh_floor = 2 * mesh.ni_overhead + mesh.switch_delay + self.ctl_msg_bytes;
-        let disk_floor = self.page_bytes * usecs(1) / 20;
-        mesh_floor.min(self.ring_round_trip).min(disk_floor)
-    }
-
     /// Validate internal consistency.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 || self.io_nodes == 0 {
@@ -912,20 +888,6 @@ mod tests {
         c.faults.ring_channel_failures = vec![(1000, 3)];
         assert!(c.faults.is_active());
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn lookahead_is_positive_and_bounded_by_the_ring() {
-        for kind in [MachineKind::Standard, MachineKind::NwCache, MachineKind::Dcd] {
-            let c = MachineConfig::paper_default(kind, PrefetchMode::Naive);
-            let w = c.pdes_lookahead();
-            assert!(w > 0, "{kind:?}: lookahead must be positive");
-            assert!(w <= c.ring_round_trip, "{kind:?}: {w}");
-        }
-        // Paper config: the binding floor is the one-hop control
-        // message (2*20 NI + 4 switch + 16 serialization).
-        let c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-        assert_eq!(c.pdes_lookahead(), 60);
     }
 
     #[test]

@@ -708,9 +708,9 @@ fn scale_scenario(mode: &str, nodes: u32, scale: f64) -> String {
 /// shorthand topology specs) at `scale`, standard vs NWCache on each
 /// rung. Cells fan out across the sweep pool; each is a pure
 /// function of its `(MachineConfig, AppSel)`, so the returned rows
-/// are bit-identical at any `--jobs` / `--sim-threads` setting. A
-/// malformed spec fails the whole study (caller bug); a cell that
-/// errors mid-run becomes an error row.
+/// are bit-identical at any `--jobs` setting. A malformed spec fails
+/// the whole study (caller bug); a cell that errors mid-run becomes an
+/// error row.
 pub fn scale_study(topos: &[&str], scale: f64) -> Result<Vec<ScaleRow>, String> {
     let mut meta: Vec<(String, u32, &'static str, &'static str)> = Vec::new();
     let mut grid: Vec<(MachineConfig, crate::workload::AppSel)> = Vec::new();
@@ -748,9 +748,9 @@ pub fn scale_study(topos: &[&str], scale: f64) -> Result<Vec<ScaleRow>, String> 
 /// Serialize scale-study rows with the frozen `nwcache-scale-v1`
 /// schema. Unlike `nwcache-sweep-v1` this document carries **no**
 /// wall-clock or worker-count fields: every byte is a pure function
-/// of the simulated machines, so two exports at different `--jobs` /
-/// `--sim-threads` settings must be `cmp`-identical (the CI
-/// scale-smoke job relies on exactly that).
+/// of the simulated machines, so two exports at different `--jobs`
+/// settings must be `cmp`-identical (the CI scale-smoke job relies on
+/// exactly that).
 pub fn scale_report_json(scale: f64, rows: &[ScaleRow]) -> String {
     let mut out = String::with_capacity(1024 + rows.len() * 1200);
     out.push_str("{\n");

@@ -21,6 +21,7 @@
 
 use crate::config::{MachineConfig, MachineKind, PrefetchMode};
 use crate::metrics::json_f64;
+use crate::observe::json::{self, Value};
 use nw_apps::AppId;
 use nw_memhier::{Cache, CacheConfig, Directory, LookupResult, ReadOutcome, LINES_PER_PAGE};
 use nw_optical::{OpticalRing, RingConfig};
@@ -44,7 +45,7 @@ pub struct KernelResult {
     /// elimination and pins behavior across data-layout changes.
     pub checksum: u64,
     /// Simulation events dispatched per iteration, for kernels that
-    /// run the event loop (the app/PDES kernels); `None` for the
+    /// run the event loop (the app kernel); `None` for the
     /// data-structure kernels.
     pub events: Option<u64>,
     /// `ns_per_iter` of the same kernel in a baseline report, when
@@ -285,7 +286,6 @@ fn bench_app_run(quick: bool) -> KernelResult {
     let events = std::cell::Cell::new(0u64);
     let mut kr = time_kernel("app_run", r, |_| {
         let mut machine = crate::machine::Machine::new(cfg.clone(), AppId::Gauss);
-        machine.set_sim_threads(1);
         let m = machine.run();
         // Runs are deterministic, so the per-iteration event count is
         // a constant, not an accumulation.
@@ -301,74 +301,10 @@ fn bench_app_run(quick: bool) -> KernelResult {
     kr
 }
 
-/// The larger-than-paper PDES machine: 32 nodes (8 I/O nodes) with a
-/// node-private synthetic sweep whose barrier resynchronization makes
-/// every quantum round a 32-wide `Resume` cohort. `pdes_large` runs
-/// it serially, `pdes_large_par` on K worker threads; the two must
-/// produce the *same* checksum (bit-identical engines), so the pair
-/// doubles as a determinism gate in `validate_bench_json`.
-fn pdes_large_cfg() -> MachineConfig {
-    let mut cfg = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-    cfg.nodes = 32;
-    cfg.io_nodes = 8;
-    cfg.ring_channels = 32; // NwCache validation: channels >= nodes
-    cfg.memory_per_node = 256 * 1024;
-    // Long quanta keep the lanes busy between barrier rounds.
-    cfg.quantum = 50_000;
-    cfg
-}
-
-fn pdes_large_build() -> nw_apps::AppBuild {
-    nw_apps::synth::build_private(
-        nw_apps::synth::SynthConfig {
-            // 64 KB per processor: half the 128 KB L2, so the cyclic
-            // sweep re-hits in cache instead of missing every line.
-            data_bytes: 32 * 64 * 1024,
-            stride_lines: 1,
-            write_frac: 0.0,
-            random_frac: 0.0,
-            iters: 14,
-            compute_per_line: 8,
-        },
-        32,
-        0x1999,
-    )
-}
-
-fn bench_pdes_large(quick: bool, name: &'static str, threads: usize) -> KernelResult {
-    let r = if quick {
-        Reps { warmup: 0, iters: 3 }
-    } else {
-        Reps { warmup: 1, iters: 5 }
-    };
-    let cfg = pdes_large_cfg();
-    let events = std::cell::Cell::new(0u64);
-    let mut kr = time_kernel(name, r, |_| {
-        let mut machine = crate::machine::Machine::from_build(cfg.clone(), pdes_large_build());
-        machine.set_sim_threads(threads);
-        let m = machine.run();
-        events.set(machine.events_dispatched());
-        m.exec_time
-            .wrapping_mul(31)
-            .wrapping_add(m.page_faults)
-            .wrapping_add(m.swap_outs.wrapping_mul(7))
-            .wrapping_add(m.ring_hits.wrapping_mul(13))
-            .wrapping_add(m.mesh_messages.wrapping_mul(3))
-            .wrapping_add(machine.events_dispatched().wrapping_mul(17))
-    });
-    kr.events = Some(events.get());
-    kr
-}
-
 impl BenchReport {
     /// Run every hot-path kernel and collect a report. `quick` uses
     /// ~10x fewer iterations (the CI smoke configuration).
-    /// `par_threads` is the worker count for the `pdes_large_par`
-    /// kernel (0 picks the default of 4); `pdes_large` always runs
-    /// the same machine serially so the pair measures the parallel
-    /// engine's speedup at identical results.
-    pub fn run(quick: bool, par_threads: usize) -> BenchReport {
-        let par = if par_threads == 0 { 4 } else { par_threads };
+    pub fn run(quick: bool) -> BenchReport {
         BenchReport {
             quick,
             kernels: vec![
@@ -376,8 +312,6 @@ impl BenchReport {
                 bench_directory(quick),
                 bench_ring(quick),
                 bench_app_run(quick),
-                bench_pdes_large(quick, "pdes_large", 1),
-                bench_pdes_large(quick, "pdes_large_par", par),
             ],
         }
     }
@@ -386,10 +320,11 @@ impl BenchReport {
     /// JSON (matching kernels by name). Baselines predating the
     /// `events_per_sec` field simply leave it unset.
     pub fn attach_baseline(&mut self, baseline_json: &str) {
+        let Ok(doc) = json::parse(baseline_json) else { return };
         for k in &mut self.kernels {
-            k.baseline_ns_per_iter = extract_kernel_ns(baseline_json, k.name);
-            k.baseline_events_per_sec =
-                extract_kernel_field(baseline_json, k.name, "events_per_sec");
+            let field = |f| kernel_field(&doc, k.name, f).and_then(Value::as_f64);
+            k.baseline_ns_per_iter = field("ns_per_iter");
+            k.baseline_events_per_sec = field("events_per_sec");
         }
     }
 
@@ -448,58 +383,42 @@ impl BenchReport {
 
 /// The kernel names every `nwcache-bench-v1` document must contain,
 /// in schema order.
-pub const KERNEL_NAMES: [&str; 6] = [
+pub const KERNEL_NAMES: [&str; 4] = [
     "cache_probe",
     "directory_transaction",
     "ring_snoop_drain",
     "app_run",
-    "pdes_large",
-    "pdes_large_par",
 ];
 
 /// Validate that `json` is a well-formed `nwcache-bench-v1` document:
 /// correct schema tag, every kernel present with positive iteration
-/// and timing fields. Used by the CI bench smoke job
+/// and timing fields and an integer checksum. Extra kernels (older
+/// reports carried more) are allowed. Used by the CI bench smoke job
 /// (`nwsim bench-validate`) and the integration tests.
 pub fn validate_bench_json(json: &str) -> Result<(), String> {
-    if !json.contains("\"schema\": \"nwcache-bench-v1\"") {
+    let doc = json::parse(json).map_err(|e| format!("not a JSON document: {e}"))?;
+    if doc.get("schema").and_then(Value::as_str) != Some("nwcache-bench-v1") {
         return Err("missing or wrong schema tag (want nwcache-bench-v1)".into());
     }
-    if !json.contains("\"quick\": true") && !json.contains("\"quick\": false") {
+    if !matches!(doc.get("quick"), Some(Value::Bool(_))) {
         return Err("missing \"quick\" flag".into());
     }
     for name in KERNEL_NAMES {
-        let Some(ns) = extract_kernel_ns(json, name) else {
+        let Some(ns) = kernel_field(&doc, name, "ns_per_iter").and_then(Value::as_f64) else {
             return Err(format!("kernel \"{name}\" missing or lacks ns_per_iter"));
         };
         if ns.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(format!("kernel \"{name}\" has non-positive ns_per_iter"));
         }
-        match extract_kernel_field(json, name, "iters") {
-            Some(it) if it > 0.0 => {}
+        match kernel_field(&doc, name, "iters").and_then(Value::as_u64) {
+            Some(it) if it > 0 => {}
             _ => return Err(format!("kernel \"{name}\" has no positive iters")),
         }
-        if extract_kernel_field(json, name, "checksum").is_none() {
+        if kernel_field(&doc, name, "checksum").and_then(Value::as_u64).is_none() {
             return Err(format!("kernel \"{name}\" has no checksum"));
         }
     }
-    // Determinism gate: the serial and parallel PDES kernels run the
-    // same machine, so differing checksums mean the parallel engine
-    // diverged from the serial one.
-    let serial = extract_kernel_field(json, "pdes_large", "checksum");
-    let par = extract_kernel_field(json, "pdes_large_par", "checksum");
-    if serial != par {
-        return Err(format!(
-            "pdes_large checksum {serial:?} != pdes_large_par checksum {par:?}: \
-             parallel engine diverged from serial"
-        ));
-    }
     Ok(())
-}
-
-/// Extract `ns_per_iter` for kernel `name` from a bench JSON document.
-pub fn extract_kernel_ns(json: &str, name: &str) -> Option<f64> {
-    extract_kernel_field(json, name, "ns_per_iter")
 }
 
 /// Whether a bench JSON document may serve as a regression-gate
@@ -508,29 +427,18 @@ pub fn extract_kernel_ns(json: &str, name: &str) -> Option<f64> {
 /// against noise produces phantom regressions (and phantom passes).
 /// Documents predating the field count as authoritative.
 pub fn baseline_is_authoritative(json: &str) -> bool {
-    let Some(i) = json.find("\"authoritative\"") else {
-        return true;
-    };
-    let rest = json[i + "\"authoritative\"".len()..].trim_start();
-    let rest = rest.strip_prefix(':').unwrap_or(rest).trim_start();
-    !rest.starts_with("false")
+    let doc = json::parse(json).ok();
+    !matches!(doc.as_ref().and_then(|d| d.get("authoritative")), Some(Value::Bool(false)))
 }
 
-/// Minimal field extractor for the bench schema: finds the kernel
-/// object by its `"name"` and reads a numeric field from it. Only
-/// meant for `nwcache-bench-v1` documents (objects are single-line,
-/// fields unescaped) — not a general JSON parser.
-fn extract_kernel_field(json: &str, name: &str, field: &str) -> Option<f64> {
-    let tag = format!("\"name\":\"{name}\"");
-    let start = json.find(&tag)?;
-    let obj = &json[start..json[start..].find('}').map(|e| start + e)?];
-    let ftag = format!("\"{field}\":");
-    let fstart = obj.find(&ftag)? + ftag.len();
-    let rest = &obj[fstart..];
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// Field `field` of the kernel object named `name` in a parsed bench
+/// document.
+fn kernel_field<'a>(doc: &'a Value, name: &str, field: &str) -> Option<&'a Value> {
+    doc.get("kernels")?
+        .as_array()?
+        .iter()
+        .find(|k| k.get("name").and_then(Value::as_str) == Some(name))?
+        .get(field)
 }
 
 #[cfg(test)]
@@ -550,13 +458,7 @@ mod tests {
                     warmup: 10,
                     total_ns: 5_000,
                     ns_per_iter: 5_000.0 / (100 + i as u64) as f64,
-                    // The two pdes kernels must agree (the validator's
-                    // determinism gate), mirroring the real engines.
-                    checksum: if name.starts_with("pdes_large") {
-                        99
-                    } else {
-                        42 + i as u64
-                    },
+                    checksum: 42 + i as u64,
                     events: if i >= 3 { Some(10_000 + i as u64) } else { None },
                     baseline_ns_per_iter: None,
                     baseline_events_per_sec: None,
@@ -567,9 +469,20 @@ mod tests {
 
     #[test]
     fn report_json_validates() {
-        let r = tiny_report();
-        let json = r.to_json();
+        let json = tiny_report().to_json();
         assert!(validate_bench_json(&json).is_ok(), "{json}");
+        // Older reports recorded kernels since retired; they stay
+        // valid documents and usable baselines.
+        let older = json.replace(
+            "\n  ]\n}",
+            ",\n    {\"name\":\"retired_kernel\",\"iters\":5,\"warmup\":1,\
+             \"total_ns\":10,\"ns_per_iter\":2,\"checksum\":6111286100}\n  ]\n}",
+        );
+        assert!(older.contains("retired_kernel"), "{older}");
+        assert!(validate_bench_json(&older).is_ok(), "{older}");
+        let mut r = tiny_report();
+        r.attach_baseline(&older);
+        assert!(r.kernels.iter().all(|k| k.baseline_ns_per_iter.is_some()));
     }
 
     #[test]
@@ -596,6 +509,9 @@ mod tests {
         assert!(validate_bench_json(&wrong_schema).is_err());
         let missing_kernel = json.replace("app_run", "app_walk");
         assert!(validate_bench_json(&missing_kernel).is_err());
+        // Checksums are exact integers, not any number.
+        let fractional = json.replace("\"checksum\":45", "\"checksum\":45.5");
+        assert!(validate_bench_json(&fractional).unwrap_err().contains("checksum"));
     }
 
     #[test]
@@ -607,14 +523,6 @@ mod tests {
         assert!(baseline_is_authoritative(&full));
         // Documents predating the field gate as before.
         assert!(baseline_is_authoritative("{\"schema\": \"nwcache-bench-v1\"}"));
-    }
-
-    #[test]
-    fn pdes_checksum_mismatch_is_rejected() {
-        let mut r = tiny_report();
-        r.kernels.last_mut().unwrap().checksum = 7;
-        let err = validate_bench_json(&r.to_json()).unwrap_err();
-        assert!(err.contains("diverged"), "{err}");
     }
 
     #[test]
@@ -635,29 +543,35 @@ mod tests {
     }
 
     #[test]
-    fn pdes_large_kernel_engages_parallel_rounds() {
-        // The speedup pair is only a measurement if the parallel arm
-        // actually takes the lane path on the 32-node machine (a
-        // silent fallback to serial delivery would still produce the
-        // matching checksum the validator pins).
-        let cfg = pdes_large_cfg();
-        let mut serial = crate::machine::Machine::from_build(cfg.clone(), pdes_large_build());
-        serial.set_sim_threads(1);
-        let base = serial.run();
-        let mut par = crate::machine::Machine::from_build(cfg, pdes_large_build());
-        par.set_sim_threads(4);
-        let got = par.run();
-        assert_eq!(base, got, "pdes_large kernel diverged at sim-threads 4");
-        let (parallel_rounds, _) = par.pdes_rounds();
-        assert!(parallel_rounds > 0, "32-node kernel never took the parallel path");
-    }
-
-    #[test]
     fn extractor_reads_numeric_fields() {
-        let r = tiny_report();
-        let json = r.to_json();
-        assert_eq!(extract_kernel_field(&json, "cache_probe", "iters"), Some(100.0));
-        assert_eq!(extract_kernel_field(&json, "app_run", "checksum"), Some(45.0));
-        assert_eq!(extract_kernel_ns(&json, "no_such_kernel"), None);
+        let doc = json::parse(&tiny_report().to_json()).unwrap();
+        let int = |name, f| kernel_field(&doc, name, f).and_then(Value::as_u64);
+        assert_eq!(int("cache_probe", "iters"), Some(100));
+        assert_eq!(int("app_run", "checksum"), Some(45));
+        assert!(kernel_field(&doc, "no_such_kernel", "ns_per_iter").is_none());
+
+        // A pretty-printed report, one field per line, with a checksum
+        // an f64 cannot hold exactly (2^53 + 1).
+        let pretty = r#"{
+  "schema": "nwcache-bench-v1",
+  "quick": false,
+  "kernels": [
+    {
+      "name": "app_run",
+      "iters": 3,
+      "ns_per_iter": 250.5,
+      "checksum": 9007199254740993
+    }
+  ]
+}"#;
+        let doc = json::parse(pretty).unwrap();
+        let app = |f| kernel_field(&doc, "app_run", f);
+        assert_eq!(app("iters").and_then(Value::as_u64), Some(3));
+        assert_eq!(app("checksum").and_then(Value::as_u64), Some(9_007_199_254_740_993));
+        assert_eq!(app("ns_per_iter").and_then(Value::as_f64), Some(250.5));
+        let mut r = tiny_report();
+        r.attach_baseline(pretty);
+        assert_eq!(r.kernels[3].baseline_ns_per_iter, Some(250.5));
+        assert!(baseline_is_authoritative(pretty));
     }
 }

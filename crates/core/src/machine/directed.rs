@@ -20,7 +20,6 @@ fn machine_with(cfg: MachineConfig, data_bytes: u64, streams: Vec<Vec<Action>>) 
             .into_iter()
             .map(|v| Box::new(v.into_iter()) as ActionStream)
             .collect(),
-        node_private: false,
     };
     Machine::from_build(cfg, build)
 }

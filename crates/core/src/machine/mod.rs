@@ -20,11 +20,8 @@ mod events;
 mod fault;
 mod io;
 mod memory;
-mod pdes;
 #[cfg(test)]
 mod tests;
-
-pub use pdes::{default_sim_threads, set_default_sim_threads};
 
 pub use events::Event;
 
@@ -96,13 +93,6 @@ pub(crate) struct Proc {
     pub(crate) pending_interrupt: Time,
     pub(crate) blocked: Option<(BlockKind, Time)>,
     pub(crate) done: bool,
-    /// Set when the PDES engine deferred this processor mid-quantum:
-    /// the replaying [`Machine::step_proc`] resumes the *same* quantum
-    /// (started at this time) instead of opening a fresh one, keeping
-    /// quantum-expiry `Resume` scheduling identical to a serial run.
-    /// Always `None` at event boundaries, so checkpoints are
-    /// unaffected.
-    pub(crate) in_quantum: Option<Time>,
 }
 
 /// How a completed page fault was served (for latency tallies).
@@ -128,6 +118,13 @@ pub enum RunOutcome {
     Done(Box<RunMetrics>),
     /// The event budget ran out with the simulation unfinished.
     Paused,
+}
+
+/// Threads one simulation runs on: always 1. A run is one serial
+/// event loop; parallelism comes from running independent cells at
+/// once (`--jobs`, DESIGN.md §10). Benchmark provenance lines print it.
+pub fn default_sim_threads() -> usize {
+    1
 }
 
 /// The full simulated machine.
@@ -222,19 +219,6 @@ pub struct Machine {
     /// Scratch buffer for directory page purges (reused across every
     /// eviction so the steady-state purge path never allocates).
     pub(crate) scratch_purge: Vec<(Line, nw_memhier::directory::SharerMask)>,
-    // PDES runtime state (never checkpointed: thread count is a host
-    // property, like sweep jobs, and results are identical at any K)
-    /// Worker threads for the parallel engine (1 = serial loop).
-    pub(crate) sim_threads: usize,
-    /// Whether the workload declared the node-private access contract
-    /// (see [`nw_apps::AppBuild::node_private`]).
-    pub(crate) node_private: bool,
-    /// Persistent worker crew, created on first parallel round.
-    pub(crate) pdes_pool: Option<nw_sim::pool::RoundPool>,
-    /// Rounds executed via the parallel lane path / via the serial
-    /// fallback (diagnostics; lets tests assert parallelism engaged).
-    pub(crate) pdes_parallel_rounds: u64,
-    pub(crate) pdes_serial_rounds: u64,
 }
 
 impl Machine {
@@ -274,7 +258,6 @@ impl Machine {
             });
         }
         let npages = build.data_bytes.div_ceil(cfg.page_bytes);
-        let node_private = build.node_private;
 
         let (mesh_w, mesh_h) = cfg.mesh_dims();
         let mesh_cfg = MeshConfig {
@@ -298,7 +281,6 @@ impl Machine {
                 pending_interrupt: 0,
                 blocked: None,
                 done: false,
-                in_quantum: None,
             })
             .collect();
 
@@ -425,16 +407,7 @@ impl Machine {
             tracer: PageTracer::new(),
             obs: None,
             scratch_purge: Vec::with_capacity(LINES_PER_PAGE as usize),
-            sim_threads: 1,
-            node_private,
-            pdes_pool: None,
-            pdes_parallel_rounds: 0,
-            pdes_serial_rounds: 0,
         };
-        // The process-wide default (set by `--sim-threads`) applies to
-        // every new machine — including resumes and sweep cells — the
-        // same way `sweep::set_jobs` works.
-        m.set_sim_threads(pdes::default_sim_threads());
         // A process-wide default (set by the trace CLI and the sweep
         // invariance tests) attaches an observer to every new machine.
         if let Some(ocfg) = observe::global() {
@@ -639,12 +612,6 @@ impl Machine {
     /// lives on the machine, chunked runs dispatch the exact same
     /// event sequence as one unbounded [`Machine::try_run`].
     pub fn try_run_events(&mut self, budget: u64) -> Result<RunOutcome, SimError> {
-        if self.sim_threads > 1 {
-            // The parallel engine dispatches the exact same event
-            // sequence (see `machine::pdes`); K = 1 keeps the serial
-            // loop below byte-for-byte.
-            return self.try_run_events_pdes(budget);
-        }
         let faults_active = self.cfg.faults.is_active();
         if !self.started {
             self.started = true;
@@ -879,11 +846,7 @@ impl Machine {
         self.procs[pi].local_time += intr;
         self.procs[pi].breakdown.tlb += intr;
 
-        // A PDES replay resumes the quantum the lane opened.
-        let start = self.procs[pi]
-            .in_quantum
-            .take()
-            .unwrap_or(self.procs[pi].local_time);
+        let start = self.procs[pi].local_time;
         loop {
             if self.procs[pi].local_time - start > self.cfg.quantum {
                 let at = self.procs[pi].local_time;

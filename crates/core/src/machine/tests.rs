@@ -263,9 +263,7 @@ const STORM_CHECKS: u64 = 56_673;
 fn storm_machine() -> Machine {
     let cfg = MachineConfig::scaled_paper(MachineKind::Standard, PrefetchMode::Window, STORM_SCALE);
     let build = crate::AppSel::parse("radix").unwrap().build(&cfg).unwrap();
-    let mut m = Machine::try_from_build(cfg, build).unwrap();
-    m.set_sim_threads(1);
-    m
+    Machine::try_from_build(cfg, build).unwrap()
 }
 
 fn storm_finish(mut m: Machine) -> String {

@@ -445,20 +445,17 @@ pub struct TraceStats {
 /// `ts` on every non-metadata event and a `dur` on every span.
 pub fn validate_chrome_trace(doc: &str) -> Result<TraceStats, String> {
     let v = json::parse(doc)?;
-    let obj = v.as_object().ok_or("top level is not an object")?;
-    let events = obj
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
+    v.as_object().ok_or("top level is not an object")?;
+    let events = v
+        .get("traceEvents")
         .ok_or("missing \"traceEvents\" key")?
         .as_array()
         .ok_or("\"traceEvents\" is not an array")?;
     let mut stats = TraceStats::default();
     for (i, e) in events.iter().enumerate() {
-        let ev = e
-            .as_object()
+        e.as_object()
             .ok_or_else(|| format!("traceEvents[{i}] is not an object"))?;
-        let get = |k: &str| ev.iter().find(|(n, _)| n == k).map(|(_, v)| v);
+        let get = |k: &str| e.get(k);
         let ph = get("ph")
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("traceEvents[{i}] missing string \"ph\""))?;
@@ -504,9 +501,9 @@ pub fn validate_chrome_trace(doc: &str) -> Result<TraceStats, String> {
     Ok(stats)
 }
 
-/// Minimal recursive-descent JSON parser — just enough to validate the
-/// exporter's output without external crates.
-mod json {
+/// Minimal recursive-descent JSON parser — the workspace's one JSON
+/// reader (trace validation, bench reports), with no external crates.
+pub(crate) mod json {
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Value {
@@ -514,7 +511,10 @@ mod json {
         Null,
         /// `true` / `false`
         Bool(bool),
-        /// Any JSON number.
+        /// A non-negative integer literal that fits in a `u64`, kept
+        /// exact (an `f64` loses integers above 2^53).
+        Int(u64),
+        /// Any other JSON number.
         Num(f64),
         /// A string.
         Str(String),
@@ -531,6 +531,11 @@ mod json {
                 Value::Obj(m) => Some(m),
                 _ => None,
             }
+        }
+
+        /// The member named `key`, if this is an object that has one.
+        pub fn get(&self, key: &str) -> Option<&Value> {
+            self.as_object()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
         }
 
         /// The array's elements, if this is an array.
@@ -552,7 +557,17 @@ mod json {
         /// The numeric value, if this is a number.
         pub fn as_f64(&self) -> Option<f64> {
             match self {
+                Value::Int(n) => Some(*n as f64),
                 Value::Num(n) => Some(*n),
+                _ => None,
+            }
+        }
+
+        /// The exact value, if this is a non-negative integer that
+        /// fits in a `u64`.
+        pub fn as_u64(&self) -> Option<u64> {
+            match self {
+                Value::Int(n) => Some(*n),
                 _ => None,
             }
         }
@@ -635,11 +650,16 @@ mod json {
             {
                 self.i += 1;
             }
-            std::str::from_utf8(&self.b[start..self.i])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
+            // The scan above accepted only ASCII bytes.
+            let text = std::str::from_utf8(&self.b[start..self.i]).unwrap_or_default();
+            if text.bytes().all(|c| c.is_ascii_digit()) {
+                if let Ok(n) = text.parse::<u64>() {
+                    return Ok(Value::Int(n));
+                }
+            }
+            text.parse::<f64>()
                 .map(Value::Num)
-                .ok_or_else(|| format!("bad number at byte {start}"))
+                .map_err(|_| format!("bad number at byte {start}"))
         }
 
         fn string(&mut self) -> Result<String, String> {
@@ -841,6 +861,14 @@ mod tests {
         assert_eq!(a.len(), 6);
         assert_eq!(a[1].as_f64(), Some(-2.5));
         assert_eq!(a[2].as_f64(), Some(300.0));
+        assert_eq!(a[0].as_u64(), Some(1));
+        assert_eq!(a[1].as_u64(), None);
+        // Integers above 2^53 read back exactly.
+        let big = json::parse("[9007199254740993, 18446744073709551616]").unwrap();
+        let big = big.as_array().unwrap();
+        assert_eq!(big[0].as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(big[1].as_u64(), None, "past u64::MAX falls back to f64");
+        assert_eq!(obj[2].1.get("d").and_then(|d| d.as_array()).map(|d| d.len()), Some(0));
         assert_eq!(obj[1].1.as_str(), Some("q\"\nA"));
         assert!(json::parse("{\"a\":}").is_err());
         assert!(json::parse("[1,2").is_err());

@@ -247,8 +247,7 @@ impl<E> EventQueue<E> {
 
     /// Peek at the next event without popping it: the `(time, seq)`
     /// minimum across both tiers, i.e. exactly what [`EventQueue::pop`]
-    /// would deliver next. Lets the parallel engine assemble
-    /// same-timestamp rounds without committing to delivery.
+    /// would deliver next, without committing to delivery.
     pub fn peek(&self) -> Option<(Time, &E)> {
         let far_best = self.far.peek().map(|Reverse(e)| e);
         let wheel_best = if self.wheel_events == 0 {

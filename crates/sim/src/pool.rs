@@ -116,165 +116,6 @@ where
         .collect()
 }
 
-/// A persistent crew of worker threads for *fine-grained* parallel
-/// rounds.
-///
-/// [`run`](fn@run) spins up a fresh `thread::scope` per batch, which
-/// is fine for sweeps (each task is a whole simulation) but far too
-/// slow for the PDES engine, where a "batch" is one event round of a
-/// few microseconds and there are millions of them per run. A
-/// `RoundPool` keeps its workers parked on a condvar between rounds,
-/// so dispatching a round costs one mutex round-trip instead of K
-/// thread spawns.
-///
-/// The calling thread participates as a worker, so a pool built with
-/// `RoundPool::new(k)` applies `k` threads to each round while only
-/// `k - 1` OS threads exist. A panic inside any task is captured and
-/// re-raised on the calling thread after the round completes (with
-/// its original message, so debug assertions stay visible), and the
-/// pool remains usable afterwards.
-pub struct RoundPool {
-    shared: std::sync::Arc<RpShared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct RpShared {
-    m: Mutex<RpState>,
-    start: std::sync::Condvar,
-    done: std::sync::Condvar,
-}
-
-struct RpState {
-    /// The active round's task body, erased to a raw pointer. `None`
-    /// between rounds; [`RoundPool::run`] blocks until every claimed
-    /// index has finished before clearing it, which is what makes the
-    /// lifetime erasure sound.
-    job: Option<Job>,
-    ntasks: usize,
-    next: usize,
-    pending: usize,
-    shutdown: bool,
-    panic: Option<String>,
-}
-
-#[derive(Clone, Copy)]
-struct Job(*const (dyn Fn(usize) + Sync));
-// Safety: the pointee is `Sync` and `run` keeps it alive for as long
-// as any worker can dereference it.
-unsafe impl Send for Job {}
-
-impl RoundPool {
-    /// Build a pool that applies `threads` workers to each round
-    /// (including the caller; `threads - 1` OS threads are spawned).
-    pub fn new(threads: usize) -> RoundPool {
-        let shared = std::sync::Arc::new(RpShared {
-            m: Mutex::new(RpState {
-                job: None,
-                ntasks: 0,
-                next: 0,
-                pending: 0,
-                shutdown: false,
-                panic: None,
-            }),
-            start: std::sync::Condvar::new(),
-            done: std::sync::Condvar::new(),
-        });
-        let workers = (1..threads.max(1))
-            .map(|_| {
-                let shared = std::sync::Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker_loop(&shared))
-            })
-            .collect();
-        RoundPool { shared, workers }
-    }
-
-    /// Number of threads applied to each round (workers + caller).
-    pub fn threads(&self) -> usize {
-        self.workers.len() + 1
-    }
-
-    /// Run `f(0..ntasks)` across the pool and block until every task
-    /// finished. Tasks are claimed dynamically; the caller runs tasks
-    /// too. Panics (on the calling thread) if any task panicked.
-    pub fn run(&self, ntasks: usize, f: &(dyn Fn(usize) + Sync)) {
-        if ntasks == 0 {
-            return;
-        }
-        // Safety: erase the borrow's lifetime so workers can hold the
-        // pointer. We do not return until `pending == 0`, i.e. until
-        // no thread can still dereference it.
-        let f_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
-        {
-            let mut st = self.shared.m.lock().expect("round pool poisoned");
-            debug_assert!(st.job.is_none(), "RoundPool::run is not reentrant");
-            st.job = Some(Job(f_static as *const _));
-            st.ntasks = ntasks;
-            st.next = 0;
-            st.pending = ntasks;
-        }
-        self.shared.start.notify_all();
-        loop {
-            let mut st = self.shared.m.lock().expect("round pool poisoned");
-            if st.next < st.ntasks {
-                let i = st.next;
-                st.next += 1;
-                drop(st);
-                Self::run_one(&self.shared, f, i);
-                continue;
-            }
-            // Nothing left to claim: wait out stragglers, then close
-            // the round.
-            while st.pending > 0 {
-                st = self.shared.done.wait(st).expect("round pool poisoned");
-            }
-            st.job = None;
-            let p = st.panic.take();
-            drop(st);
-            if let Some(msg) = p {
-                panic!("round task panicked: {msg}");
-            }
-            return;
-        }
-    }
-
-    fn run_one(shared: &RpShared, f: &(dyn Fn(usize) + Sync), i: usize) {
-        let r = catch_unwind(AssertUnwindSafe(|| f(i)));
-        let mut st = shared.m.lock().expect("round pool poisoned");
-        if let Err(p) = r {
-            if st.panic.is_none() {
-                st.panic = Some(panic_message(p));
-            }
-        }
-        st.pending -= 1;
-        if st.pending == 0 {
-            shared.done.notify_all();
-        }
-    }
-
-    fn worker_loop(shared: &RpShared) {
-        let mut st = shared.m.lock().expect("round pool poisoned");
-        loop {
-            if st.shutdown {
-                return;
-            }
-            if let Some(job) = st.job {
-                if st.next < st.ntasks {
-                    let i = st.next;
-                    st.next += 1;
-                    drop(st);
-                    // Safety: `run` keeps the pointee alive until the
-                    // round's `pending` count we decrement below hits
-                    // zero.
-                    Self::run_one(shared, unsafe { &*job.0 }, i);
-                    st = shared.m.lock().expect("round pool poisoned");
-                    continue;
-                }
-            }
-            st = shared.start.wait(st).expect("round pool poisoned");
-        }
-    }
-}
-
 /// A cooperative cancellation flag shared between a job and its
 /// controller.
 ///
@@ -372,18 +213,6 @@ impl<T> JobHandle<T> {
     }
 }
 
-impl Drop for RoundPool {
-    fn drop(&mut self) {
-        if let Ok(mut st) = self.shared.m.lock() {
-            st.shutdown = true;
-        }
-        self.shared.start.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,35 +271,6 @@ mod tests {
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
     }
-
-    #[test]
-    fn round_pool_runs_every_task_across_rounds() {
-        let pool = RoundPool::new(4);
-        assert_eq!(pool.threads(), 4);
-        for round in 0..200usize {
-            let n = 1 + round % 9;
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.run(n, &|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "round {round} task {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn round_pool_single_thread_and_empty_rounds() {
-        let pool = RoundPool::new(1);
-        assert_eq!(pool.threads(), 1);
-        pool.run(0, &|_| panic!("never claimed"));
-        let sum = AtomicUsize::new(0);
-        pool.run(5, &|i| {
-            sum.fetch_add(i + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 15);
-    }
-
     #[test]
     fn job_handle_runs_cancels_and_joins() {
         // A cooperative job that counts until cancelled. It does one
@@ -508,28 +308,5 @@ mod tests {
         let err = h.join().expect_err("panic surfaces as JobPanic");
         std::panic::set_hook(prev);
         assert!(err.message.contains("job blew up"), "{err}");
-    }
-
-    #[test]
-    fn round_pool_propagates_panics_and_survives() {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let pool = RoundPool::new(2);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(3, &|i| {
-                if i == 1 {
-                    panic!("lane {i} diverged");
-                }
-            });
-        }));
-        std::panic::set_hook(prev);
-        let msg = panic_message(caught.expect_err("panic must propagate"));
-        assert!(msg.contains("lane 1 diverged"), "{msg}");
-        // The pool is still usable after a panicked round.
-        let sum = AtomicUsize::new(0);
-        pool.run(4, &|i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 6);
     }
 }

@@ -18,6 +18,7 @@
 //! version tag.
 
 use nw_apps::{Action, AppBuild};
+use nw_sim::ckpt::{put_varint, read_varint, CkptError};
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
 
@@ -365,19 +366,6 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-/// LEB128 unsigned varint.
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -397,20 +385,16 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// One LEB128 varint, decoded by the checkpoint codec.
     fn varint(&mut self) -> Result<u64, String> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.take(1)?[0];
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(format!("varint overflow at offset {}", self.pos - 1));
-            }
-            v |= ((byte & 0x7f) as u64) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        let len = self.buf.len();
+        read_varint(self.buf, &mut self.pos).map_err(|e| match e {
+            CkptError::Truncated { wanted, offset } => format!(
+                "truncated trace: wanted {wanted} bytes at offset {offset}, have {}",
+                len - offset
+            ),
+            e => e.to_string(),
+        })
     }
 }
 

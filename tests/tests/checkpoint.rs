@@ -115,10 +115,40 @@ fn snapshot_of_restored_machine_is_byte_identical() {
     // restore(save(m)) must serialize back to the same bytes — the
     // codec is canonical, so `ckpt-diff` on a faithful resume shows
     // every section as `same`.
-    let cfg = faulted_cfg(7);
-    let bytes = snapshot_at(&cfg, "sor", 250);
-    let again = machine_to_bytes("sor", &restore(&bytes));
-    assert_eq!(bytes, again);
+    for (label, cfg) in [("clean", clean_cfg(7)), ("faulted", faulted_cfg(7))] {
+        let bytes = snapshot_at(&cfg, "sor", 250);
+        let again = machine_to_bytes("sor", &restore(&bytes));
+        assert_eq!(bytes, again, "{label}");
+    }
+}
+
+#[test]
+fn chunked_runs_pause_at_exact_budgets_and_match_unbounded() {
+    // `--checkpoint-every N` autosaves rely on a bounded run pausing
+    // at exactly N more dispatched events, and on any chunking
+    // dispatching the same event sequence as one unbounded run.
+    for (label, cfg) in [("clean", clean_cfg(5)), ("faulted", faulted_cfg(5))] {
+        let mut whole = build_machine(&cfg, "sor");
+        let reference = match whole.try_run_events(u64::MAX).expect("run ok") {
+            RunOutcome::Done(metrics) => *metrics,
+            RunOutcome::Paused => unreachable!("unbounded run cannot pause"),
+        };
+        for budget in [1u64, 97, 257] {
+            let mut m = build_machine(&cfg, "sor");
+            let mut dispatched = 0u64;
+            let end = loop {
+                match m.try_run_events(budget).expect("run ok") {
+                    RunOutcome::Paused => {
+                        dispatched += budget;
+                        assert_eq!(m.events_dispatched(), dispatched, "{label}: budget {budget}");
+                    }
+                    RunOutcome::Done(metrics) => break *metrics,
+                }
+            };
+            assert_eq!(end, reference, "{label}: chunks of {budget} diverged");
+            assert_eq!(m.events_dispatched(), whole.events_dispatched(), "{label}: {budget}");
+        }
+    }
 }
 
 #[test]

@@ -89,27 +89,6 @@ fn topology_sweep_is_bit_identical_across_jobs() {
 }
 
 #[test]
-fn topology_runs_are_bit_identical_across_sim_threads() {
-    for spec in TOPOS {
-        let cfg = topo_cfg(spec, MachineKind::NwCache);
-        let workload = format!("workload:gen:{}", pressured_spec(cfg.nodes));
-        let mut reference: Option<RunMetrics> = None;
-        for threads in [1usize, 4] {
-            let mut m = build_machine(&cfg, &workload);
-            m.set_sim_threads(threads);
-            let metrics = finish(&mut m);
-            match &reference {
-                None => reference = Some(metrics),
-                Some(r) => assert_eq!(
-                    *r, metrics,
-                    "{spec}: sim-threads={threads} diverged from serial"
-                ),
-            }
-        }
-    }
-}
-
-#[test]
 fn topology_checkpoint_round_trip_is_bit_identical() {
     // Multi-ring RING sections, sharded DIR sections and the topology
     // CONFIG tail all survive save/restore mid-run.
