@@ -271,10 +271,10 @@ pub struct MachineConfig {
     /// `ring_count > 1`).
     pub ring_shard: RingShard,
 
-    /// Directory shards per node (paper-equivalent: 1). Lines are
-    /// sharded by page so a page purge touches exactly one shard;
-    /// at 1024 nodes this keeps the LineTable from being one hot
-    /// open-addressing structure.
+    /// Directory shards (paper-equivalent: 1), the `dirshards=` word.
+    /// Kept in the config and `nwckpt-v1`, but it no longer splits
+    /// storage: the page-indexed directory makes every lookup one
+    /// probe, and the split was never observable.
     pub dir_shards: usize,
 
     /// Disk controller cache capacity in pages (Table 1: 16 KB = 4).
@@ -497,6 +497,16 @@ impl MachineConfig {
         }
         if self.dir_shards == 0 {
             return Err("dir_shards must be at least 1".into());
+        }
+        // Caches, the directory's page blocks and `Machine::page_of`
+        // all assume 64 lines per page.
+        if self.page_bytes != nw_memhier::PAGE_BYTES {
+            return Err(format!(
+                "page_bytes must be {} (64 lines of {} B), got {}",
+                nw_memhier::PAGE_BYTES,
+                nw_memhier::LINE_BYTES,
+                self.page_bytes
+            ));
         }
         if self.frames_per_node() <= self.min_free_frames {
             return Err("min_free_frames must be below frames/node".into());
@@ -796,6 +806,19 @@ mod tests {
         let mut c = MachineConfig::paper_default(MachineKind::Standard, PrefetchMode::Naive);
         c.prefetch_window = 1;
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn page_size_other_than_64_lines_is_rejected() {
+        // Another page size used to mis-simulate silently: the caches
+        // and the directory purge a fixed 64 lines per page.
+        for page_bytes in [2048, 4095, 8192] {
+            let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
+            c.page_bytes = page_bytes;
+            c.memory_per_node = 64 * page_bytes;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("page_bytes must be 4096"), "{page_bytes}: {err}");
+        }
     }
 
     #[test]

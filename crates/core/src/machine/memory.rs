@@ -8,7 +8,7 @@
 use super::{BlockKind, Machine};
 use crate::observe::groups;
 use crate::vm::{PageState, ProcId};
-use nw_memhier::{Line, LookupResult, WbOutcome};
+use nw_memhier::{Line, WbOutcome};
 use nw_sim::Time;
 
 impl Machine {
@@ -79,25 +79,23 @@ impl Machine {
         // 3. Cache hierarchy.
         let n = self.node_of(p);
         let t_access = now + lat;
-        let was_dirty_l1 = self.procs[p as usize].l1.is_dirty(line);
-        match self.procs[p as usize].l1.access(line, is_write) {
-            LookupResult::Hit => {
+        match self.procs[p as usize].l1.access_dirty(line, is_write) {
+            Some(was_dirty_l1) => {
                 lat += self.cfg.l1_latency;
                 if is_write && !was_dirty_l1 {
                     self.write_upgrade(n, line, home, t_access);
                 }
             }
-            LookupResult::Miss => {
-                let was_dirty_l2 = self.procs[p as usize].l2.is_dirty(line);
-                match self.procs[p as usize].l2.access(line, is_write) {
-                    LookupResult::Hit => {
+            None => {
+                match self.procs[p as usize].l2.access_dirty(line, is_write) {
+                    Some(was_dirty_l2) => {
                         lat += self.cfg.l1_latency + self.cfg.l2_latency;
                         if is_write && !was_dirty_l2 {
                             self.write_upgrade(n, line, home, t_access);
                         }
                         self.fill_l1(p, line, is_write);
                     }
-                    LookupResult::Miss => {
+                    None => {
                         let mem_lat = self.mem_transaction(p, line, is_write, home, t_access);
                         // Reads stall for the data; writes retire into
                         // the write buffer (release consistency).

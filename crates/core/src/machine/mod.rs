@@ -351,7 +351,13 @@ impl Machine {
             procs,
             mem_bus: (0..n).map(|_| MemoryBus::paper_memory_bus()).collect(),
             io_bus: (0..n).map(|_| MemoryBus::paper_io_bus()).collect(),
-            dir: Directory::with_topology(dir_shards, nodes),
+            dir: {
+                // Only resident pages have directory state: reserve
+                // the page blocks once, for every frame.
+                let mut dir = Directory::with_topology(dir_shards, nodes);
+                dir.reserve(npages, frames_per_node as usize * n);
+                dir
+            },
             disks,
             fs: ParallelFs::paper_default(io_nodes),
             ring,
@@ -929,9 +935,10 @@ impl Machine {
         p
     }
 
-    /// The virtual page containing cache line `line`.
+    /// The virtual page containing cache line `line`: a shift, since
+    /// `validate` pins `page_bytes` to [`nw_memhier::PAGE_BYTES`].
     pub(crate) fn page_of(&self, line: u64) -> Vpn {
-        line / (self.cfg.page_bytes / nw_memhier::LINE_BYTES)
+        nw_memhier::page_of_line(line)
     }
 
     /// The optical ring `vpn`'s swap-outs ride: pages (or 32-page

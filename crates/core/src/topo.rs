@@ -19,7 +19,9 @@
 //!   forces 4.
 //! * `rings=K` (default 1) — optical rings in the fabric.
 //! * `shard=page|region` (default `page`) — page-to-ring sharding.
-//! * `dirshards=N` (default 1) — per-node directory shards.
+//! * `dirshards=N` (default 1) — directory shards; validated and
+//!   recorded in checkpoints, but storage is no longer split (one
+//!   page-indexed directory makes every lookup a single probe).
 //!
 //! [`TopoSpec::parse`] only checks syntax; [`TopoSpec::validate`]
 //! (also run by [`TopoSpec::to_config`]) applies the full

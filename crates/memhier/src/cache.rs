@@ -139,20 +139,30 @@ impl Cache {
     /// Probe for `line`; on a hit refresh LRU and set the dirty bit if
     /// `is_write`.
     pub fn access(&mut self, line: Line, is_write: bool) -> LookupResult {
+        match self.access_dirty(line, is_write) {
+            Some(_) => LookupResult::Hit,
+            None => LookupResult::Miss,
+        }
+    }
+
+    /// [`access`](Self::access) that also reports the line's dirty bit
+    /// from before the access: `Some(was_dirty)` on a hit, `None` on a
+    /// miss. One probe answers both questions.
+    #[inline]
+    pub fn access_dirty(&mut self, line: Line, is_write: bool) -> Option<bool> {
         self.clock += 1;
         let clock = self.clock;
         for way in self.set_mut(line) {
             if way.valid && way.line == line {
                 way.last_use = clock;
-                if is_write {
-                    way.dirty = true;
-                }
+                let was_dirty = way.dirty;
+                way.dirty |= is_write;
                 self.hits += 1;
-                return LookupResult::Hit;
+                return Some(was_dirty);
             }
         }
         self.misses += 1;
-        LookupResult::Miss
+        None
     }
 
     /// Insert `line` after a miss was serviced, returning any evicted

@@ -11,18 +11,21 @@
 //! consistency the processor does not wait for invalidation acks on
 //! writes, but the traffic still contends for the network.
 //!
-//! Directory entries live in open-addressing [`LineTable`]s keyed by
-//! cache-line index (PR 3 hot-path layout; see DESIGN.md §11). Each
-//! entry packs its MSI state into the table's `u64` value; page purges
-//! walk the page's 64 consecutive line indices directly, which keeps
-//! their output in ascending line order — the same observable order
-//! the previous `BTreeMap` range scan produced.
+//! Directory entries live in one page-indexed [`LineTable`]: a
+//! `vpn → block` index into a slab of per-page blocks, each holding
+//! its page's 64 line states as `u32`s (the sharer mask, or the owner
+//! of a modified line) plus an occupancy bitmap and a Modified-tag
+//! bitmap (DESIGN.md §11). `read`, `write` and `evict` each make one
+//! probe. A page purge walks the page's occupancy word, so its output
+//! comes out in ascending line order — the order the original
+//! `BTreeMap` range scan produced. Only resident pages have entries
+//! (page replacement purges them), so a machine reserves the slab once
+//! from its total frame count ([`Directory::reserve`]).
 //!
-//! **Sharding** (generated topologies). The directory can split its
-//! lines over several [`LineTable`] shards, keyed by page
-//! (`(line / LINES_PER_PAGE) % shards`) so every line of a page lands
-//! in one shard and a page purge probes exactly one table. One shard
-//! (the default) is the paper machine's single directory.
+//! **Shards.** `dirshards=` is still accepted by the `TopoSpec`
+//! grammar and recorded in `nwckpt-v1`, but it no longer splits
+//! storage: one page-indexed table already makes every lookup a single
+//! probe, and the split was never observable in any output.
 //!
 //! **Coarse sharer vectors** (machines past 32 nodes). The sharer
 //! mask is a `u32`; with more than 32 nodes each bit covers a *group*
@@ -33,8 +36,8 @@
 //! node-precise. At 32 nodes or fewer the group size is 1 and the
 //! directory is bit-for-bit the precise one.
 
-use crate::linetable::LineTable;
-use crate::{first_line_of_page, Line, Vpn, LINES_PER_PAGE};
+use crate::linetable::{LineTable, TAG};
+use crate::{first_line_of_page, Line, Vpn};
 use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
 
 /// Bitmask of node *groups* caching a line: one node per group up to
@@ -50,28 +53,25 @@ enum State {
     Modified(u32),
 }
 
-/// Tag bit distinguishing `Modified(owner)` from `Shared(mask)` in the
-/// packed table value (sharer masks only use the low 32 bits).
-const MOD_TAG: u64 = 1 << 63;
-
+/// Packed into a [`LineTable`] value: the sharer mask, or the owner
+/// with the table's [`TAG`] bit set for a modified line.
 impl State {
     #[inline]
     fn pack(self) -> u64 {
         match self {
             State::Shared(mask) => mask as u64,
-            State::Modified(owner) => MOD_TAG | owner as u64,
+            State::Modified(owner) => TAG | owner as u64,
         }
     }
 
     #[inline]
     fn unpack(v: u64) -> State {
-        if v & MOD_TAG != 0 {
-            State::Modified((v & !MOD_TAG) as u32)
+        if v & TAG != 0 {
+            State::Modified((v & !TAG) as u32)
         } else {
             State::Shared(v as SharerMask)
         }
     }
-
 }
 
 /// Outcome of a read transaction at the directory.
@@ -102,10 +102,15 @@ pub struct WriteOutcome {
 /// The directory for all resident lines of the machine.
 #[derive(Debug)]
 pub struct Directory {
-    shards: Vec<LineTable>,
+    lines: LineTable,
+    /// Nodes of the machine; a checkpointed owner must be one of them.
+    nodes: u32,
     /// Nodes per sharer-mask bit (1 up to 32 nodes; DASH coarse
     /// vector beyond).
     granularity: u32,
+    /// Lines below this bound may appear in a checkpoint (the machine
+    /// footprint once [`Directory::reserve`]d; unbounded before).
+    line_limit: Line,
     reads: u64,
     writes: u64,
     invalidations_sent: u64,
@@ -119,22 +124,25 @@ impl Default for Directory {
 }
 
 impl Directory {
-    /// An empty single-shard directory with node-precise sharer bits
-    /// (the paper machine's directory).
+    /// An empty directory with node-precise sharer bits for up to 32
+    /// nodes (the paper machine's directory).
     pub fn new() -> Self {
-        Self::with_topology(1, 1)
+        Self::with_topology(1, 32)
     }
 
-    /// An empty directory with `shards` line-table shards, sized for a
-    /// `nodes`-node machine (the sharer-bit granularity is
-    /// `ceil(nodes/32)`). `with_topology(1, n)` for `n <= 32` behaves
-    /// exactly like [`Directory::new`].
+    /// An empty directory for a `nodes`-node machine (the sharer-bit
+    /// granularity is `ceil(nodes/32)`). `shards` is the configured
+    /// `dirshards=` count, which no longer splits storage (see the
+    /// module docs). `with_topology(s, n)` for `n <= 32` behaves
+    /// exactly like [`Directory::new`] for every `s`.
     pub fn with_topology(shards: usize, nodes: u32) -> Self {
         assert!(shards > 0, "directory needs at least one shard");
         assert!(nodes >= 1, "directory needs at least one node");
         Directory {
-            shards: (0..shards).map(|_| LineTable::new()).collect(),
+            lines: LineTable::new(),
+            nodes,
             granularity: nodes.div_ceil(32).max(1),
+            line_limit: Line::MAX,
             reads: 0,
             writes: 0,
             invalidations_sent: 0,
@@ -142,21 +150,20 @@ impl Directory {
         }
     }
 
-    /// Number of line-table shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Size the directory for a machine whose footprint is
+    /// `footprint_pages` pages, at most `resident_pages` of them in
+    /// memory at once: the page index is allocated and the block slab
+    /// reserved once, and [`ckpt_restore`](Self::ckpt_restore) rejects
+    /// lines past the footprint. Drops any state.
+    pub fn reserve(&mut self, footprint_pages: u64, resident_pages: usize) {
+        let pages = usize::try_from(footprint_pages).expect("footprint fits in memory");
+        self.lines = LineTable::with_capacity(pages, resident_pages.min(pages));
+        self.line_limit = first_line_of_page(footprint_pages);
     }
 
     /// Nodes covered by one sharer-mask bit (1 = node-precise).
     pub fn granularity(&self) -> u32 {
         self.granularity
-    }
-
-    /// Shard index for `line`: keyed by page so every line of a page
-    /// (and therefore each purge) probes exactly one shard.
-    #[inline]
-    fn shard_of(&self, line: Line) -> usize {
-        ((line / LINES_PER_PAGE) % self.shards.len() as u64) as usize
     }
 
     #[inline]
@@ -185,56 +192,64 @@ impl Directory {
     pub fn read(&mut self, line: Line, node: u32) -> ReadOutcome {
         self.reads += 1;
         let bit = self.bit(node);
-        let owner_bit = |o: u32| 1u32 << (o / self.granularity);
-        let shard = self.shard_of(line);
-        let entries = &mut self.shards[shard];
-        if let Some(v) = entries.get_mut(line) {
-            return match State::unpack(*v) {
-                State::Shared(mask) => {
-                    *v = State::Shared(mask | bit).pack();
-                    ReadOutcome::FromMemoryShared
+        let g = self.granularity;
+        let forwards = &mut self.owner_forwards;
+        self.lines.update(line, |e| {
+            let (next, outcome) = match e.map(State::unpack) {
+                None => (State::Shared(bit), ReadOutcome::FromMemory),
+                Some(State::Shared(mask)) => {
+                    (State::Shared(mask | bit), ReadOutcome::FromMemoryShared)
                 }
                 // Own modified copy: silent hit, state unchanged.
-                State::Modified(owner) if owner == node => ReadOutcome::FromMemoryShared,
-                State::Modified(owner) => {
+                Some(s @ State::Modified(owner)) if owner == node => {
+                    (s, ReadOutcome::FromMemoryShared)
+                }
+                Some(State::Modified(owner)) => {
                     // Owner writes back; both now share.
-                    *v = State::Shared(bit | owner_bit(owner)).pack();
-                    self.owner_forwards += 1;
-                    ReadOutcome::FromOwner { owner }
+                    *forwards += 1;
+                    (
+                        State::Shared(bit | 1 << (owner / g)),
+                        ReadOutcome::FromOwner { owner },
+                    )
                 }
             };
-        }
-        entries.insert(line, State::Shared(bit).pack());
-        ReadOutcome::FromMemory
+            *e = Some(next.pack());
+            outcome
+        })
     }
 
     /// A write (ownership request) by `node`.
     pub fn write(&mut self, line: Line, node: u32) -> WriteOutcome {
         self.writes += 1;
         let bit = self.bit(node);
-        let new = State::Modified(node).pack();
-        let shard = self.shard_of(line);
-        let entries = &mut self.shards[shard];
-        if let Some(v) = entries.get_mut(line) {
-            let outcome = match State::unpack(*v) {
-                State::Shared(mask) => {
+        let invalidations = &mut self.invalidations_sent;
+        let forwards = &mut self.owner_forwards;
+        self.lines.update(line, |e| {
+            let outcome = match e.map(State::unpack) {
+                None => WriteOutcome {
+                    invalidate: 0,
+                    fetch_from: None,
+                    from_memory: true,
+                },
+                Some(State::Shared(mask)) => {
                     let inv = mask & !bit;
-                    self.invalidations_sent += inv.count_ones() as u64;
+                    *invalidations += inv.count_ones() as u64;
                     WriteOutcome {
                         invalidate: inv,
                         fetch_from: None,
-                        // If the writer already shared the line it upgrades
-                        // in place; otherwise data comes from memory.
+                        // If the writer already shared the line it
+                        // upgrades in place; otherwise data comes from
+                        // memory.
                         from_memory: mask & bit == 0,
                     }
                 }
-                State::Modified(owner) if owner == node => WriteOutcome {
+                Some(State::Modified(owner)) if owner == node => WriteOutcome {
                     invalidate: 0,
                     fetch_from: None,
                     from_memory: false,
                 },
-                State::Modified(owner) => {
-                    self.owner_forwards += 1;
+                Some(State::Modified(owner)) => {
+                    *forwards += 1;
                     WriteOutcome {
                         invalidate: 0,
                         fetch_from: Some(owner),
@@ -242,15 +257,9 @@ impl Directory {
                     }
                 }
             };
-            *v = new;
-            return outcome;
-        }
-        entries.insert(line, new);
-        WriteOutcome {
-            invalidate: 0,
-            fetch_from: None,
-            from_memory: true,
-        }
+            *e = Some(State::Modified(node).pack());
+            outcome
+        })
     }
 
     /// `node` silently dropped its copy (clean eviction) or wrote back
@@ -261,26 +270,14 @@ impl Directory {
     pub fn evict(&mut self, line: Line, node: u32) {
         let bit = self.bit(node);
         let precise = self.granularity == 1;
-        let shard = self.shard_of(line);
-        let entries = &mut self.shards[shard];
-        let Some(v) = entries.get(line) else {
-            return;
-        };
-        match State::unpack(v) {
-            State::Shared(mask) if precise => {
+        self.lines.update(line, |e| match e.map(State::unpack) {
+            Some(State::Shared(mask)) if precise => {
                 let mask = mask & !bit;
-                if mask == 0 {
-                    entries.remove(line);
-                } else if let Some(slot) = entries.get_mut(line) {
-                    *slot = State::Shared(mask).pack();
-                }
+                *e = (mask != 0).then(|| State::Shared(mask).pack());
             }
-            State::Shared(_) => {}
-            State::Modified(owner) if owner == node => {
-                entries.remove(line);
-            }
-            State::Modified(_) => {}
-        }
+            Some(State::Modified(owner)) if owner == node => *e = None,
+            _ => {}
+        })
     }
 
     /// Drop every directory entry for page `vpn`, returning for each
@@ -299,40 +296,28 @@ impl Directory {
     /// passes a scratch buffer that lives for the whole run.
     pub fn purge_page_into(&mut self, vpn: Vpn, out: &mut Vec<(Line, SharerMask)>) {
         out.clear();
-        // Lines of a page are 64 consecutive indices in one shard:
-        // probing each beats an ordered range scan, and ascending
-        // order falls out of the loop (bit-compatible with the old
-        // BTreeMap range).
-        let start = first_line_of_page(vpn);
         let g = self.granularity;
-        let shard = self.shard_of(start);
-        let entries = &mut self.shards[shard];
-        for line in start..start + LINES_PER_PAGE {
-            if let Some(v) = entries.remove(line) {
-                let mask = match State::unpack(v) {
-                    State::Shared(m) => m,
-                    State::Modified(o) => 1 << (o / g),
-                };
-                out.push((line, mask));
-            }
-        }
+        self.lines.drain_page(vpn, |line, v| {
+            let mask = match State::unpack(v) {
+                State::Shared(m) => m,
+                State::Modified(o) => 1 << (o / g),
+            };
+            out.push((line, mask));
+        });
     }
 
     /// Sharer mask of `line` (modified owner counts as one sharer).
     pub fn sharers(&self, line: Line) -> SharerMask {
-        let g = self.granularity;
-        match self.shards[self.shard_of(line)].get(line) {
+        match self.lines.get(line).map(State::unpack) {
             None => 0,
-            Some(v) => match State::unpack(v) {
-                State::Shared(m) => m,
-                State::Modified(o) => 1 << (o / g),
-            },
+            Some(State::Shared(m)) => m,
+            Some(State::Modified(o)) => self.bit(o),
         }
     }
 
     /// Whether `line` is held modified, and by whom.
     pub fn modified_owner(&self, line: Line) -> Option<u32> {
-        match self.shards[self.shard_of(line)].get(line).map(State::unpack) {
+        match self.lines.get(line).map(State::unpack) {
             Some(State::Modified(o)) => Some(o),
             _ => None,
         }
@@ -340,7 +325,7 @@ impl Directory {
 
     /// Number of lines with directory state.
     pub fn tracked_lines(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.lines.len()
     }
 
     /// Total read transactions.
@@ -364,16 +349,14 @@ impl Directory {
     }
 
     /// Serialize every `(line, packed state)` entry in ascending line
-    /// order plus the transaction counters. Entries are merged across
-    /// shards into one globally sorted dump: the shard split (like the
-    /// [`LineTable`]'s slot layout) is not observable, so a sharded
-    /// directory checkpoints to exactly the bytes a single-shard one
-    /// would.
+    /// order plus the transaction counters. The packed state is the
+    /// sharer mask, or `1 << 63 | owner` for a modified line. The
+    /// storage layout (and the configured shard count) is not
+    /// observable: every directory with the same entries checkpoints
+    /// to the same bytes.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        let mut entries: Vec<(Line, u64)> = self.shards.iter().flat_map(|s| s.iter()).collect();
-        entries.sort_unstable_by_key(|&(line, _)| line);
-        w.usize(entries.len());
-        for (line, v) in entries {
+        w.usize(self.lines.len());
+        for (line, v) in self.lines.iter() {
             w.u64(line);
             w.u64(v);
         }
@@ -384,23 +367,31 @@ impl Directory {
     }
 
     /// Overlay state saved by [`Directory::ckpt_save`]. The shard
-    /// count and granularity come from the receiving directory (they
-    /// are config, not state).
+    /// count, granularity and footprint come from the receiving
+    /// directory (they are config, not state). A line past the
+    /// footprint, a duplicate line, or a state that is neither a sharer
+    /// mask nor a tagged owner among the machine's nodes is rejected.
     pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         let n = r.usize()?;
-        for s in &mut self.shards {
-            *s = LineTable::new();
-        }
+        self.lines.clear();
         for _ in 0..n {
             let line = r.u64()?;
             let v = r.u64()?;
-            let shard = self.shard_of(line);
-            if self.shards[shard].insert(line, v).is_some() {
-                return Err(CkptError::Invalid {
-                    offset: r.offset(),
-                    what: format!("duplicate directory line {line}"),
-                });
-            }
+            let what = if line >= self.line_limit {
+                format!("directory line {line} is past the footprint ({} lines)", self.line_limit)
+            } else if !LineTable::is_packable(v)
+                || matches!(State::unpack(v), State::Modified(o) if o >= self.nodes)
+            {
+                format!("directory line {line} has state {v:#x} ({} nodes)", self.nodes)
+            } else if self.lines.insert(line, v).is_some() {
+                format!("duplicate directory line {line}")
+            } else {
+                continue;
+            };
+            return Err(CkptError::Invalid {
+                offset: r.offset(),
+                what,
+            });
         }
         self.reads = r.u64()?;
         self.writes = r.u64()?;
@@ -413,6 +404,9 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ckpt_fuzz, LINES_PER_PAGE};
+    use nw_sim::Pcg32;
+    use std::collections::BTreeMap;
 
     #[test]
     fn first_read_comes_from_memory() {
@@ -534,12 +528,11 @@ mod tests {
 
     #[test]
     fn sharded_directory_behaves_like_single_shard() {
-        // Drive the same transaction stream through 1 and 4 shards:
-        // every outcome and counter must agree (the shard split is an
-        // implementation detail).
+        // Drive the same transaction stream through 1 and 4 configured
+        // shards: every outcome and counter must agree (the shard
+        // count is not observable).
         let mut one = Directory::with_topology(1, 8);
         let mut four = Directory::with_topology(4, 8);
-        assert_eq!(four.shard_count(), 4);
         for (line, node) in [(64u64, 0u32), (70, 1), (129, 2), (200, 3), (64, 2), (300, 0)] {
             assert_eq!(one.read(line, node), four.read(line, node), "read {line} {node}");
         }
@@ -582,6 +575,223 @@ mod tests {
         assert_eq!(e.tracked_lines(), 3);
         assert_eq!(e.modified_owner(129), Some(2));
         assert_eq!(e.sharers(700), 0b10);
+    }
+
+    /// The `BTreeMap` directory the page blocks replaced, kept as the
+    /// reference model.
+    struct MapDir {
+        map: BTreeMap<Line, State>,
+        g: u32,
+        counters: [u64; 4],
+    }
+
+    impl MapDir {
+        fn new(nodes: u32) -> Self {
+            MapDir {
+                map: BTreeMap::new(),
+                g: nodes.div_ceil(32).max(1),
+                counters: [0; 4],
+            }
+        }
+
+        fn bit(&self, node: u32) -> SharerMask {
+            1 << (node / self.g)
+        }
+
+        fn read(&mut self, line: Line, node: u32) -> ReadOutcome {
+            self.counters[0] += 1;
+            let bit = self.bit(node);
+            match self.map.get(&line).copied() {
+                None => {
+                    self.map.insert(line, State::Shared(bit));
+                    ReadOutcome::FromMemory
+                }
+                Some(State::Shared(mask)) => {
+                    self.map.insert(line, State::Shared(mask | bit));
+                    ReadOutcome::FromMemoryShared
+                }
+                Some(State::Modified(owner)) if owner == node => ReadOutcome::FromMemoryShared,
+                Some(State::Modified(owner)) => {
+                    self.map.insert(line, State::Shared(bit | self.bit(owner)));
+                    self.counters[3] += 1;
+                    ReadOutcome::FromOwner { owner }
+                }
+            }
+        }
+
+        fn write(&mut self, line: Line, node: u32) -> WriteOutcome {
+            self.counters[1] += 1;
+            let bit = self.bit(node);
+            let (invalidate, fetch_from, from_memory) = match self.map.get(&line).copied() {
+                None => (0, None, true),
+                Some(State::Shared(mask)) => {
+                    self.counters[2] += (mask & !bit).count_ones() as u64;
+                    (mask & !bit, None, mask & bit == 0)
+                }
+                Some(State::Modified(owner)) if owner == node => (0, None, false),
+                Some(State::Modified(owner)) => {
+                    self.counters[3] += 1;
+                    (0, Some(owner), false)
+                }
+            };
+            self.map.insert(line, State::Modified(node));
+            WriteOutcome {
+                invalidate,
+                fetch_from,
+                from_memory,
+            }
+        }
+
+        fn evict(&mut self, line: Line, node: u32) {
+            let bit = self.bit(node);
+            match self.map.get(&line).copied() {
+                Some(State::Shared(mask)) if self.g == 1 => {
+                    if mask & !bit == 0 {
+                        self.map.remove(&line);
+                    } else {
+                        self.map.insert(line, State::Shared(mask & !bit));
+                    }
+                }
+                Some(State::Modified(owner)) if owner == node => {
+                    self.map.remove(&line);
+                }
+                _ => {}
+            }
+        }
+
+        fn purge(&mut self, vpn: Vpn) -> Vec<(Line, SharerMask)> {
+            let start = first_line_of_page(vpn);
+            let lines: Vec<Line> = self.map.range(start..start + 64).map(|(&l, _)| l).collect();
+            lines
+                .into_iter()
+                .map(|l| match self.map.remove(&l).expect("ranged line") {
+                    State::Shared(m) => (l, m),
+                    State::Modified(o) => (l, self.bit(o)),
+                })
+                .collect()
+        }
+
+        fn ckpt_save(&self, w: &mut CkptWriter) {
+            w.usize(self.map.len());
+            for (&line, &state) in &self.map {
+                w.u64(line);
+                w.u64(state.pack());
+            }
+            for c in self.counters {
+                w.u64(c);
+            }
+        }
+    }
+
+    #[test]
+    fn matches_btreemap_reference() {
+        // Granularity 1 (8 nodes) and coarse vectors (64 and 100 nodes:
+        // 2 and 4 nodes per bit), with and without a reservation.
+        for case in 0..48u64 {
+            let mut rng = Pcg32::new(0xD1F0, case);
+            let nodes = [8, 64, 100][case as usize % 3];
+            let pages = 6;
+            let mut d = Directory::with_topology(1 + case as usize % 3, nodes);
+            if case % 2 == 0 {
+                d.reserve(pages, 3);
+            }
+            let mut model = MapDir::new(nodes);
+            for batch in 0..30 {
+                let mut purged = Vec::new();
+                for _ in 0..40 {
+                    let line = rng.gen_range(0, pages * LINES_PER_PAGE);
+                    let node = rng.gen_below(nodes);
+                    match rng.gen_below(20) {
+                        0..=8 => assert_eq!(d.read(line, node), model.read(line, node)),
+                        9..=14 => assert_eq!(d.write(line, node), model.write(line, node)),
+                        15..=18 => {
+                            d.evict(line, node);
+                            model.evict(line, node);
+                        }
+                        _ => {
+                            let vpn = rng.gen_range(0, pages);
+                            d.purge_page_into(vpn, &mut purged);
+                            assert_eq!(purged, model.purge(vpn), "case {case}: purge {vpn}");
+                        }
+                    }
+                }
+                let ctx = format!("case {case} batch {batch}");
+                assert_eq!(d.tracked_lines(), model.map.len(), "{ctx}");
+                assert_eq!(
+                    ckpt_fuzz::payload(|w| d.ckpt_save(w)),
+                    ckpt_fuzz::payload(|w| model.ckpt_save(w)),
+                    "{ctx}: checkpoint bytes"
+                );
+            }
+        }
+    }
+
+    /// A directory for a `pages`-page footprint, restored from `bytes`.
+    fn restore_into(pages: u64, bytes: &[u8]) -> (Directory, Result<(), CkptError>) {
+        let mut d = Directory::with_topology(2, 8);
+        d.reserve(pages, 2);
+        let res = ckpt_fuzz::decode(bytes, |r| d.ckpt_restore(r));
+        (d, res)
+    }
+
+    #[test]
+    fn restore_rejects_lines_past_the_footprint_and_bad_states() {
+        let frame = |entries: &[(u64, u64)]| {
+            ckpt_fuzz::frame(|w| {
+                w.usize(entries.len());
+                for &(line, v) in entries {
+                    w.u64(line);
+                    w.u64(v);
+                }
+                for c in [0u64; 4] {
+                    w.u64(c);
+                }
+            })
+        };
+        // 4 pages = lines 0..256.
+        assert!(restore_into(4, &frame(&[(0, 1), (255, TAG | 3)])).1.is_ok());
+        for (entries, needle) in [
+            (vec![(256, 1)], "past the footprint"),
+            (vec![(u64::MAX, 1)], "past the footprint"),
+            (vec![(7, 1 << 40)], "state"),
+            (vec![(7, TAG | 8)], "state"),
+            (vec![(7, 1), (7, 2)], "duplicate"),
+        ] {
+            match restore_into(4, &frame(&entries)).1 {
+                Err(CkptError::Invalid { what, .. }) => assert!(what.contains(needle), "{what}"),
+                other => panic!("{entries:?}: expected Invalid({needle}), got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn restore_survives_seeded_mutations() {
+        let mut source = Directory::with_topology(1, 8);
+        source.reserve(4, 4);
+        for (line, node) in [(3u64, 0u32), (64, 1), (64, 2), (130, 5), (255, 7)] {
+            source.read(line, node);
+        }
+        source.write(70, 3);
+        source.write(200, 6);
+        let valid = ckpt_fuzz::payload(|w| source.ckpt_save(w));
+        for case in 0..ckpt_fuzz::CASES {
+            let (bytes, must_fail) = ckpt_fuzz::mutated(&valid, 0xD1F1, case);
+            let (mut d, res) = restore_into(4, &bytes);
+            assert!(!(must_fail && res.is_ok()), "case {case} decoded");
+            if res.is_ok() {
+                // Whatever was accepted lies inside the footprint, saves
+                // back to what it loaded, and keeps working.
+                assert!(d.tracked_lines() <= 256, "case {case}");
+                let saved = ckpt_fuzz::frame(|w| d.ckpt_save(w));
+                let (_, again) = restore_into(4, &saved);
+                again.expect("re-save restores");
+                for vpn in 0..4 {
+                    d.read(first_line_of_page(vpn), 1);
+                    d.purge_page(vpn);
+                }
+                assert_eq!(d.tracked_lines(), 0, "case {case}");
+            }
+        }
     }
 
     #[test]

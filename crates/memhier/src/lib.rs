@@ -32,6 +32,8 @@
 
 pub mod bus;
 pub mod cache;
+#[cfg(test)]
+mod ckpt_fuzz;
 pub mod directory;
 pub mod linetable;
 pub mod tlb;

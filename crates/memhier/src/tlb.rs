@@ -7,20 +7,63 @@
 //! here is fully associative with true-LRU replacement; the shootdown
 //! latencies themselves (100/500/400 pcycles) are charged by the
 //! machine model.
+//!
+//! **Layout.** The entries live in one vector, appended on insert and
+//! `swap_remove`d on eviction or shootdown; their `(vpn, last_use)`
+//! pairs in that order are what `nwckpt-v1` records. Two derived
+//! structures make `lookup`, `insert` and `invalidate` O(1)
+//! (DESIGN.md §11):
+//!
+//! * a vpn → entry hash index (open addressing, at most half full,
+//!   backward-shift deletion);
+//! * a recency list threading the entries, through `prev`/`next`
+//!   links stored in each entry, from least to most recently used.
+//!
+//! The list is exact LRU: every touch stamps a fresh, strictly
+//! increasing `last_use` and moves the entry to the tail, so the head
+//! is always the entry with the minimum `last_use` — the victim a
+//! linear `min_by_key` scan would pick. Neither structure is saved; a
+//! restore rebuilds both.
 
 use crate::Vpn;
 use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+
+/// `2^64 / phi`, the Fibonacci hashing multiplier.
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// End of the recency list; also an empty hash slot's marker.
+const NIL: u32 = u32::MAX;
+
+/// One cached translation and its recency-list links.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    vpn: Vpn,
+    last_use: u64,
+    /// Next-older entry's position ([`NIL`] at the head).
+    prev: u32,
+    /// Next-newer entry's position ([`NIL`] at the tail).
+    next: u32,
+}
 
 /// A fully associative, LRU translation lookaside buffer.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     capacity: usize,
-    /// `(vpn, last_use)` pairs; length <= capacity.
-    entries: Vec<(Vpn, u64)>,
+    /// Length <= capacity.
+    entries: Vec<Entry>,
     clock: u64,
     hits: u64,
     misses: u64,
     invalidations: u64,
+    /// Hash slots holding entry positions ([`NIL`] = empty); a power
+    /// of two at least twice the capacity.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the hash's top bits pick a slot.
+    shift: u32,
+    /// Least recently used entry's position.
+    head: u32,
+    /// Most recently used entry's position.
+    tail: u32,
 }
 
 impl Tlb {
@@ -30,6 +73,7 @@ impl Tlb {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB must have at least one entry");
+        let nslots = (capacity * 2).next_power_of_two();
         Tlb {
             capacity,
             entries: Vec::with_capacity(capacity),
@@ -37,7 +81,122 @@ impl Tlb {
             hits: 0,
             misses: 0,
             invalidations: 0,
+            slots: vec![NIL; nslots],
+            shift: 64 - nslots.trailing_zeros(),
+            head: NIL,
+            tail: NIL,
         }
+    }
+
+    #[inline]
+    fn ideal_slot(&self, vpn: Vpn) -> usize {
+        (vpn.wrapping_mul(HASH_MUL) >> self.shift) as usize
+    }
+
+    /// `(hash slot, entry position)` of `vpn`, if cached.
+    #[inline]
+    fn find(&self, vpn: Vpn) -> Option<(usize, usize)> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.ideal_slot(vpn);
+        loop {
+            let pos = self.slots[i];
+            if pos == NIL {
+                return None;
+            }
+            if self.entries[pos as usize].vpn == vpn {
+                return Some((i, pos as usize));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Point a free hash slot for `vpn` at entry `pos`.
+    fn index_insert(&mut self, vpn: Vpn, pos: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.ideal_slot(vpn);
+        while self.slots[i] != NIL {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = pos as u32;
+    }
+
+    /// Empty hash slot `slot`, shifting displaced slots back over the
+    /// hole (no tombstones).
+    fn index_remove(&mut self, slot: usize) {
+        let mask = self.slots.len() - 1;
+        let mut hole = slot;
+        let mut j = slot;
+        loop {
+            j = (j + 1) & mask;
+            let pos = self.slots[j];
+            if pos == NIL {
+                break;
+            }
+            // The slot at `j` may fill the hole iff that does not move
+            // it before its ideal slot.
+            let ideal = self.ideal_slot(self.entries[pos as usize].vpn);
+            if (j.wrapping_sub(ideal) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = pos;
+                hole = j;
+            }
+        }
+        self.slots[hole] = NIL;
+    }
+
+    /// Make the neighbours of the entry at `pos` point at `pos`.
+    fn link_neighbours(&mut self, pos: usize) {
+        let Entry { prev, next, .. } = self.entries[pos];
+        match prev {
+            NIL => self.head = pos as u32,
+            p => self.entries[p as usize].next = pos as u32,
+        }
+        match next {
+            NIL => self.tail = pos as u32,
+            n => self.entries[n as usize].prev = pos as u32,
+        }
+    }
+
+    fn unlink(&mut self, pos: usize) {
+        let Entry { prev, next, .. } = self.entries[pos];
+        match prev {
+            NIL => self.head = next,
+            p => self.entries[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.entries[n as usize].prev = prev,
+        }
+    }
+
+    fn push_back(&mut self, pos: usize) {
+        self.entries[pos].prev = self.tail;
+        self.entries[pos].next = NIL;
+        self.link_neighbours(pos);
+    }
+
+    /// Stamp entry `pos` as the most recently used.
+    #[inline]
+    fn touch(&mut self, pos: usize) {
+        self.entries[pos].last_use = self.clock;
+        if self.tail != pos as u32 {
+            self.unlink(pos);
+            self.push_back(pos);
+        }
+    }
+
+    /// Drop the entry at `pos` (hash slot `slot`) by `swap_remove`,
+    /// re-pointing the index and list at the entry moved into `pos`.
+    fn remove_at(&mut self, slot: usize, pos: usize) {
+        self.index_remove(slot);
+        self.unlink(pos);
+        let last = self.entries.len() - 1;
+        if pos != last {
+            let (moved, _) = self.find(self.entries[last].vpn).expect("indexed entry");
+            self.slots[moved] = pos as u32;
+            self.entries.swap(pos, last);
+            self.link_neighbours(pos);
+        }
+        self.entries.pop();
     }
 
     /// Look up `vpn`, updating LRU state. Returns `true` on a hit.
@@ -45,8 +204,8 @@ impl Tlb {
     /// page-table walk succeeds (the page may not be resident at all).
     pub fn lookup(&mut self, vpn: Vpn) -> bool {
         self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
-            e.1 = self.clock;
+        if let Some((_, pos)) = self.find(vpn) {
+            self.touch(pos);
             self.hits += 1;
             true
         } else {
@@ -58,29 +217,32 @@ impl Tlb {
     /// Insert a translation for `vpn`, evicting the LRU entry if full.
     pub fn insert(&mut self, vpn: Vpn) {
         self.clock += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
-            e.1 = self.clock;
+        if let Some((_, pos)) = self.find(vpn) {
+            self.touch(pos);
             return;
         }
         if self.entries.len() == self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.1)
-                .map(|(i, _)| i)
-                .expect("TLB full implies non-empty");
-            self.entries.swap_remove(lru);
+            let lru = self.head as usize;
+            let (slot, _) = self.find(self.entries[lru].vpn).expect("indexed entry");
+            self.remove_at(slot, lru);
         }
-        self.entries.push((vpn, self.clock));
+        let pos = self.entries.len();
+        self.entries.push(Entry {
+            vpn,
+            last_use: self.clock,
+            prev: NIL,
+            next: NIL,
+        });
+        self.index_insert(vpn, pos);
+        self.push_back(pos);
     }
 
     /// Remove the entry for `vpn` (TLB shootdown). Returns `true` if an
     /// entry was present — only then does the processor pay the
     /// shootdown interrupt.
     pub fn invalidate(&mut self, vpn: Vpn) -> bool {
-        if let Some(i) = self.entries.iter().position(|e| e.0 == vpn) {
-            self.entries.swap_remove(i);
+        if let Some((slot, pos)) = self.find(vpn) {
+            self.remove_at(slot, pos);
             self.invalidations += 1;
             true
         } else {
@@ -90,7 +252,7 @@ impl Tlb {
 
     /// Whether `vpn` is currently cached (no LRU update).
     pub fn contains(&self, vpn: Vpn) -> bool {
-        self.entries.iter().any(|e| e.0 == vpn)
+        self.find(vpn).is_some()
     }
 
     /// Number of valid entries.
@@ -118,14 +280,15 @@ impl Tlb {
         self.invalidations
     }
 
-    /// Serialize the dynamic state. Entry order is observable (LRU
-    /// eviction scans in order and swap-removes), so entries are saved
-    /// exactly as stored.
+    /// Serialize the dynamic state. Entries are saved exactly as
+    /// stored — append order as permuted by `swap_remove` — which is
+    /// the order `nwckpt-v1` has always recorded; the derived index
+    /// and recency links are not saved.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.usize(self.entries.len());
-        for &(vpn, last_use) in &self.entries {
-            w.u64(vpn);
-            w.u64(last_use);
+        for e in &self.entries {
+            w.u64(e.vpn);
+            w.u64(e.last_use);
         }
         w.u64(self.clock);
         w.u64(self.hits);
@@ -134,7 +297,10 @@ impl Tlb {
     }
 
     /// Overlay state saved by [`Tlb::ckpt_save`] onto a TLB of the
-    /// same capacity.
+    /// same capacity, rebuilding the hash index and recency list. A
+    /// duplicate VPN, a repeated `last_use` or one past the clock is
+    /// rejected: no writer produces them, and exact LRU needs unique
+    /// stamps. On error the TLB is unchanged.
     pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
         let n = r.usize()?;
         if n > self.capacity {
@@ -143,23 +309,63 @@ impl Tlb {
                 what: format!("TLB holds {n} entries, capacity is {}", self.capacity),
             });
         }
-        self.entries.clear();
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let vpn = r.u64()?;
             let last_use = r.u64()?;
-            self.entries.push((vpn, last_use));
+            entries.push(Entry {
+                vpn,
+                last_use,
+                prev: NIL,
+                next: NIL,
+            });
         }
-        self.clock = r.u64()?;
-        self.hits = r.u64()?;
-        self.misses = r.u64()?;
-        self.invalidations = r.u64()?;
-        Ok(())
+        let clock = r.u64()?;
+        let counters = [r.u64()?, r.u64()?, r.u64()?];
+        let mut vpns: Vec<Vpn> = entries.iter().map(|e| e.vpn).collect();
+        vpns.sort_unstable();
+        let mut stamps: Vec<u64> = entries.iter().map(|e| e.last_use).collect();
+        stamps.sort_unstable();
+        let what = if let Some(w) = vpns.windows(2).find(|w| w[0] == w[1]) {
+            format!("TLB caches vpn {} twice", w[0])
+        } else if let Some(w) = stamps.windows(2).find(|w| w[0] == w[1]) {
+            format!("TLB last-use stamp {} repeats", w[0])
+        } else if stamps.last().is_some_and(|&s| s > clock) {
+            format!("TLB last-use stamp passes the clock {clock}")
+        } else {
+            self.entries = entries;
+            self.clock = clock;
+            [self.hits, self.misses, self.invalidations] = counters;
+            self.rebuild();
+            return Ok(());
+        };
+        Err(CkptError::Invalid {
+            offset: r.offset(),
+            what,
+        })
+    }
+
+    /// Rebuild the hash index and recency list from `entries`.
+    fn rebuild(&mut self) {
+        self.slots.fill(NIL);
+        for pos in 0..self.entries.len() {
+            self.index_insert(self.entries[pos].vpn, pos);
+        }
+        let mut by_age: Vec<usize> = (0..self.entries.len()).collect();
+        by_age.sort_unstable_by_key(|&pos| self.entries[pos].last_use);
+        self.head = NIL;
+        self.tail = NIL;
+        for pos in by_age {
+            self.push_back(pos);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt_fuzz;
+    use nw_sim::Pcg32;
 
     #[test]
     fn miss_then_hit() {
@@ -215,6 +421,198 @@ mod tests {
         // The most recent 8 survive under LRU.
         for v in 92..100 {
             assert!(tlb.contains(v), "missing {v}");
+        }
+    }
+
+    /// The linear-scan TLB the O(1) structure replaced, kept as the
+    /// reference model: hits scan the entries front to back and a full
+    /// insert evicts the first entry with the minimum `last_use`.
+    struct ScanTlb {
+        capacity: usize,
+        entries: Vec<(Vpn, u64)>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+        invalidations: u64,
+    }
+
+    impl ScanTlb {
+        fn new(capacity: usize) -> Self {
+            ScanTlb {
+                capacity,
+                entries: Vec::new(),
+                clock: 0,
+                hits: 0,
+                misses: 0,
+                invalidations: 0,
+            }
+        }
+
+        fn lookup(&mut self, vpn: Vpn) -> bool {
+            self.clock += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
+                e.1 = self.clock;
+                self.hits += 1;
+                true
+            } else {
+                self.misses += 1;
+                false
+            }
+        }
+
+        fn insert(&mut self, vpn: Vpn) {
+            self.clock += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
+                e.1 = self.clock;
+                return;
+            }
+            if self.entries.len() == self.capacity {
+                let lru = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].1)
+                    .expect("full implies non-empty");
+                self.entries.swap_remove(lru);
+            }
+            self.entries.push((vpn, self.clock));
+        }
+
+        fn invalidate(&mut self, vpn: Vpn) -> bool {
+            let i = self.entries.iter().position(|e| e.0 == vpn);
+            if let Some(i) = i {
+                self.entries.swap_remove(i);
+                self.invalidations += 1;
+            }
+            i.is_some()
+        }
+
+        fn contains(&self, vpn: Vpn) -> bool {
+            self.entries.iter().any(|e| e.0 == vpn)
+        }
+
+        fn ckpt_save(&self, w: &mut CkptWriter) {
+            w.usize(self.entries.len());
+            for &(vpn, last_use) in &self.entries {
+                w.u64(vpn);
+                w.u64(last_use);
+            }
+            for v in [self.clock, self.hits, self.misses, self.invalidations] {
+                w.u64(v);
+            }
+        }
+    }
+
+    /// A fresh TLB restored from `tlb`'s checkpoint, which must save
+    /// back to the same bytes.
+    fn restored(tlb: &Tlb) -> Tlb {
+        let mut back = Tlb::new(tlb.capacity);
+        let bytes = ckpt_fuzz::frame(|w| tlb.ckpt_save(w));
+        ckpt_fuzz::decode(&bytes, |r| back.ckpt_restore(r)).expect("round trip");
+        assert_eq!(ckpt_fuzz::frame(|w| back.ckpt_save(w)), bytes);
+        back
+    }
+
+    #[test]
+    fn matches_linear_scan_reference() {
+        for case in 0..64u64 {
+            let mut rng = Pcg32::new(0x71B0, case);
+            let capacity = [1, 2, 3, 8, 64][case as usize % 5];
+            let vpns = 1 + rng.gen_range(0, 3 * capacity as u64);
+            let mut tlb = Tlb::new(capacity);
+            let mut model = ScanTlb::new(capacity);
+            for batch in 0..20 {
+                for _ in 0..50 {
+                    let vpn = rng.gen_range(0, vpns);
+                    match rng.gen_below(10) {
+                        0..=3 => assert_eq!(tlb.lookup(vpn), model.lookup(vpn)),
+                        4..=6 => {
+                            tlb.insert(vpn);
+                            model.insert(vpn);
+                        }
+                        7 | 8 => assert_eq!(tlb.invalidate(vpn), model.invalidate(vpn)),
+                        _ => assert_eq!(tlb.contains(vpn), model.contains(vpn)),
+                    }
+                }
+                let ctx = format!("case {case} batch {batch}");
+                assert_eq!(tlb.len(), model.entries.len(), "{ctx}");
+                assert_eq!(
+                    (tlb.hits(), tlb.misses(), tlb.invalidations()),
+                    (model.hits, model.misses, model.invalidations),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    ckpt_fuzz::payload(|w| tlb.ckpt_save(w)),
+                    ckpt_fuzz::payload(|w| model.ckpt_save(w)),
+                    "{ctx}: checkpoint bytes"
+                );
+                // Mid-sequence, continue on a restored copy: the
+                // rebuilt index and recency list must carry on exactly.
+                if batch == 10 {
+                    tlb = restored(&tlb);
+                }
+            }
+        }
+    }
+
+    fn checkpointed(capacity: usize, vpns: &[Vpn]) -> Tlb {
+        let mut tlb = Tlb::new(capacity);
+        for &v in vpns {
+            if !tlb.lookup(v) {
+                tlb.insert(v);
+            }
+        }
+        tlb
+    }
+
+    #[test]
+    fn restore_rejects_duplicates_and_stale_stamps() {
+        let frame = |entries: &[(u64, u64)], clock: u64| {
+            ckpt_fuzz::frame(|w| {
+                w.usize(entries.len());
+                for &(vpn, last_use) in entries {
+                    w.u64(vpn);
+                    w.u64(last_use);
+                }
+                for v in [clock, 0, 0, 0] {
+                    w.u64(v);
+                }
+            })
+        };
+        let reject = |bytes: &[u8], needle: &str| {
+            let mut tlb = checkpointed(4, &[1, 2, 3]);
+            let before = ckpt_fuzz::payload(|w| tlb.ckpt_save(w));
+            match ckpt_fuzz::decode(bytes, |r| tlb.ckpt_restore(r)) {
+                Err(CkptError::Invalid { what, .. }) => assert!(what.contains(needle), "{what}"),
+                other => panic!("expected Invalid({needle}), got {other:?}"),
+            }
+            assert_eq!(ckpt_fuzz::payload(|w| tlb.ckpt_save(w)), before, "TLB unchanged");
+        };
+        reject(&frame(&[(5, 1), (5, 2)], 9), "twice");
+        reject(&frame(&[(5, 3), (6, 3)], 9), "repeats");
+        reject(&frame(&[(5, 3), (6, 10)], 9), "clock");
+        reject(&frame(&[(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)], 9), "capacity");
+    }
+
+    #[test]
+    fn restore_survives_seeded_mutations() {
+        let source = checkpointed(8, &[3, 9, 3, 14, 2, 7, 9, 30, 31, 1, 3, 5]);
+        let valid = ckpt_fuzz::payload(|w| source.ckpt_save(w));
+        for case in 0..ckpt_fuzz::CASES {
+            let (bytes, must_fail) = ckpt_fuzz::mutated(&valid, 0x71B1, case);
+            let mut tlb = Tlb::new(8);
+            let res = ckpt_fuzz::decode(&bytes, |r| tlb.ckpt_restore(r));
+            assert!(!(must_fail && res.is_ok()), "case {case} decoded");
+            if res.is_ok() {
+                // Whatever was accepted is a consistent TLB: it keeps
+                // working and saves back to what it loaded.
+                assert!(tlb.len() <= 8, "case {case}");
+                let again = restored(&tlb);
+                for v in 0..40 {
+                    if !tlb.lookup(v) {
+                        tlb.insert(v);
+                    }
+                    tlb.invalidate(v / 2);
+                }
+                assert!(again.len() <= 8 && tlb.len() <= 8, "case {case}");
+            }
         }
     }
 

@@ -171,22 +171,26 @@ fn directory_purge_sorted() {
     }
 }
 
-/// Collision-heavy key generator for the [`LineTable`] model tests:
-/// keys drawn from a few small clusters of consecutive lines (the
-/// table's real load — lines of a page are consecutive) plus keys
-/// exactly one table-stride apart, which land in the same slots.
-fn collision_heavy_key(rng: &mut Pcg32) -> u64 {
+/// Key generator for the [`LineTable`] model tests: a dense cluster of
+/// consecutive lines (the table's real load — lines of a page are
+/// consecutive), lines of pages far apart, and lines straddling page
+/// boundaries, so blocks fill, empty and get recycled.
+fn clustered_key(rng: &mut Pcg32) -> u64 {
     match rng.gen_below(3) {
         0 => rng.gen_range(0, 48),                      // dense cluster
         1 => 1_000_000 + rng.gen_range(0, 48) * 64,     // page-stride
-        _ => rng.gen_range(0, 16) * 4096,               // power-of-two stride
+        _ => rng.gen_range(0, 16) * 4096 + rng.gen_range(0, 2) * 63, // page edges
     }
+}
+
+/// A random value the table can hold: a `u32` payload, tagged or not.
+fn packable_value(rng: &mut Pcg32) -> u64 {
+    rng.next_u64() & (nw_memhier::linetable::TAG | u32::MAX as u64)
 }
 
 /// LineTable vs a `BTreeMap` reference model: any interleaving of
 /// insert/overwrite/remove/lookup agrees with the model, including
-/// under collision-heavy keys (backward-shift deletion must never
-/// strand an entry behind a hole).
+/// when removals empty a page's block and later inserts reuse it.
 #[test]
 fn linetable_matches_btreemap_model() {
     for case in 0..CASES {
@@ -195,10 +199,10 @@ fn linetable_matches_btreemap_model() {
         let mut t = LineTable::new();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for step in 0..n {
-            let key = collision_heavy_key(&mut rng);
+            let key = clustered_key(&mut rng);
             match rng.gen_below(4) {
                 0 | 1 => {
-                    let val = rng.next_u64() | 1;
+                    let val = packable_value(&mut rng);
                     assert_eq!(
                         t.insert(key, val),
                         model.insert(key, val),
@@ -229,9 +233,9 @@ fn linetable_matches_btreemap_model() {
     }
 }
 
-/// LineTable iteration visits exactly the model's entries (order-
-/// insensitively) after heavy insert/remove churn, and `get_mut`
-/// writes land where `get` reads.
+/// LineTable iteration visits exactly the model's entries, in
+/// ascending line order, after heavy insert/remove churn, and
+/// `update` writes land where `get` reads.
 #[test]
 fn linetable_iteration_and_get_mut_match_model() {
     for case in 0..CASES {
@@ -239,9 +243,9 @@ fn linetable_iteration_and_get_mut_match_model() {
         let mut t = LineTable::new();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for _ in 0..rng.gen_range(1, 400) {
-            let key = collision_heavy_key(&mut rng);
+            let key = clustered_key(&mut rng);
             if rng.gen_bool(0.6) {
-                let val = rng.next_u64();
+                let val = packable_value(&mut rng);
                 t.insert(key, val);
                 model.insert(key, val);
             } else {
@@ -249,15 +253,14 @@ fn linetable_iteration_and_get_mut_match_model() {
                 model.remove(&key);
             }
         }
-        // Mutate half the survivors through get_mut.
+        // Mutate half the survivors through update.
         for (i, (&k, v)) in model.iter_mut().enumerate() {
             if i % 2 == 0 {
                 *v ^= 0xA5;
-                *t.get_mut(k).expect("model key present") ^= 0xA5;
+                t.update(k, |e| *e.as_mut().expect("model key present") ^= 0xA5);
             }
         }
-        let mut items: Vec<(u64, u64)> = t.iter().collect();
-        items.sort_unstable();
+        let items: Vec<(u64, u64)> = t.iter().collect();
         let expected: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
         assert_eq!(items, expected, "case {case}");
     }

@@ -133,8 +133,27 @@ impl Mesh {
         &self.cfg
     }
 
-    fn link_index(&self, node: NodeId, dir: Dir) -> usize {
-        node as usize * 4 + dir.index()
+    /// The directed links of the XY route `src -> dst` without
+    /// building it: the X leg, then the Y leg, each as
+    /// `(first link index, index step, links)`. A router's four output
+    /// links are consecutive, so one hop along a row steps the index
+    /// by 4 and one hop along a column by `4 * width`.
+    ///
+    /// # Panics
+    /// Panics if either node id is out of range for the mesh.
+    fn xy_legs(&self, src: NodeId, dst: NodeId) -> [(usize, isize, usize); 2] {
+        let w = self.cfg.width;
+        assert!(src < self.cfg.nodes(), "src {src} out of range");
+        assert!(dst < self.cfg.nodes(), "dst {dst} out of range");
+        let (a, b) = (Coord::of(w, src), Coord::of(w, dst));
+        let corner = Coord { x: b.x, y: a.y }.id(w) as usize;
+        let (xdir, xstep) = if b.x > a.x { (Dir::East, 4) } else { (Dir::West, -4) };
+        let row = 4 * w as isize;
+        let (ydir, ystep) = if b.y > a.y { (Dir::South, row) } else { (Dir::North, -row) };
+        [
+            (src as usize * 4 + xdir.index(), xstep, a.x.abs_diff(b.x) as usize),
+            (corner * 4 + ydir.index(), ystep, a.y.abs_diff(b.y) as usize),
+        ]
     }
 
     /// The sequence of directed links used by a message `src -> dst`.
@@ -159,24 +178,29 @@ impl Mesh {
                 wait: 0,
             };
         }
-        let path = self.path(src, dst);
-        debug_assert!(!path.is_empty());
+        let legs = self.xy_legs(src, dst);
+        let hops = (legs[0].2 + legs[1].2) as u64;
         let serv = self.cfg.link_bandwidth.transfer_cycles(bytes.max(1));
         let inject = now + self.cfg.ni_overhead;
         // Wormhole: the worm cannot advance until every link on the
         // path is free, then it holds each of them for the full
         // serialization time.
         let mut start = inject;
-        for &(node, dir) in &path {
-            let idx = self.link_index(node, dir);
-            start = start.max(self.links[idx].earliest_start(inject));
+        for &(first, step, count) in &legs {
+            let mut idx = first;
+            for _ in 0..count {
+                start = start.max(self.links[idx].earliest_start(inject));
+                idx = idx.wrapping_add_signed(step);
+            }
         }
-        for &(node, dir) in &path {
-            let idx = self.link_index(node, dir);
-            let g = self.links[idx].acquire(start, serv);
-            debug_assert_eq!(g.start, start);
+        for &(first, step, count) in &legs {
+            let mut idx = first;
+            for _ in 0..count {
+                let g = self.links[idx].acquire(start, serv);
+                debug_assert_eq!(g.start, start);
+                idx = idx.wrapping_add_signed(step);
+            }
         }
-        let hops = path.len() as u64;
         let arrival = start + hops * self.cfg.switch_delay + serv + self.cfg.ni_overhead;
         let wait = start - inject;
         self.latency.add(arrival - now);
@@ -354,6 +378,69 @@ mod tests {
         assert_eq!(m.bytes_carried(), 300);
         assert_eq!(m.latency().count(), 2);
         assert!(m.mean_utilization(10_000) > 0.0);
+    }
+
+    /// Every (src, dst) pair of `width x height`: a contended stream of
+    /// sends matches the wormhole timing computed from `route_xy`'s
+    /// collected path and holds exactly its links, and an idle send
+    /// matches `uncontended_latency`.
+    fn check_send_against_path(width: u32, height: u32) {
+        let cfg = MeshConfig {
+            width,
+            height,
+            ..MeshConfig::paper_default()
+        };
+        let nodes = width * height;
+        let mut mesh = Mesh::new(cfg);
+        let mut next_free = vec![0 as Time; nodes as usize * 4];
+        let mut now = 0;
+        for src in 0..nodes {
+            for dst in 0..nodes {
+                let bytes = if (src + dst) % 3 == 0 { 4096 } else { 16 };
+                let serv = cfg.link_bandwidth.transfer_cycles(bytes);
+                let idle = Mesh::new(cfg).send(0, src, dst, bytes);
+                assert_eq!(idle.arrival, mesh.uncontended_latency(src, dst, bytes));
+                now += 7;
+                let got = mesh.send(now, src, dst, bytes);
+                let want = if src == dst {
+                    Delivery {
+                        start: now,
+                        arrival: now + 2 * cfg.ni_overhead,
+                        wait: 0,
+                    }
+                } else {
+                    let path = route_xy(width, height, src, dst);
+                    let links: Vec<usize> =
+                        path.iter().map(|&(n, d)| n as usize * 4 + d.index()).collect();
+                    let inject = now + cfg.ni_overhead;
+                    let start = links.iter().fold(inject, |s, &l| s.max(next_free[l]));
+                    for &l in &links {
+                        next_free[l] = start + serv;
+                    }
+                    Delivery {
+                        start,
+                        arrival: start
+                            + path.len() as Time * cfg.switch_delay
+                            + serv
+                            + cfg.ni_overhead,
+                        wait: start - inject,
+                    }
+                };
+                assert_eq!(got, want, "{width}x{height} {src}->{dst}");
+            }
+        }
+        // The same links were held: every link ends at the model's
+        // horizon (a relabelled route would time alike but not here).
+        for (l, &free) in next_free.iter().enumerate() {
+            assert_eq!(mesh.links[l].earliest_start(0), free, "{width}x{height} link {l}");
+        }
+    }
+
+    #[test]
+    fn send_matches_the_collected_route_on_every_pair() {
+        for (w, h) in [(4, 2), (8, 8), (1, 16), (16, 1)] {
+            check_send_against_path(w, h);
+        }
     }
 
     #[test]
