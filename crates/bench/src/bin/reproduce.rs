@@ -1,19 +1,14 @@
 //! `reproduce` — regenerate every table and figure of the paper.
 //!
-//! ```text
-//! reproduce [--scale S] [--jobs N]
-//!           [table3|table4|table5|table6|table7|
-//!            table8|fig3|fig4|overall|minfree|diskcache|window|prefetch|
-//!            ablations|dcd|scaling|scale|reuse|zipf|ionodes|faults|all]
-//!           [--json out.json] [--scale-json out.json]
-//! ```
+//! Its flags and target words are declared in [`nw_bench::REPRODUCE`].
 //!
 //! `--scale 1.0` (the default) uses the paper's Table 2 inputs; smaller
 //! scales shrink both the applications and the machine proportionally
 //! (useful for a quick pass).
 //!
-//! An unknown flag or target word exits 2 (`ExitCode::Validation`)
-//! and lists the valid targets.
+//! An unknown flag or target word, or a `--scale` outside (0, 1], exits
+//! 2 (`ExitCode::Validation`) and prints the synopsis, which lists the
+//! valid targets.
 //!
 //! `--jobs N` fans independent runs out over N worker threads (`0` =
 //! one per core, the default). Results are bit-identical at any job
@@ -39,184 +34,102 @@
 //! `workload:gen:<spec>` (the machine and prefetch labels are always
 //! the last two `:`-separated tokens).
 
+use nw_apps::AppId;
+use nw_bench::cli::{Parsed, Usage};
+use nw_bench::{REPRODUCE, TARGETS};
 use nw_sim::atomic_write::write_atomic;
-use nwcache::config::{MachineKind, PrefetchMode};
+use nwcache::config::{scale_in_range, MachineKind, PrefetchMode, RunParams};
 use nwcache::experiments as exp;
 use nwcache::report;
 use nwcache::AppSel;
-use nw_apps::AppId;
 
-/// Every target word `reproduce` accepts. `all` selects each of them
-/// except `faults`, which perturbs runs and must be named.
-const TARGETS: [&str; 22] = [
-    "table3", "table4", "table5", "table6", "table7", "table8", "fig3", "fig4", "overall",
-    "minfree", "diskcache", "window", "prefetch", "ablations", "dcd", "scaling", "scale",
-    "reuse", "zipf", "ionodes", "faults", "all",
-];
-
-/// Usage errors: print the reason and exit 2.
-fn die(msg: &str) -> ! {
-    eprintln!("reproduce: {msg}");
-    std::process::exit(nwcache::ExitCode::Validation.code())
-}
-
-/// An unknown flag or target: name it and list the valid targets.
-fn unknown(what: &str, word: &str) -> ! {
-    die(&format!("unknown {what} '{word}' (valid targets: {})", TARGETS.join(" ")))
-}
-
-/// The value following `flag`.
-fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    it.next().unwrap_or_else(|| die(&format!("{flag} needs a value")))
+/// `--trace-cell app:machine:prefetch`: re-run that cell, lowered like
+/// `nwsim run`'s flags, with the observer attached. Split from the
+/// right so the app position can itself contain ':'
+/// (workload:gen:<spec> and trace paths with colons).
+fn trace_cell(p: &Parsed, cell: &str, scale: f64) -> Result<(), Usage> {
+    let bad = |reason: String| p.usage(format!("--trace-cell: {reason}"));
+    let mut parts = cell.rsplitn(3, ':');
+    let (Some(prefetch), Some(machine), Some(app)) = (parts.next(), parts.next(), parts.next())
+    else {
+        return Err(bad(format!("wants app:machine:prefetch, got '{cell}'")));
+    };
+    let machine = MachineKind::parse(machine)
+        .ok_or_else(|| bad(format!("unknown machine '{machine}' (standard|nwcache|dcd)")))?;
+    let (prefetch, prefetch_window) = PrefetchMode::parse_spec(prefetch).map_err(bad)?;
+    let params = RunParams { machine, prefetch, prefetch_window, scale, ..RunParams::default() };
+    let cfg = params.to_config().map_err(|e| bad(e.to_string()))?;
+    let sel = AppSel::parse(app).map_err(|e| bad(e.to_string()))?;
+    let mut m = sel
+        .build(&cfg)
+        .and_then(|build| nwcache::Machine::try_from_build(cfg, build))
+        .unwrap_or_else(|e| {
+            eprintln!("reproduce: --trace-cell: {e}");
+            std::process::exit(e.exit_code().code())
+        });
+    m.enable_observer(nwcache::observe::ObserveConfig::default());
+    let metrics = m.run();
+    let data = m.take_observation().expect("observer was enabled");
+    let path = p.get("--trace-out").unwrap_or("trace-cell.json");
+    if let Err(e) = write_atomic(std::path::Path::new(path), data.to_chrome_json().as_bytes()) {
+        eprintln!("reproduce: cannot write {path}: {e}");
+        std::process::exit(2);
+    }
+    println!(
+        "traced {cell}: exec {} pcycles, {} events retained ({} dropped) -> {path}",
+        metrics.exec_time,
+        data.events.len(),
+        data.dropped
+    );
+    Ok(())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 1.0f64;
-    let mut json_path: Option<String> = None;
-    let mut scale_json_path: Option<String> = None;
-    let mut trace_cell: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut targets: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                scale = value(&mut it, "--scale")
-                    .parse()
-                    .unwrap_or_else(|_| die("--scale needs a number in (0, 1]"));
-            }
-            "--json" => json_path = Some(value(&mut it, "--json")),
-            "--scale-json" => scale_json_path = Some(value(&mut it, "--scale-json")),
-            "--trace-cell" => trace_cell = Some(value(&mut it, "--trace-cell")),
-            "--trace-out" => trace_out = Some(value(&mut it, "--trace-out")),
-            "--jobs" => {
-                let n: usize = value(&mut it, "--jobs").parse().unwrap_or_else(|_| {
-                    die("--jobs needs a non-negative integer (0 = one per core)")
-                });
-                nwcache::sweep::set_jobs(n);
-            }
-            "--sim-threads" => die(
-                "--sim-threads was removed: each simulation runs on one serial event \
-                 loop; use --jobs N to run independent simulations in parallel",
-            ),
-            "--faults" => targets.push("faults".into()),
-            other if other.starts_with("--") => unknown("flag", other),
-            other if TARGETS.contains(&other) => targets.push(other.to_string()),
-            other => unknown("target", other),
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let p = REPRODUCE.parse(&argv).unwrap_or_else(|u| u.exit());
+    let scale = match p.value::<f64>("--scale") {
+        Ok(None) => 1.0,
+        Ok(Some(s)) if scale_in_range(s) => s,
+        _ => p.usage("--scale needs a number in (0, 1]").exit(),
+    };
+    if let Some(n) = p.value("--jobs").unwrap_or_else(|u| u.exit()) {
+        nwcache::sweep::set_jobs(n);
+    }
+    let mut targets: Vec<&str> = p.args().iter().map(String::as_str).collect();
+    if p.has("--faults") {
+        targets.push("faults");
     }
     // `--json`/`--scale-json`/`--trace-cell` with no explicit targets
     // run only the export / trace; otherwise no targets means
     // everything.
-    if targets.is_empty()
-        && json_path.is_none()
-        && scale_json_path.is_none()
-        && trace_cell.is_none()
-    {
-        targets.push("all".into());
+    if targets.is_empty() && !["--json", "--scale-json", "--trace-cell"].iter().any(|f| p.has(f)) {
+        targets.push("all");
     }
-    if let Some(cell) = &trace_cell {
-        // Split from the right so the app position can itself contain
-        // ':' (workload:gen:<spec> and trace paths with colons).
-        let mut parts = cell.rsplitn(3, ':');
-        let (Some(prefetch), Some(machine), Some(app)) =
-            (parts.next(), parts.next(), parts.next())
-        else {
-            panic!("--trace-cell wants app:machine:prefetch, got '{cell}'");
-        };
-        let sel = AppSel::parse(app)
-            .unwrap_or_else(|e| panic!("--trace-cell: {e}"));
-        let kind = match machine {
-            "standard" | "std" => MachineKind::Standard,
-            "nwcache" | "nwc" => MachineKind::NwCache,
-            "dcd" => MachineKind::Dcd,
-            other => panic!("--trace-cell: unknown machine '{other}'"),
-        };
-        let mode = match prefetch {
-            "optimal" | "opt" => PrefetchMode::Optimal,
-            "naive" => PrefetchMode::Naive,
-            "window" | "win" => PrefetchMode::Window,
-            "adaptive" => PrefetchMode::Adaptive,
-            other => panic!("--trace-cell: unknown prefetch '{other}'"),
-        };
-        let cfg = nwcache::MachineConfig::scaled_paper(kind, mode, scale);
-        let build = sel
-            .build(&cfg)
-            .unwrap_or_else(|e| panic!("--trace-cell: cannot build workload: {e}"));
-        let mut m = nwcache::Machine::try_from_build(cfg, build)
-            .unwrap_or_else(|e| panic!("--trace-cell: {e}"));
-        m.enable_observer(nwcache::observe::ObserveConfig::default());
-        let metrics = m.run();
-        let data = m.take_observation().expect("observer was enabled");
-        let path = trace_out.as_deref().unwrap_or("trace-cell.json");
-        if let Err(e) = write_atomic(std::path::Path::new(path), data.to_chrome_json().as_bytes()) {
-            eprintln!("reproduce: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!(
-            "traced {cell}: exec {} pcycles, {} events retained ({} dropped) -> {path}",
-            metrics.exec_time,
-            data.events.len(),
-            data.dropped
-        );
+    if let Some(cell) = p.get("--trace-cell") {
+        trace_cell(&p, cell, scale).unwrap_or_else(|u| u.exit());
     }
-    let all = targets.iter().any(|t| t == "all");
+    let all = targets.contains(&"all");
     // The fault grid perturbs runs, so it never rides along with
     // `all` — ask for it explicitly (`faults` or `--faults`).
-    let want_faults = targets.iter().any(|t| t == "faults");
+    let want_faults = targets.contains(&"faults");
     let want = |t: &str| {
         assert!(TARGETS.contains(&t), "'{t}' is missing from TARGETS");
-        t != "faults" && (all || targets.iter().any(|x| x == t))
+        t != "faults" && (all || targets.contains(&t))
     };
 
-    if want("table3") {
-        let rows = exp::table_swap_out(PrefetchMode::Optimal, scale);
-        println!(
-            "{}",
-            report::render_paired(
-                "Table 3. Average swap-out times (Mpcycles) under OPTIMAL prefetching",
-                "",
-                &rows,
-                1e6
-            )
-        );
-    }
-    if want("table4") {
-        let rows = exp::table_swap_out(PrefetchMode::Naive, scale);
-        println!(
-            "{}",
-            report::render_paired(
-                "Table 4. Average swap-out times (Kpcycles) under NAIVE prefetching",
-                "",
-                &rows,
-                1e3
-            )
-        );
-    }
-    if want("table5") {
-        let rows = exp::table_combining(PrefetchMode::Optimal, scale);
-        println!(
-            "{}",
-            report::render_paired(
-                "Table 5. Average write combining under OPTIMAL prefetching",
-                "",
-                &rows,
-                1.0
-            )
-        );
-    }
-    if want("table6") {
-        let rows = exp::table_combining(PrefetchMode::Naive, scale);
-        println!(
-            "{}",
-            report::render_paired(
-                "Table 6. Average write combining under NAIVE prefetching",
-                "",
-                &rows,
-                1.0
-            )
-        );
+    // Tables 3-6: swap-out time and write combining under each policy.
+    type Rows = fn(PrefetchMode, f64) -> Vec<exp::PairedRow>;
+    let paired: [(&str, Rows, PrefetchMode, &str, f64); 4] = [
+        ("table3", exp::table_swap_out, PrefetchMode::Optimal, "swap-out times (Mpcycles) under OPTIMAL", 1e6),
+        ("table4", exp::table_swap_out, PrefetchMode::Naive, "swap-out times (Kpcycles) under NAIVE", 1e3),
+        ("table5", exp::table_combining, PrefetchMode::Optimal, "write combining under OPTIMAL", 1.0),
+        ("table6", exp::table_combining, PrefetchMode::Naive, "write combining under NAIVE", 1.0),
+    ];
+    for (target, rows, mode, what, unit) in paired {
+        if want(target) {
+            let title = format!("Table {}. Average {what} prefetching", &target[5..]);
+            println!("{}", report::render_paired(&title, "", &rows(mode, scale), unit));
+        }
     }
     if want("table7") {
         let rows = exp::table_hit_rates(scale);
@@ -234,27 +147,18 @@ fn main() {
             )
         );
     }
-    if want("fig3") {
-        let bars = exp::figure_breakdown(PrefetchMode::Optimal, scale);
-        println!(
-            "{}",
-            report::render_breakdown(
-                "Figure 3. Normalized execution time breakdown, OPTIMAL prefetching (standard bar = 1.0)",
-                &bars
-            )
-        );
-        println!("{}", report::render_breakdown_bars("Figure 3 (bars)", &bars, 60));
-    }
-    if want("fig4") {
-        let bars = exp::figure_breakdown(PrefetchMode::Naive, scale);
-        println!(
-            "{}",
-            report::render_breakdown(
-                "Figure 4. Normalized execution time breakdown, NAIVE prefetching (standard bar = 1.0)",
-                &bars
-            )
-        );
-        println!("{}", report::render_breakdown_bars("Figure 4 (bars)", &bars, 60));
+    for (target, mode, label) in
+        [("fig3", PrefetchMode::Optimal, "OPTIMAL"), ("fig4", PrefetchMode::Naive, "NAIVE")]
+    {
+        if want(target) {
+            let bars = exp::figure_breakdown(mode, scale);
+            let n = &target[3..];
+            let title = format!(
+                "Figure {n}. Normalized execution time breakdown, {label} prefetching (standard bar = 1.0)"
+            );
+            println!("{}", report::render_breakdown(&title, &bars));
+            println!("{}", report::render_breakdown_bars(&format!("Figure {n} (bars)"), &bars, 60));
+        }
     }
     if want("overall") {
         for (mode, label) in [
@@ -390,7 +294,7 @@ fn main() {
         }
         println!();
     }
-    let want_scale = want("scale") || scale_json_path.is_some();
+    let want_scale = want("scale") || p.has("--scale-json");
     if want_scale {
         // ROADMAP item 1: does the 8-node win survive 64 and 256
         // nodes? Weak scaling fixes per-processor work; strong
@@ -428,7 +332,7 @@ fn main() {
             );
         }
         println!();
-        if let Some(path) = &scale_json_path {
+        if let Some(path) = p.get("--scale-json") {
             let doc = exp::scale_report_json(scale, &rows);
             if let Err(e) = write_atomic(std::path::Path::new(path), doc.as_bytes()) {
                 eprintln!("reproduce: cannot write {path}: {e}");
@@ -506,7 +410,7 @@ fn main() {
             )
         );
     }
-    if let Some(path) = &json_path {
+    if let Some(path) = p.get("--json") {
         // Run the full paper matrix through the parallel sweep engine
         // and export it as a stable-schema SweepReport.
         let report = nwcache::SweepReport::paper(scale, nwcache::sweep::jobs());

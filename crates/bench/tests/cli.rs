@@ -303,3 +303,62 @@ fn reproduce_rejects_unknown_targets_and_flags() {
         }
     }
 }
+
+/// Every usage error exits 2 with nothing on stdout and the reason on
+/// stderr — never a panic (101) or a failed allocation (134).
+#[test]
+fn usage_errors_exit_2_with_reason() {
+    let gen = "workload:gen:zipf:0.9,ws=16,acc=400";
+    let rows: &[(&str, &[&str], &str)] = &[
+        ("nwsim", &["run", "--app", gen, "--bogus", "1"], "unknown flag '--bogus'"),
+        ("nwsim", &["apps", "--x", "1"], "unknown flag '--x'"),
+        ("nwsim", &["workload", "gen", "--spec", "uniform,ws=8,acc=10", "--bogus", "3"], "unknown flag '--bogus'"),
+        ("nwsim", &["run", "--seed", "1", "--seed", "2"], "flag --seed given twice"),
+        ("nwsim", &["ckpt-validate", "PATH", "extra"], "unexpected argument 'extra'"),
+        ("nwsim", &["ckpt-diff", "A"], "missing B"),
+        ("nwsim", &["run", "--help"], "unknown flag '--help'"),
+        ("nwsim", &["run", "--app", gen, "--scale"], "flag --scale needs a value"),
+        ("nwsim", &["run", "--app", gen, "--seed", "x"], "bad --seed 'x'"),
+        ("nwsim", &["config", "--checkpoint-every", "0"], "unknown flag '--checkpoint-every'"),
+        ("nwsim", &["run", "--app", gen, "--checkpoint-every", "0"], "--checkpoint-every must be positive"),
+        ("nwsim", &["workload", "bogus"], "unknown command 'workload bogus'"),
+        ("nwsim", &["compare", "--app", gen, "--scale", "2.0"], "scale 2 out of range (0, 1]"),
+        ("nwsim", &["run", "--app", gen, "--disk-cache", "0"], "disk_cache_pages must be in 1..="),
+        ("nwsim", &["run", "--app", gen, "--ring-slots", "0"], "ring_slots_per_channel must be in 1..="),
+        ("nwsim", &["run", "--app", gen, "--disk-cache", "100000000000"], "disk_cache_pages must be in 1..="),
+        ("nwsim", &["run", "--app", gen, "--ring-slots", "100000000000"], "ring_slots_per_channel must be in 1..="),
+        ("reproduce", &["--scale", "2.0", "table3"], "--scale needs a number in (0, 1]"),
+        ("reproduce", &["--scale", "0", "table3"], "--scale needs a number in (0, 1]"),
+        ("reproduce", &["--scale", "-1", "table3"], "--scale needs a number in (0, 1]"),
+        ("reproduce", &["--scale", "NaN", "table3"], "--scale needs a number in (0, 1]"),
+        ("reproduce", &["--scale", "0.1", "--scale", "0.2"], "flag --scale given twice"),
+        ("reproduce", &["--trace-cell", "bogus"], "--trace-cell: wants app:machine:prefetch"),
+        ("reproduce", &["--trace-cell", "sor:nwc:bogus"], "--trace-cell: unknown prefetch 'bogus'"),
+        ("reproduce", &["--trace-cell", "sor:bogus:naive"], "--trace-cell: unknown machine 'bogus'"),
+    ];
+    for (prog, argv, reason) in rows {
+        let mut cmd = if *prog == "nwsim" { nwsim() } else { reproduce() };
+        let out = cmd.args(*argv).output().expect("spawn");
+        let call = format!("{prog} {}", argv.join(" "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{call}: {stderr}");
+        assert!(out.stdout.is_empty(), "{call} printed output");
+        assert!(stderr.contains(reason), "{call}: no '{reason}' in {stderr}");
+        assert!(stderr.contains("usage:"), "{call}: no synopsis in {stderr}");
+    }
+}
+
+/// `compare` lowers each machine like `run`, so `--seed` reaches the
+/// generated workload.
+#[test]
+fn compare_honours_seed() {
+    let table = |seed: &str| {
+        let out = nwsim()
+            .args(["compare", "--app", "workload:gen:zipf:0.9,ws=16,acc=400", "--seed", seed])
+            .output()
+            .expect("spawn nwsim");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out.stdout
+    };
+    assert_ne!(table("5"), table("9"), "--seed did not change the compare table");
+}

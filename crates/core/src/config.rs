@@ -213,6 +213,16 @@ impl FaultPlan {
     }
 }
 
+/// Largest [`MachineConfig::disk_cache_pages`] a config may ask for:
+/// far above the 128 pages of the disk-cache sweep, far below a cache
+/// whose allocation fails.
+pub const MAX_DISK_CACHE_PAGES: usize = 1 << 16;
+
+/// Largest [`MachineConfig::ring_slots_per_channel`]: far above the 64
+/// slots of the ring-geometry ablation, far below a ring whose
+/// allocation fails.
+pub const MAX_RING_SLOTS: usize = 1 << 12;
+
 /// Full machine configuration. Defaults mirror the paper's Table 1;
 /// fields not in the table are modelling constants "comparable to
 /// modern systems" (1999), as the paper puts it.
@@ -375,7 +385,7 @@ impl MachineConfig {
     /// [`MachineConfig::paper_default`].
     pub fn scaled_paper(kind: MachineKind, prefetch: PrefetchMode, scale: f64) -> Self {
         let mut cfg = Self::paper_default(kind, prefetch);
-        assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
+        assert!(scale_in_range(scale), "scale must be in (0, 1]");
         cfg.app_scale = scale;
         if scale < 1.0 {
             let frames = ((cfg.frames_per_node() as f64 * scale) as u64).max(8);
@@ -498,6 +508,14 @@ impl MachineConfig {
         if self.dir_shards == 0 {
             return Err("dir_shards must be at least 1".into());
         }
+        for (name, value, max) in [
+            ("disk_cache_pages", self.disk_cache_pages, MAX_DISK_CACHE_PAGES),
+            ("ring_slots_per_channel", self.ring_slots_per_channel, MAX_RING_SLOTS),
+        ] {
+            if !(1..=max).contains(&value) {
+                return Err(format!("{name} must be in 1..={max}, got {value}"));
+            }
+        }
         // Caches, the directory's page blocks and `Machine::page_of`
         // all assume 64 lines per page.
         if self.page_bytes != nw_memhier::PAGE_BYTES {
@@ -511,7 +529,7 @@ impl MachineConfig {
         if self.frames_per_node() <= self.min_free_frames {
             return Err("min_free_frames must be below frames/node".into());
         }
-        if !(self.app_scale > 0.0 && self.app_scale <= 1.0) {
+        if !scale_in_range(self.app_scale) {
             return Err("app_scale must be in (0, 1]".into());
         }
         if self.prefetch == PrefetchMode::Adaptive && self.prefetch_window < 2 {
@@ -533,6 +551,12 @@ impl MachineConfig {
         }
         Ok(())
     }
+}
+
+/// Whether `scale` is a valid application/machine scale: in (0, 1].
+/// NaN is not.
+pub fn scale_in_range(scale: f64) -> bool {
+    scale > 0.0 && scale <= 1.0
 }
 
 /// The portable subset of a run request: everything `nwsim run`'s
@@ -581,7 +605,7 @@ impl RunParams {
     /// whole-config validation.
     pub fn to_config(&self) -> Result<MachineConfig, crate::error::SimError> {
         use crate::error::SimError;
-        if !(self.scale > 0.0 && self.scale <= 1.0) {
+        if !scale_in_range(self.scale) {
             return Err(SimError::BadConfig(format!(
                 "scale {} out of range (0, 1]",
                 self.scale
@@ -665,6 +689,33 @@ mod tests {
         assert_eq!(c.ring_round_trip, 10_400);
         assert_eq!(c.disk_cache_pages, 4);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_bounds_disk_cache_and_ring_slots() {
+        let ok = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
+        for (disk_cache, ring_slots, reason) in [
+            (0, 16, "disk_cache_pages must be in 1..=65536, got 0"),
+            (MAX_DISK_CACHE_PAGES + 1, 16, "disk_cache_pages must be in 1..=65536, got 65537"),
+            (100_000_000_000, 16, "disk_cache_pages"),
+            (4, 0, "ring_slots_per_channel must be in 1..=4096, got 0"),
+            (4, MAX_RING_SLOTS + 1, "ring_slots_per_channel must be in 1..=4096, got 4097"),
+            (4, 100_000_000_000, "ring_slots_per_channel"),
+        ] {
+            let cfg = MachineConfig {
+                disk_cache_pages: disk_cache,
+                ring_slots_per_channel: ring_slots,
+                ..ok.clone()
+            };
+            let err = cfg.validate().expect_err(reason);
+            assert!(err.contains(reason), "{err}");
+        }
+        let max = MachineConfig {
+            disk_cache_pages: MAX_DISK_CACHE_PAGES,
+            ring_slots_per_channel: MAX_RING_SLOTS,
+            ..ok
+        };
+        assert!(max.validate().is_ok());
     }
 
     #[test]
