@@ -10,7 +10,7 @@
 //! of the suite (Table 7).
 
 use crate::layout::{block_partition, Allocator, Vec1};
-use crate::{scaled, Action, AppBuild};
+use crate::{scaled, Action, ActionStream, AppBuild};
 use nw_sim::Pcg32;
 use std::sync::Arc;
 
@@ -51,7 +51,8 @@ fn build_graph(n: u64, nprocs: usize, rng: &mut Pcg32) -> Vec<u32> {
     deps
 }
 
-/// Build the Em3d kernel streams.
+/// Build the Em3d kernel streams. A unit is one node's update, or a
+/// half-step's barrier.
 pub fn build(nprocs: usize, scale: f64, seed: u64) -> AppBuild {
     // Multiple of 16 so the two halves never share a cache line.
     let n = (scaled(FULL_NODES, scale, 256) as u64 / 16) * 16;
@@ -72,47 +73,37 @@ pub fn build(nprocs: usize, scale: f64, seed: u64) -> AppBuild {
         .map(|p| {
             let (e0, e1) = block_partition(half, nprocs, p);
             let deps = Arc::clone(&deps);
-            let iter = (0..ITERS).flat_map(move |it| {
-                let deps_e = Arc::clone(&deps);
-                let deps_h = Arc::clone(&deps);
-                // E half-step: update my E nodes from H values.
-                let e_phase = (e0..e1)
-                    .flat_map(move |i| {
-                        let deps = Arc::clone(&deps_e);
-                        let first = i * DEGREE as u64;
-                        std::iter::once(Action::Read(adj.line_of(first)))
-                            .chain((0..DEGREE).map(move |d| {
-                                Action::Read(values.line_of(deps[(first + d as u64) as usize] as u64))
-                            }))
-                            .chain([
-                                Action::Read(coeffs.line_of(i)),
-                                Action::Compute(COMPUTE_PER_NODE),
-                                Action::Write(values.line_of(i)),
-                                Action::Write(fields.line_of(i * 3)),
-                            ])
-                    })
-                    .chain(std::iter::once(Action::Barrier(2 * it)));
-                // H half-step: update my H nodes from E values.
-                let h_phase = (e0..e1)
-                    .flat_map(move |i| {
-                        let deps = Arc::clone(&deps_h);
-                        let node = half + i;
-                        let first = node * DEGREE as u64;
-                        std::iter::once(Action::Read(adj.line_of(first)))
-                            .chain((0..DEGREE).map(move |d| {
-                                Action::Read(values.line_of(deps[(first + d as u64) as usize] as u64))
-                            }))
-                            .chain([
-                                Action::Read(coeffs.line_of(node)),
-                                Action::Compute(COMPUTE_PER_NODE),
-                                Action::Write(values.line_of(node)),
-                                Action::Write(fields.line_of(node * 3)),
-                            ])
-                    })
-                    .chain(std::iter::once(Action::Barrier(2 * it + 1)));
-                e_phase.chain(h_phase)
-            });
-            Box::new(iter) as crate::ActionStream
+            // Iteration `it`, half-step `h` (0: E nodes from H values,
+            // 1: H nodes from E values), next owned index `i`.
+            let (mut it, mut h, mut i) = (0u32, 0u32, e0);
+            ActionStream::generate(move |out| {
+                if it == ITERS {
+                    return false;
+                }
+                if i == e1 {
+                    out.push(Action::Barrier(2 * it + h));
+                    i = e0;
+                    if h == 1 {
+                        it += 1;
+                    }
+                    h ^= 1;
+                    return true;
+                }
+                let node = h as u64 * half + i;
+                let first = (node * DEGREE as u64) as usize;
+                out.push(Action::Read(adj.line_of(first as u64)));
+                for &d in &deps[first..first + DEGREE] {
+                    out.push(Action::Read(values.line_of(d as u64)));
+                }
+                out.extend([
+                    Action::Read(coeffs.line_of(node)),
+                    Action::Compute(COMPUTE_PER_NODE),
+                    Action::Write(values.line_of(node)),
+                    Action::Write(fields.line_of(node * 3)),
+                ]);
+                i += 1;
+                true
+            })
         })
         .collect();
 

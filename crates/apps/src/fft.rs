@@ -10,7 +10,7 @@
 //! that can slow down under the NWCache with naive prefetching).
 
 use crate::layout::{block_partition, Allocator, Vec1};
-use crate::{Action, AppBuild};
+use crate::{next_run, Action, ActionStream, AppBuild};
 
 const FULL_POINTS: usize = 64 * 1024;
 /// Complex double = 16 bytes -> 4 points per 64 B line.
@@ -18,7 +18,8 @@ const POINTS_PER_LINE: u64 = 4;
 /// Compute per butterfly line (4 complex MACs).
 const COMPUTE_PER_LINE: u32 = 40;
 
-/// Build the FFT kernel streams.
+/// Build the FFT kernel streams. A unit is a run of butterfly lines,
+/// ending with the pass's barrier after the last run.
 pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
     // Round the scaled size down to a power of two, minimum 1 K points.
     let want = (FULL_POINTS as f64 * scale) as usize;
@@ -33,27 +34,37 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
 
     let streams = (0..nprocs)
         .map(|p| {
+            // My points, line by line: line `j` starts at point
+            // `i0 + j * POINTS_PER_LINE`.
             let (i0, i1) = block_partition(n, nprocs, p);
-            let iter = (0..passes).flat_map(move |s| {
+            let lines = (i1 - i0).div_ceil(POINTS_PER_LINE);
+            let (mut s, mut done) = (0u32, 0u64);
+            ActionStream::generate(move |out| {
+                if s == passes {
+                    return false;
+                }
                 let (src, dst) = if s % 2 == 0 { (d0, d1) } else { (d1, d0) };
                 let stride = 1u64 << s;
-                // Iterate over my points line by line.
-                let body = (i0..i1).step_by(POINTS_PER_LINE as usize).flat_map(move |i| {
+                for j in next_run(&mut done, lines) {
+                    let i = i0 + j * POINTS_PER_LINE;
                     let partner = i ^ stride;
-                    let same_line = partner / POINTS_PER_LINE == i / POINTS_PER_LINE;
-                    let mut v = Vec::with_capacity(5);
-                    v.push(Action::Read(src.line_of(i)));
-                    if !same_line {
-                        v.push(Action::Read(src.line_of(partner)));
+                    out.push(Action::Read(src.line_of(i)));
+                    if partner / POINTS_PER_LINE != i / POINTS_PER_LINE {
+                        out.push(Action::Read(src.line_of(partner)));
                     }
-                    v.push(Action::Read(tw.line_of(i % tw.len)));
-                    v.push(Action::Compute(COMPUTE_PER_LINE));
-                    v.push(Action::Write(dst.line_of(i)));
-                    v
-                });
-                body.chain(std::iter::once(Action::Barrier(s)))
-            });
-            Box::new(iter) as crate::ActionStream
+                    out.extend([
+                        Action::Read(tw.line_of(i % tw.len)),
+                        Action::Compute(COMPUTE_PER_LINE),
+                        Action::Write(dst.line_of(i)),
+                    ]);
+                }
+                if done == lines {
+                    out.push(Action::Barrier(s));
+                    s += 1;
+                    done = 0;
+                }
+                true
+            })
         })
         .collect();
 

@@ -8,51 +8,58 @@
 //! columns `k..cols`. One barrier per elimination step.
 
 use crate::layout::{Allocator, Mat2};
-use crate::{scaled, Action, AppBuild};
+use crate::{scaled, Action, ActionStream, AppBuild};
 
 const FULL_ROWS: usize = 570;
 const FULL_COLS: usize = 512;
 /// Compute cycles per updated line (8 doubles, multiply-subtract each).
 const COMPUTE_PER_LINE: u32 = 24;
 
-/// Build the Gaussian-elimination kernel streams.
+/// Build the Gaussian-elimination kernel streams. A unit is the pivot
+/// read of one step, one owned row's update, or the step's barrier.
 pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
     // sqrt-scaling per dimension: footprint scales linearly.
     let f = scale.sqrt();
     let rows = scaled(FULL_ROWS, f, 10) as u64;
     let cols = scaled(FULL_COLS, f, 8) as u64;
-    let steps = (rows - 1).min(cols) as u32;
+    let steps = (rows - 1).min(cols);
     let mut alloc = Allocator::new();
     let m = Mat2::alloc_padded(&mut alloc, rows, cols, 8);
     let data_bytes = alloc.allocated();
+    let np = nprocs as u64;
 
-    let streams = (0..nprocs)
+    let streams = (0..np)
         .map(|p| {
-            let np = nprocs as u64;
-            let iter = (0..steps).flat_map(move |k| {
-                let kk = k as u64;
-                // Everyone reads the pivot row's active segment.
-                let pivot = m
-                    .row_lines(kk, kk, cols)
-                    .map(Action::Read)
-                    .chain(std::iter::once(Action::Compute(8)));
-                // Update owned rows below the pivot.
-                let updates = (kk + 1..rows).filter(move |r| r % np == p as u64).flat_map(
-                    move |r| {
-                        m.row_lines(r, kk, cols).flat_map(move |l| {
-                            [
-                                Action::Read(l),
-                                Action::Compute(COMPUTE_PER_LINE),
-                                Action::Write(l),
-                            ]
-                        })
-                    },
-                );
-                pivot
-                    .chain(updates)
-                    .chain(std::iter::once(Action::Barrier(k)))
-            });
-            Box::new(iter) as crate::ActionStream
+            // Elimination step `k`; `row` is the next owned row to
+            // update, or 0 while the step's pivot read is still due.
+            let (mut k, mut row) = (0u64, 0u64);
+            ActionStream::generate(move |out| {
+                if k == steps {
+                    return false;
+                }
+                if row == 0 {
+                    // Everyone reads the pivot row's active segment.
+                    out.extend(m.row_lines(k, k, cols).map(Action::Read));
+                    out.push(Action::Compute(8));
+                    // The first row below the pivot that `p` owns
+                    // (rows are dealt cyclically).
+                    row = k + 1 + (p + np - (k + 1) % np) % np;
+                } else if row < rows {
+                    for l in m.row_lines(row, k, cols) {
+                        out.extend([
+                            Action::Read(l),
+                            Action::Compute(COMPUTE_PER_LINE),
+                            Action::Write(l),
+                        ]);
+                    }
+                    row += np;
+                } else {
+                    out.push(Action::Barrier(k as u32));
+                    k += 1;
+                    row = 0;
+                }
+                true
+            })
         })
         .collect();
 

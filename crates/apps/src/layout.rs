@@ -3,9 +3,11 @@
 //! Each application allocates its arrays from a single bump
 //! [`Allocator`] starting at virtual byte 0; regions are page-aligned
 //! so that distinct arrays never share a page. All structures are
-//! `Copy` so kernel closures can capture them by value.
+//! `Copy` so kernel generators can capture them by value, and line
+//! spans are plain `Range`s a generator can resume part-way through.
 
 use crate::{Line, LINE_BYTES};
+use std::ops::Range;
 
 /// Page size used for alignment (matches the machine's 4 KB pages).
 pub const PAGE_BYTES: u64 = 4096;
@@ -52,9 +54,9 @@ impl Region {
         (self.base + off) / LINE_BYTES
     }
 
-    /// Iterator over the distinct lines covering byte offsets
-    /// `[from, to)` within the region.
-    pub fn lines(&self, from: u64, to: u64) -> impl Iterator<Item = Line> {
+    /// The distinct lines covering byte offsets `[from, to)` within
+    /// the region.
+    pub fn lines(&self, from: u64, to: u64) -> Range<Line> {
         debug_assert!(from <= to && to <= self.bytes);
         let first = (self.base + from) / LINE_BYTES;
         let last = if to == from {
@@ -93,7 +95,7 @@ impl Vec1 {
     }
 
     /// Distinct lines covering elements `[i0, i1)`.
-    pub fn lines(&self, i0: u64, i1: u64) -> impl Iterator<Item = Line> {
+    pub fn lines(&self, i0: u64, i1: u64) -> Range<Line> {
         self.region.lines(i0 * self.elem, i1 * self.elem)
     }
 
@@ -152,7 +154,7 @@ impl Mat2 {
     }
 
     /// Distinct lines covering row `r`, columns `[c0, c1)`.
-    pub fn row_lines(&self, r: u64, c0: u64, c1: u64) -> impl Iterator<Item = Line> {
+    pub fn row_lines(&self, r: u64, c0: u64, c1: u64) -> Range<Line> {
         debug_assert!(r < self.rows && c0 <= c1 && c1 <= self.cols);
         self.region
             .lines(r * self.stride + c0 * self.elem, r * self.stride + c1 * self.elem)

@@ -8,16 +8,27 @@
 //! access stream). Three barriers per step separate the phases.
 
 use crate::layout::{Allocator, Mat2};
-use crate::{Action, AppBuild};
+use crate::{Action, ActionStream, AppBuild};
 
 const FULL_N: usize = 576;
 /// Blocks per matrix dimension.
 const NB: u64 = 8;
 
-/// Distinct lines of block `(bi, bj)` of matrix `m` with block size
-/// `bs`: each of the block's `bs` rows contributes its line range.
-fn block_lines(m: Mat2, bs: u64, bi: u64, bj: u64) -> impl Iterator<Item = u64> {
-    (bi * bs..(bi + 1) * bs).flat_map(move |r| m.row_lines(r, bj * bs, (bj + 1) * bs))
+/// Read every line of block `(bi, bj)` of matrix `m` with block size
+/// `bs`, row by row.
+fn read_block(out: &mut Vec<Action>, m: Mat2, bs: u64, bi: u64, bj: u64) {
+    for r in bi * bs..(bi + 1) * bs {
+        out.extend(m.row_lines(r, bj * bs, (bj + 1) * bs).map(Action::Read));
+    }
+}
+
+/// Update every line of block `(bi, bj)`: read, compute, write back.
+fn update_block(out: &mut Vec<Action>, m: Mat2, bs: u64, bi: u64, bj: u64, compute: u32) {
+    for r in bi * bs..(bi + 1) * bs {
+        for l in m.row_lines(r, bj * bs, (bj + 1) * bs) {
+            out.extend([Action::Read(l), Action::Compute(compute), Action::Write(l)]);
+        }
+    }
 }
 
 /// Round-robin block owner.
@@ -25,7 +36,8 @@ fn owner(bi: u64, bj: u64, nprocs: usize) -> usize {
     ((bi * NB + bj) % nprocs as u64) as usize
 }
 
-/// Build the LU kernel streams.
+/// Build the LU kernel streams. A unit is one block's work (empty when
+/// another processor owns the block), or a phase's barrier.
 pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
     // sqrt-scaling; keep n a multiple of NB * 8 so blocks line-align.
     let want = (FULL_N as f64 * scale.sqrt()) as u64;
@@ -41,87 +53,53 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
 
     let streams = (0..nprocs)
         .map(|p| {
-            let iter = (0..NB).flat_map(move |k| {
-                // Phase 1: factor diagonal block (its owner only).
-                let diag: Box<dyn Iterator<Item = Action> + Send> = if owner(k, k, nprocs) == p {
-                    Box::new(block_lines(m, bs, k, k).flat_map(move |l| {
-                        [
-                            Action::Read(l),
-                            Action::Compute(gemm_compute / 2),
-                            Action::Write(l),
-                        ]
-                    }))
+            // Step `k`, unit `u` of the step. With `rest` blocks after
+            // the diagonal, the units are: the diagonal block; the row
+            // and column panel blocks, interleaved per `j`; the panel
+            // barrier; the `rest x rest` trailing blocks, row-major;
+            // the step barrier.
+            let (mut k, mut u) = (0u64, 0u64);
+            ActionStream::generate(move |out| {
+                if k == NB {
+                    return false;
+                }
+                let rest = NB - k - 1;
+                let panels = 2 * rest;
+                if u == 0 {
+                    // Phase 1: factor diagonal block (its owner only).
+                    if owner(k, k, nprocs) == p {
+                        update_block(out, m, bs, k, k, gemm_compute / 2);
+                    }
+                    out.push(Action::Barrier((3 * k) as u32));
+                } else if u <= panels {
+                    // Phase 2: row panel (k, j), then column panel
+                    // (j, k), each by its owner.
+                    let j = k + 1 + (u - 1) / 2;
+                    let (bi, bj) = if u % 2 == 1 { (k, j) } else { (j, k) };
+                    if owner(bi, bj, nprocs) == p {
+                        read_block(out, m, bs, k, k);
+                        update_block(out, m, bs, bi, bj, gemm_compute);
+                    }
+                } else if u == panels + 1 {
+                    out.push(Action::Barrier((3 * k + 1) as u32));
+                } else if u < panels + 2 + rest * rest {
+                    // Phase 3: trailing update of owned block (i, j).
+                    let t = u - panels - 2;
+                    let (i, j) = (k + 1 + t / rest, k + 1 + t % rest);
+                    if owner(i, j, nprocs) == p {
+                        read_block(out, m, bs, i, k);
+                        read_block(out, m, bs, k, j);
+                        update_block(out, m, bs, i, j, gemm_compute);
+                    }
                 } else {
-                    Box::new(std::iter::empty())
-                };
-                let b1 = std::iter::once(Action::Barrier((3 * k) as u32));
-
-                // Phase 2: row and column panel updates by their owners.
-                let panels = (k + 1..NB).flat_map(move |j| {
-                    let row_panel: Box<dyn Iterator<Item = Action> + Send> =
-                        if owner(k, j, nprocs) == p {
-                            Box::new(
-                                block_lines(m, bs, k, k).map(Action::Read).chain(
-                                    block_lines(m, bs, k, j).flat_map(move |l| {
-                                        [
-                                            Action::Read(l),
-                                            Action::Compute(gemm_compute),
-                                            Action::Write(l),
-                                        ]
-                                    }),
-                                ),
-                            )
-                        } else {
-                            Box::new(std::iter::empty())
-                        };
-                    let col_panel: Box<dyn Iterator<Item = Action> + Send> =
-                        if owner(j, k, nprocs) == p {
-                            Box::new(
-                                block_lines(m, bs, k, k).map(Action::Read).chain(
-                                    block_lines(m, bs, j, k).flat_map(move |l| {
-                                        [
-                                            Action::Read(l),
-                                            Action::Compute(gemm_compute),
-                                            Action::Write(l),
-                                        ]
-                                    }),
-                                ),
-                            )
-                        } else {
-                            Box::new(std::iter::empty())
-                        };
-                    row_panel.chain(col_panel)
-                });
-                let b2 = std::iter::once(Action::Barrier((3 * k + 1) as u32));
-
-                // Phase 3: trailing update of owned blocks (i, j).
-                let trailing = (k + 1..NB).flat_map(move |i| {
-                    (k + 1..NB).flat_map(move |j| {
-                        let mine = owner(i, j, nprocs) == p;
-                        let a_panel: Box<dyn Iterator<Item = Action> + Send> = if mine {
-                            Box::new(
-                                block_lines(m, bs, i, k)
-                                    .map(Action::Read)
-                                    .chain(block_lines(m, bs, k, j).map(Action::Read))
-                                    .chain(block_lines(m, bs, i, j).flat_map(move |l| {
-                                        [
-                                            Action::Read(l),
-                                            Action::Compute(gemm_compute),
-                                            Action::Write(l),
-                                        ]
-                                    })),
-                            )
-                        } else {
-                            Box::new(std::iter::empty())
-                        };
-                        a_panel
-                    })
-                });
-                let b3 = std::iter::once(Action::Barrier((3 * k + 2) as u32));
-
-                diag.chain(b1).chain(panels).chain(b2).chain(trailing).chain(b3)
-            });
-            Box::new(iter) as crate::ActionStream
+                    out.push(Action::Barrier((3 * k + 2) as u32));
+                    k += 1;
+                    u = 0;
+                    return true;
+                }
+                u += 1;
+                true
+            })
         })
         .collect();
 
@@ -203,9 +181,17 @@ mod tests {
     fn block_lines_are_disjoint_between_blocks() {
         let mut a = Allocator::new();
         let m = Mat2::alloc(&mut a, 64, 64, 8);
-        let b00: std::collections::HashSet<u64> = block_lines(m, 8, 0, 0).collect();
-        let b01: std::collections::HashSet<u64> = block_lines(m, 8, 0, 1).collect();
-        let b10: std::collections::HashSet<u64> = block_lines(m, 8, 1, 0).collect();
+        let lines = |bi, bj| {
+            let mut out = Vec::new();
+            read_block(&mut out, m, 8, bi, bj);
+            out.into_iter()
+                .map(|a| match a {
+                    Action::Read(l) => l,
+                    other => panic!("read_block emitted {other:?}"),
+                })
+                .collect::<std::collections::HashSet<u64>>()
+        };
+        let (b00, b01, b10) = (lines(0, 0), lines(0, 1), lines(1, 0));
         assert!(b00.is_disjoint(&b01));
         assert!(b00.is_disjoint(&b10));
         assert_eq!(b00.len(), 8); // 8 rows x 8 doubles = 1 line per row

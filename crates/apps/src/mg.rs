@@ -10,7 +10,7 @@
 //! the second-highest victim hit rate of the suite (Table 7).
 
 use crate::layout::{block_partition, Allocator, Vec1};
-use crate::{Action, AppBuild};
+use crate::{Action, ActionStream, AppBuild};
 
 const FULL_NX: u64 = 32;
 const FULL_NY: u64 = 32;
@@ -83,108 +83,84 @@ fn vcycle_plan(levels: usize) -> Vec<Phase> {
     plan
 }
 
-/// Actions of `phase` for processor `p`.
-fn phase_actions(
-    levels: &[Level],
-    phase: Phase,
-    p: usize,
-    nprocs: usize,
-) -> Box<dyn Iterator<Item = Action> + Send> {
+/// The planes processor `p` sweeps in `phase`: z-planes of the level
+/// the phase writes.
+fn planes(levels: &[Level], phase: Phase, p: usize, nprocs: usize) -> (u64, u64) {
+    let nz = match phase {
+        Phase::Smooth(l, _) | Phase::Residual(l) | Phase::Prolong(l) => levels[l].nz,
+        Phase::Restrict(l) => levels[l + 1].nz,
+    };
+    block_partition(nz, nprocs, p)
+}
+
+/// One plane of a stencil sweep at level `lv`: read `src`'s plane `z`,
+/// the planes on either side and the rhs, write `dst`.
+fn stencil(lv: Level, src: Vec1, dst: Vec1, z: u64, out: &mut Vec<Action>) {
+    let (e0, e1) = lv.plane(z);
+    let (m0, _) = lv.plane(z.saturating_sub(1));
+    let (p0, _) = lv.plane((z + 1).min(lv.nz - 1));
+    for (i, line) in src.lines(e0, e1).enumerate() {
+        let off = (i as u64) * src.elems_per_line();
+        out.extend([
+            Action::Read(src.line_of(m0 + off)),
+            Action::Read(line),
+            Action::Read(src.line_of(p0 + off)),
+            Action::Read(lv.rhs.line_of(e0 + off)),
+            Action::Compute(COMPUTE_PER_LINE),
+            Action::Write(dst.line_of(e0 + off)),
+        ]);
+    }
+}
+
+/// Append the actions of `phase` on plane `z` to `out`.
+fn plane_actions(levels: &[Level], phase: Phase, z: u64, out: &mut Vec<Action>) {
     match phase {
         Phase::Smooth(l, to_tmp) => {
+            // Jacobi half-sweep: one grid in, the other grid out.
             let lv = levels[l];
-            // Jacobi half-sweep: read one grid's 3 planes + rhs, write
-            // the other grid.
             let (src, dst) = if to_tmp { (lv.u, lv.tmp) } else { (lv.tmp, lv.u) };
-            let (z0, z1) = block_partition(lv.nz, nprocs, p);
-            Box::new((z0..z1).flat_map(move |z| {
-                let zm = z.saturating_sub(1);
-                let zp = (z + 1).min(lv.nz - 1);
-                let (e0, e1) = lv.plane(z);
-                let (m0, _) = lv.plane(zm);
-                let (p0, _) = lv.plane(zp);
-                src.lines(e0, e1).enumerate().flat_map(move |(i, line)| {
-                    let off = (i as u64) * src.elems_per_line();
-                    [
-                        Action::Read(src.line_of(m0 + off)),
-                        Action::Read(line),
-                        Action::Read(src.line_of(p0 + off)),
-                        Action::Read(lv.rhs.line_of(e0 + off)),
-                        Action::Compute(COMPUTE_PER_LINE),
-                        Action::Write(dst.line_of(e0 + off)),
-                    ]
-                })
-            }))
+            stencil(lv, src, dst, z, out);
         }
         Phase::Residual(l) => {
             let lv = levels[l];
-            let (z0, z1) = block_partition(lv.nz, nprocs, p);
-            Box::new((z0..z1).flat_map(move |z| {
-                let zm = z.saturating_sub(1);
-                let zp = (z + 1).min(lv.nz - 1);
-                let (e0, e1) = lv.plane(z);
-                let (m0, _) = lv.plane(zm);
-                let (p0, _) = lv.plane(zp);
-                lv.u.lines(e0, e1).enumerate().flat_map(move |(i, line)| {
-                    let off = (i as u64) * lv.u.elems_per_line();
-                    [
-                        Action::Read(lv.u.line_of(m0 + off)),
-                        Action::Read(line),
-                        Action::Read(lv.u.line_of(p0 + off)),
-                        Action::Read(lv.rhs.line_of(e0 + off)),
-                        Action::Compute(COMPUTE_PER_LINE),
-                        Action::Write(lv.res.line_of(e0 + off)),
-                    ]
-                })
-            }))
+            stencil(lv, lv.u, lv.res, z, out);
         }
         Phase::Restrict(l) => {
             let fine = levels[l];
             let coarse = levels[l + 1];
-            let (cz0, cz1) = block_partition(coarse.nz, nprocs, p);
-            Box::new((cz0..cz1).flat_map(move |cz| {
-                let (c0, c1) = coarse.plane(cz);
-                let (f0, _) = fine.plane((cz * 2).min(fine.nz - 1));
-                coarse
-                    .rhs
-                    .lines(c0, c1)
-                    .enumerate()
-                    .flat_map(move |(i, cline)| {
-                        // Each coarse line aggregates ~4 fine lines.
-                        let foff = f0 + (i as u64) * 4 * fine.res.elems_per_line();
-                        (0..4)
-                            .map(move |k| {
-                                let idx = (foff + k * fine.res.elems_per_line())
-                                    .min(fine.res.len - 1);
-                                Action::Read(fine.res.line_of(idx))
-                            })
-                            .chain([Action::Compute(32), Action::Write(cline)])
-                    })
-            }))
+            let (c0, c1) = coarse.plane(z);
+            let (f0, _) = fine.plane((z * 2).min(fine.nz - 1));
+            let epl = fine.res.elems_per_line();
+            for (i, cline) in coarse.rhs.lines(c0, c1).enumerate() {
+                // Each coarse line aggregates ~4 fine lines.
+                let foff = f0 + (i as u64) * 4 * epl;
+                for k in 0..4 {
+                    let idx = (foff + k * epl).min(fine.res.len - 1);
+                    out.push(Action::Read(fine.res.line_of(idx)));
+                }
+                out.extend([Action::Compute(32), Action::Write(cline)]);
+            }
         }
         Phase::Prolong(l) => {
             let fine = levels[l];
             let coarse = levels[l + 1];
-            let (z0, z1) = block_partition(fine.nz, nprocs, p);
-            Box::new((z0..z1).flat_map(move |z| {
-                let (e0, e1) = fine.plane(z);
-                let (c0, _) = coarse.plane((z / 2).min(coarse.nz - 1));
-                fine.u.lines(e0, e1).enumerate().flat_map(move |(i, fline)| {
-                    let cidx = (c0 + (i as u64 / 4) * coarse.u.elems_per_line())
-                        .min(coarse.u.len - 1);
-                    [
-                        Action::Read(coarse.u.line_of(cidx)),
-                        Action::Read(fline),
-                        Action::Compute(24),
-                        Action::Write(fline),
-                    ]
-                })
-            }))
+            let (e0, e1) = fine.plane(z);
+            let (c0, _) = coarse.plane((z / 2).min(coarse.nz - 1));
+            for (i, fline) in fine.u.lines(e0, e1).enumerate() {
+                let cidx = (c0 + (i as u64 / 4) * coarse.u.elems_per_line()).min(coarse.u.len - 1);
+                out.extend([
+                    Action::Read(coarse.u.line_of(cidx)),
+                    Action::Read(fline),
+                    Action::Compute(24),
+                    Action::Write(fline),
+                ]);
+            }
         }
     }
 }
 
-/// Build the multigrid kernel streams.
+/// Build the multigrid kernel streams. A unit is one z-plane of a
+/// phase, or the phase's barrier.
 pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
     // Scale each dimension by the cube root of `scale`.
     let f = scale.cbrt();
@@ -211,17 +187,27 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
         .map(|p| {
             let levels = levels.clone();
             let plan = plan.clone();
-            let iter = (0..ITERS).flat_map(move |it| {
-                let levels = levels.clone();
-                plan.clone()
-                    .into_iter()
-                    .enumerate()
-                    .flat_map(move |(pi, phase)| {
-                        phase_actions(&levels, phase, p, nprocs)
-                            .chain(std::iter::once(Action::Barrier(it * plan_len + pi as u32)))
-                    })
-            });
-            Box::new(iter) as crate::ActionStream
+            // Iteration `it`, plan step `pi`, planes of it done `done`.
+            let (mut it, mut pi, mut done) = (0u32, 0usize, 0u64);
+            ActionStream::generate(move |out| {
+                if it == ITERS {
+                    return false;
+                }
+                let (z0, z1) = planes(&levels, plan[pi], p, nprocs);
+                if z0 + done < z1 {
+                    plane_actions(&levels, plan[pi], z0 + done, out);
+                    done += 1;
+                    return true;
+                }
+                out.push(Action::Barrier(it * plan_len + pi as u32));
+                done = 0;
+                pi += 1;
+                if pi == plan.len() {
+                    pi = 0;
+                    it += 1;
+                }
+                true
+            })
         })
         .collect();
 
@@ -235,6 +221,16 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every action processor `p` emits in `phase`, barrier excluded.
+    fn phase_actions(levels: &[Level], phase: Phase, p: usize, nprocs: usize) -> Vec<Action> {
+        let mut out = Vec::new();
+        let (z0, z1) = planes(levels, phase, p, nprocs);
+        for z in z0..z1 {
+            plane_actions(levels, phase, z, &mut out);
+        }
+        out
+    }
 
     #[test]
     fn footprint_matches_paper() {
@@ -275,8 +271,8 @@ mod tests {
         let l0 = Level::alloc(&mut a, 16, 16, 32);
         let l1 = Level::alloc(&mut a, 8, 8, 16);
         let levels = vec![l0, l1];
-        let fine: Vec<Action> = phase_actions(&levels, Phase::Smooth(0, true), 0, 1).collect();
-        let coarse: Vec<Action> = phase_actions(&levels, Phase::Smooth(1, true), 0, 1).collect();
+        let fine = phase_actions(&levels, Phase::Smooth(0, true), 0, 1);
+        let coarse = phase_actions(&levels, Phase::Smooth(1, true), 0, 1);
         assert!(fine.len() > 4 * coarse.len());
     }
 

@@ -10,7 +10,7 @@
 //! Radix swap-intensive with poor locality.
 
 use crate::layout::{block_partition, Allocator, Vec1};
-use crate::{scaled, Action, AppBuild};
+use crate::{next_run, scaled, Action, ActionStream, AppBuild};
 use nw_sim::Pcg32;
 use std::sync::Arc;
 
@@ -54,7 +54,8 @@ fn plan_passes(keys: &[u32]) -> Vec<Vec<u32>> {
     plans
 }
 
-/// Build the radix-sort kernel streams.
+/// Build the radix-sort kernel streams. A unit is a run of lines of
+/// one phase, ending with the phase's barrier after the last run.
 pub fn build(nprocs: usize, scale: f64, seed: u64) -> AppBuild {
     let nkeys = (scaled(FULL_KEYS, scale, 4096) as u64 / KEYS_PER_LINE) * KEYS_PER_LINE;
     let mut rng = Pcg32::new(seed, 0x5AD1);
@@ -72,38 +73,66 @@ pub fn build(nprocs: usize, scale: f64, seed: u64) -> AppBuild {
     let streams = (0..nprocs)
         .map(|p| {
             let (k0, k1) = block_partition(nkeys, nprocs, p);
+            let key_lines = (k1 - k0).div_ceil(KEYS_PER_LINE);
+            let mine = hist.lines((p * RADIX) as u64, ((p + 1) * RADIX) as u64);
+            let all = hist.lines(0, (RADIX * nprocs) as u64);
             let plans = Arc::clone(&plans);
-            let iter = (0..PASSES).flat_map(move |pass| {
+            // Pass `pass`, phase `phase` (0..3), items of the phase
+            // already emitted `done`.
+            let (mut pass, mut phase, mut done) = (0u32, 0u32, 0u64);
+            ActionStream::generate(move |out| {
+                if pass == PASSES {
+                    return false;
+                }
                 let (src, dst) = if pass % 2 == 0 { (a0, a1) } else { (a1, a0) };
-                let plans = Arc::clone(&plans);
-                // Phase 1: local histogram — sequential read of my keys.
-                let histo = src
-                    .lines(k0, k1)
-                    .flat_map(|l| [Action::Read(l), Action::Compute(32)])
-                    .chain(hist.lines((p * RADIX) as u64, ((p + 1) * RADIX) as u64)
-                        .map(Action::Write))
-                    .chain(std::iter::once(Action::Barrier(3 * pass)));
-                // Phase 2: read everyone's histogram for prefix sums.
-                let exchange = hist
-                    .lines(0, (RADIX * nprocs) as u64)
-                    .flat_map(|l| [Action::Read(l), Action::Compute(4)])
-                    .chain(std::iter::once(Action::Barrier(3 * pass + 1)));
-                // Phase 3: permute — sequential reads, scattered writes.
-                let permute = (k0..k1)
-                    .step_by(KEYS_PER_LINE as usize)
-                    .flat_map(move |i| {
-                        let plans = Arc::clone(&plans);
-                        std::iter::once(Action::Read(src.line_of(i))).chain(
-                            (i..(i + KEYS_PER_LINE).min(k1)).map(move |j| {
-                                let d = plans[pass as usize][j as usize] as u64;
-                                Action::Write(dst.line_of(d))
-                            }),
-                        )
-                    })
-                    .chain(std::iter::once(Action::Barrier(3 * pass + 2)));
-                histo.chain(exchange).chain(permute)
-            });
-            Box::new(iter) as crate::ActionStream
+                match phase {
+                    // Phase 1: local histogram — sequential read of my
+                    // keys, then my histogram is written out.
+                    0 => {
+                        let keys = src.lines(k0, k1);
+                        let n = keys.end - keys.start;
+                        for j in next_run(&mut done, n) {
+                            out.extend([Action::Read(keys.start + j), Action::Compute(32)]);
+                        }
+                        if done < n {
+                            return true;
+                        }
+                        out.extend(mine.clone().map(Action::Write));
+                    }
+                    // Phase 2: read everyone's histogram for prefix sums.
+                    1 => {
+                        let n = all.end - all.start;
+                        for j in next_run(&mut done, n) {
+                            out.extend([Action::Read(all.start + j), Action::Compute(4)]);
+                        }
+                        if done < n {
+                            return true;
+                        }
+                    }
+                    // Phase 3: permute — sequential reads, scattered writes.
+                    _ => {
+                        let plan = &plans[pass as usize];
+                        for j in next_run(&mut done, key_lines) {
+                            let i = k0 + j * KEYS_PER_LINE;
+                            out.push(Action::Read(src.line_of(i)));
+                            for &d in &plan[i as usize..(i + KEYS_PER_LINE).min(k1) as usize] {
+                                out.push(Action::Write(dst.line_of(d as u64)));
+                            }
+                        }
+                        if done < key_lines {
+                            return true;
+                        }
+                    }
+                }
+                out.push(Action::Barrier(3 * pass + phase));
+                done = 0;
+                phase += 1;
+                if phase == 3 {
+                    phase = 0;
+                    pass += 1;
+                }
+                true
+            })
         })
         .collect();
 

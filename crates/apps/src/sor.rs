@@ -8,7 +8,7 @@
 //! partition-boundary rows.
 
 use crate::layout::{block_partition, Allocator, Mat2};
-use crate::{scaled, Action, AppBuild};
+use crate::{scaled, Action, ActionStream, AppBuild};
 
 const FULL_ROWS: usize = 640;
 const FULL_COLS: usize = 512;
@@ -16,7 +16,8 @@ const ITERS: u32 = 10;
 /// Compute cycles per line of 16 floats (4 flops each).
 const COMPUTE_PER_LINE: u32 = 48;
 
-/// Build the SOR kernel streams.
+/// Build the SOR kernel streams. A unit is one row's stencil update,
+/// or an iteration's barrier.
 pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
     // Scale each dimension by sqrt(scale) so the footprint scales
     // linearly with `scale` (keeps scaled runs out-of-core).
@@ -31,26 +32,32 @@ pub fn build(nprocs: usize, scale: f64, _seed: u64) -> AppBuild {
     let streams = (0..nprocs)
         .map(|p| {
             let (r0, r1) = block_partition(rows, nprocs, p);
-            let iter = (0..ITERS).flat_map(move |it| {
+            let (mut it, mut r) = (0u32, r0);
+            ActionStream::generate(move |out| {
+                if it == ITERS {
+                    return false;
+                }
+                if r == r1 {
+                    out.push(Action::Barrier(it));
+                    it += 1;
+                    r = r0;
+                    return true;
+                }
                 let (src, dst) = if it % 2 == 0 { (g0, g1) } else { (g1, g0) };
-                let epl = src.elems_per_line();
-                (r0..r1)
-                    .flat_map(move |r| {
-                        let up = r.saturating_sub(1);
-                        let down = (r + 1).min(rows - 1);
-                        (0..cols).step_by(epl as usize).flat_map(move |c| {
-                            [
-                                Action::Read(src.line_of(up, c)),
-                                Action::Read(src.line_of(r, c)),
-                                Action::Read(src.line_of(down, c)),
-                                Action::Compute(COMPUTE_PER_LINE),
-                                Action::Write(dst.line_of(r, c)),
-                            ]
-                        })
-                    })
-                    .chain(std::iter::once(Action::Barrier(it)))
-            });
-            Box::new(iter) as crate::ActionStream
+                let up = r.saturating_sub(1);
+                let down = (r + 1).min(rows - 1);
+                for c in (0..cols).step_by(src.elems_per_line() as usize) {
+                    out.extend([
+                        Action::Read(src.line_of(up, c)),
+                        Action::Read(src.line_of(r, c)),
+                        Action::Read(src.line_of(down, c)),
+                        Action::Compute(COMPUTE_PER_LINE),
+                        Action::Write(dst.line_of(r, c)),
+                    ]);
+                }
+                r += 1;
+                true
+            })
         })
         .collect();
 

@@ -7,7 +7,7 @@
 //! that can (almost) fit in the combined memory/NWCache size").
 
 use crate::layout::{block_partition, Allocator, Vec1};
-use crate::{Action, AppBuild};
+use crate::{next_run, Action, ActionStream, AppBuild};
 use nw_sim::Pcg32;
 
 /// Parameters of the synthetic kernel.
@@ -55,29 +55,38 @@ pub fn build(cfg: SynthConfig, nprocs: usize, seed: u64) -> AppBuild {
     let streams = (0..nprocs)
         .map(|p| {
             let (l0, l1) = block_partition(lines_total, nprocs, p);
+            let steps = (l1 - l0).div_ceil(cfg.stride_lines);
+            // Each sweep draws from its own stream, split off in order.
             let mut rng = Pcg32::new(seed, 0x517 + p as u64);
-            let iter = (0..cfg.iters).flat_map(move |it| {
-                let mut local_rng = rng.split(it as u64);
-                let body = (l0..l1)
-                    .step_by(cfg.stride_lines as usize)
-                    .flat_map(move |l| {
-                        let target = if local_rng.gen_bool(cfg.random_frac) {
-                            local_rng.gen_range(0, lines_total)
-                        } else {
-                            l
-                        };
-                        let line = arr.line_of(target);
-                        let is_write = local_rng.gen_bool(cfg.write_frac);
-                        let access = if is_write {
-                            Action::Write(line)
-                        } else {
-                            Action::Read(line)
-                        };
-                        [access, Action::Compute(cfg.compute_per_line)]
-                    });
-                body.chain(std::iter::once(Action::Barrier(it)))
-            });
-            Box::new(iter) as crate::ActionStream
+            let mut local_rng = rng.split(0);
+            let (mut it, mut done) = (0u32, 0u64);
+            ActionStream::generate(move |out| {
+                if it == cfg.iters {
+                    return false;
+                }
+                for j in next_run(&mut done, steps) {
+                    let l = l0 + j * cfg.stride_lines;
+                    let target = if local_rng.gen_bool(cfg.random_frac) {
+                        local_rng.gen_range(0, lines_total)
+                    } else {
+                        l
+                    };
+                    let line = arr.line_of(target);
+                    let access = if local_rng.gen_bool(cfg.write_frac) {
+                        Action::Write(line)
+                    } else {
+                        Action::Read(line)
+                    };
+                    out.extend([access, Action::Compute(cfg.compute_per_line)]);
+                }
+                if done == steps {
+                    out.push(Action::Barrier(it));
+                    it += 1;
+                    local_rng = rng.split(it as u64);
+                    done = 0;
+                }
+                true
+            })
         })
         .collect();
 

@@ -15,7 +15,8 @@
 //!   checkpoint's config section, so structure is already right;
 //! * action streams — pure functions of the workload build; each
 //!   processor records only how many actions it consumed and restore
-//!   fast-forwards the rebuilt stream;
+//!   fast-forwards the rebuilt stream, skipping whole generated blocks
+//!   ([`nw_apps::ActionStream::advance`]);
 //! * the observer — re-attached (if globally configured) at build
 //!   time; observation never feeds back into simulation state;
 //! * `fatal` — always `None` at a checkpoint boundary (a fatal error
@@ -651,16 +652,15 @@ impl Machine {
         }
         for pi in 0..n {
             let consumed = r.u64()?;
-            for k in 0..consumed {
-                if self.procs[pi].stream.next().is_none() {
-                    return Err(mismatch(
-                        r,
-                        format!(
-                            "proc {pi}: stream ended after {k} actions, \
-                             checkpoint consumed {consumed} — wrong workload?"
-                        ),
-                    ));
-                }
+            let k = self.procs[pi].stream.advance(consumed);
+            if k < consumed {
+                return Err(mismatch(
+                    r,
+                    format!(
+                        "proc {pi}: stream ended after {k} actions, \
+                         checkpoint consumed {consumed} — wrong workload?"
+                    ),
+                ));
             }
             self.procs[pi].consumed = consumed;
             self.procs[pi].pending = if r.bool()? {

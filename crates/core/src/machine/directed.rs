@@ -8,20 +8,12 @@
 
 use super::Machine;
 use crate::config::{MachineConfig, MachineKind, PrefetchMode};
-use nw_apps::{Action, ActionStream, AppBuild};
+use nw_apps::{Action, AppBuild};
 
 /// Build a machine with one stream per node from explicit action
 /// vectors. Footprint must cover all touched lines.
 fn machine_with(cfg: MachineConfig, data_bytes: u64, streams: Vec<Vec<Action>>) -> Machine {
-    let build = AppBuild {
-        name: "directed",
-        data_bytes,
-        streams: streams
-            .into_iter()
-            .map(|v| Box::new(v.into_iter()) as ActionStream)
-            .collect(),
-    };
-    Machine::from_build(cfg, build)
+    Machine::from_build(cfg, AppBuild::from_actions("directed", data_bytes, streams))
 }
 
 fn one_node_cfg() -> MachineConfig {

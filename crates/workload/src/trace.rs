@@ -208,7 +208,7 @@ impl Trace {
             .strip_prefix("procs ")
             .and_then(|v| v.trim().parse().ok())
             .ok_or_else(|| format!("line {n}: expected 'procs <count>'"))?;
-        let mut procs = Vec::with_capacity(nprocs.min(1 << 16));
+        let mut procs = Vec::with_capacity(capped(nprocs, src.len(), MIN_TEXT_PROC));
         for p in 0..nprocs {
             let (n, hdr) = next("proc header")?;
             let rest = hdr
@@ -226,7 +226,7 @@ impl Trace {
                 .next()
                 .and_then(|v| v.parse().ok())
                 .ok_or_else(|| format!("line {n}: bad record count"))?;
-            let mut stream = Vec::with_capacity(count.min(1 << 24));
+            let mut stream = Vec::with_capacity(capped(count, src.len(), MIN_TEXT_RECORD));
             for _ in 0..count {
                 let (n, rec) = next("record")?;
                 let (tag, val) = rec
@@ -308,10 +308,10 @@ impl Trace {
             .map_err(|_| "trace name is not valid UTF-8".to_string())?;
         let data_bytes = r.varint()?;
         let nprocs = r.varint()? as usize;
-        let mut procs = Vec::with_capacity(nprocs.min(1 << 16));
+        let mut procs = Vec::with_capacity(capped(nprocs, r.remaining(), 1));
         for p in 0..nprocs {
             let count = r.varint()? as usize;
-            let mut stream = Vec::with_capacity(count.min(1 << 24));
+            let mut stream = Vec::with_capacity(capped(count, r.remaining(), MIN_BIN_RECORD));
             for i in 0..count {
                 let tag = r.take(1)?[0];
                 let v = r.varint()?;
@@ -352,6 +352,20 @@ impl Trace {
     }
 }
 
+/// Fewest input bytes one record takes in the binary encoding (a tag
+/// byte and a one-byte varint), and in the text encoding (`c 0`).
+const MIN_BIN_RECORD: usize = 2;
+const MIN_TEXT_RECORD: usize = 3;
+/// Fewest input bytes one text processor header takes (`proc 0 0`).
+const MIN_TEXT_PROC: usize = 8;
+
+/// How many of `count` declared items to reserve room for, when each
+/// takes at least `min_bytes` of the `remaining` input: a corrupt
+/// count can make the decoder fail, never over-allocate.
+fn capped(count: usize, remaining: usize, min_bytes: usize) -> usize {
+    count.min(remaining / min_bytes)
+}
+
 /// Intern a workload name so replayed builds can carry the `'static`
 /// name `AppBuild` requires. Names are deduplicated, so replaying the
 /// same trace (or app) any number of times leaks its name only once.
@@ -372,12 +386,16 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(format!(
                 "truncated trace: wanted {n} bytes at offset {}, have {}",
                 self.pos,
-                self.buf.len() - self.pos
+                self.remaining()
             ));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -484,6 +502,40 @@ mod tests {
         let text = sample().encode_text();
         let cut: String = text.lines().take(7).collect::<Vec<_>>().join("\n");
         assert!(Trace::decode(cut.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_an_inflated_record_count_without_reserving_it() {
+        // `NWTR`, v1, empty name, data_bytes 1, 1 proc, 2^24 records,
+        // and no record bytes at all.
+        let mut src = b"NWTR\x01\x00\x01\x01".to_vec();
+        put_varint(&mut src, 1 << 24);
+        assert_eq!(src.len(), 12);
+        let err = Trace::decode(&src).unwrap_err();
+        assert!(err.contains("truncated trace"), "{err}");
+        // The text form gets the same cap.
+        let text = "nwtrace-v1\nname x\ndata_bytes 1\nprocs 1\nproc 0 16777216\n";
+        assert!(Trace::decode(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn capped_reservations_fit_the_remaining_input() {
+        assert_eq!(capped(1 << 24, 0, MIN_BIN_RECORD), 0);
+        assert_eq!(capped(1 << 24, 7, MIN_BIN_RECORD), 3);
+        assert_eq!(capped(5, 1000, MIN_BIN_RECORD), 5);
+        assert_eq!(capped(usize::MAX, 16, 1), 16);
+        // An honest trace reserves exactly its record count.
+        let t = sample();
+        let enc = t.encode_binary();
+        let n = t.procs[0].len();
+        assert_eq!(capped(n, enc.len(), MIN_BIN_RECORD), n);
+    }
+
+    #[test]
+    fn decode_rejects_a_name_longer_than_the_input() {
+        let mut src = b"NWTR\x01".to_vec();
+        put_varint(&mut src, u64::MAX);
+        assert!(Trace::decode(&src).unwrap_err().contains("truncated trace"));
     }
 
     #[test]
