@@ -327,6 +327,9 @@ fn usage_errors_exit_2_with_reason() {
         ("nwsim", &["run", "--app", gen, "--ring-slots", "0"], "ring_slots_per_channel must be in 1..="),
         ("nwsim", &["run", "--app", gen, "--disk-cache", "100000000000"], "disk_cache_pages must be in 1..="),
         ("nwsim", &["run", "--app", gen, "--ring-slots", "100000000000"], "ring_slots_per_channel must be in 1..="),
+        ("nwsim", &["run", "--app", "sor", "--scale", "0.05", "--machine", "nwcache", "--topo", "mesh=4x2,rings=1099511627776"], "ring_count must be in 1..="),
+        ("nwsim", &["run", "--app", gen, "--topo", "mesh=4x2,rings=100000000"], "ring_count must be in 1..="),
+        ("nwsim", &["run", "--app", gen, "--prefetch", "adaptive:1099511627776"], "prefetch_window must be at most"),
         ("reproduce", &["--scale", "2.0", "table3"], "--scale needs a number in (0, 1]"),
         ("reproduce", &["--scale", "0", "table3"], "--scale needs a number in (0, 1]"),
         ("reproduce", &["--scale", "-1", "table3"], "--scale needs a number in (0, 1]"),

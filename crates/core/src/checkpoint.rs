@@ -22,7 +22,7 @@
 //! | 8  | MESH    | link horizons, traffic tallies, fault injector |
 //! | 9  | VM      | page table, frame pools, barrier, protocol maps |
 //! | 10 | METRICS | machine-owned metric accumulators |
-//! | 11 | TRACER  | page-lifecycle tracer |
+//! | 11 | TRACER  | always two zero counts; a legacy payload is read and discarded |
 //! | 12 | PREFETCH | adaptive-prefetch detector state (adaptive runs only) |
 //!
 //! ## Restore model
@@ -41,7 +41,7 @@ use crate::config::{
 use crate::machine::Machine;
 use crate::workload::AppSel;
 use nw_sim::atomic_write::write_atomic;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{capped, CkptError, CkptReader, CkptWriter};
 use nw_sim::Time;
 use std::path::Path;
 
@@ -67,7 +67,8 @@ pub mod sections {
     pub const VM: u32 = 9;
     /// Metric accumulators.
     pub const METRICS: u32 = 10;
-    /// Page-lifecycle tracer.
+    /// The retired page-lifecycle tracer: written as two zero counts
+    /// so checkpoint bytes stay unchanged; restore discards any payload.
     pub const TRACER: u32 = 11;
     /// Adaptive-prefetch detector state. Written only when the run's
     /// policy carries state, so non-adaptive checkpoints are unchanged.
@@ -245,7 +246,7 @@ fn load_config(r: &mut CkptReader<'_>) -> Result<MachineConfig, CkptError> {
     let disk_error_rate = r.f64()?;
     let disk_stuck_rate = r.f64()?;
     let n = r.usize()?;
-    let mut ring_channel_failures = Vec::with_capacity(n.min(1 << 16));
+    let mut ring_channel_failures = Vec::with_capacity(capped(n, r.section_remaining(), 2));
     for _ in 0..n {
         let t = r.time()?;
         let ch = r.u32()?;
@@ -416,6 +417,11 @@ fn decode(bytes: &[u8], origin: &str) -> Result<(CkptMeta, Machine), SimError> {
     let cfg = (|| -> Result<MachineConfig, CkptError> {
         r.begin_section(sections::CONFIG)?;
         let cfg = load_config(&mut r)?;
+        // Checked before the workload is built from it.
+        cfg.validate().map_err(|what| CkptError::Invalid {
+            offset: r.offset(),
+            what: format!("CONFIG does not validate: {what}"),
+        })?;
         r.end_section()?;
         Ok(cfg)
     })()

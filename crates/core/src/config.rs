@@ -223,6 +223,24 @@ pub const MAX_DISK_CACHE_PAGES: usize = 1 << 16;
 /// allocation fails.
 pub const MAX_RING_SLOTS: usize = 1 << 12;
 
+/// Largest [`MachineConfig::ring_channels`]: four channels per node of
+/// the largest (1,024-node) machine.
+pub const MAX_RING_CHANNELS: usize = 1 << 12;
+
+/// Largest [`MachineConfig::ring_count`]: far above the 8 rings of the
+/// largest generated topology in use.
+pub const MAX_RING_COUNT: usize = 1 << 6;
+
+/// Largest [`MachineConfig::tlb_entries`]: far above the paper's 64.
+pub const MAX_TLB_ENTRIES: usize = 1 << 16;
+
+/// Largest [`MachineConfig::wb_entries`]: far above the paper's 8.
+pub const MAX_WB_ENTRIES: usize = 1 << 10;
+
+/// Largest [`MachineConfig::prefetch_window`]: far above the default 16.
+/// The window sizes each controller's speculative side cache.
+pub const MAX_PREFETCH_WINDOW: usize = 1 << 12;
+
 /// Full machine configuration. Defaults mirror the paper's Table 1;
 /// fields not in the table are modelling constants "comparable to
 /// modern systems" (1999), as the paper puts it.
@@ -502,15 +520,16 @@ impl MachineConfig {
         if self.has_ring() && self.ring_channels < self.nodes as usize {
             return Err("each node needs its own cache channel".into());
         }
-        if self.ring_count == 0 {
-            return Err("ring_count must be at least 1".into());
-        }
         if self.dir_shards == 0 {
             return Err("dir_shards must be at least 1".into());
         }
         for (name, value, max) in [
             ("disk_cache_pages", self.disk_cache_pages, MAX_DISK_CACHE_PAGES),
             ("ring_slots_per_channel", self.ring_slots_per_channel, MAX_RING_SLOTS),
+            ("ring_channels", self.ring_channels, MAX_RING_CHANNELS),
+            ("ring_count", self.ring_count, MAX_RING_COUNT),
+            ("tlb_entries", self.tlb_entries, MAX_TLB_ENTRIES),
+            ("wb_entries", self.wb_entries, MAX_WB_ENTRIES),
         ] {
             if !(1..=max).contains(&value) {
                 return Err(format!("{name} must be in 1..={max}, got {value}"));
@@ -534,6 +553,12 @@ impl MachineConfig {
         }
         if self.prefetch == PrefetchMode::Adaptive && self.prefetch_window < 2 {
             return Err("prefetch_window must be at least 2".into());
+        }
+        if self.prefetch_window > MAX_PREFETCH_WINDOW {
+            return Err(format!(
+                "prefetch_window must be at most {MAX_PREFETCH_WINDOW}, got {}",
+                self.prefetch_window
+            ));
         }
         self.faults.validate()?;
         for &(_, ch) in &self.faults.ring_channel_failures {
@@ -694,25 +719,51 @@ mod tests {
     #[test]
     fn validate_bounds_disk_cache_and_ring_slots() {
         let ok = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-        for (disk_cache, ring_slots, reason) in [
-            (0, 16, "disk_cache_pages must be in 1..=65536, got 0"),
-            (MAX_DISK_CACHE_PAGES + 1, 16, "disk_cache_pages must be in 1..=65536, got 65537"),
-            (100_000_000_000, 16, "disk_cache_pages"),
-            (4, 0, "ring_slots_per_channel must be in 1..=4096, got 0"),
-            (4, MAX_RING_SLOTS + 1, "ring_slots_per_channel must be in 1..=4096, got 4097"),
-            (4, 100_000_000_000, "ring_slots_per_channel"),
+        let with = |field: &str, value: usize| {
+            let mut c = ok.clone();
+            *match field {
+                "disk_cache_pages" => &mut c.disk_cache_pages,
+                "ring_slots_per_channel" => &mut c.ring_slots_per_channel,
+                "ring_channels" => &mut c.ring_channels,
+                "ring_count" => &mut c.ring_count,
+                "tlb_entries" => &mut c.tlb_entries,
+                "wb_entries" => &mut c.wb_entries,
+                "prefetch_window" => &mut c.prefetch_window,
+                _ => unreachable!("{field}"),
+            } = value;
+            c
+        };
+        for (field, value, reason) in [
+            ("disk_cache_pages", 0, "disk_cache_pages must be in 1..=65536, got 0"),
+            ("disk_cache_pages", MAX_DISK_CACHE_PAGES + 1, "disk_cache_pages must be in 1..=65536, got 65537"),
+            ("disk_cache_pages", 100_000_000_000, "disk_cache_pages"),
+            ("ring_slots_per_channel", 0, "ring_slots_per_channel must be in 1..=4096, got 0"),
+            ("ring_slots_per_channel", MAX_RING_SLOTS + 1, "ring_slots_per_channel must be in 1..=4096, got 4097"),
+            ("ring_slots_per_channel", 100_000_000_000, "ring_slots_per_channel"),
+            // Each of these at 2^40 used to abort machine construction
+            // on a failed allocation of terabytes.
+            ("ring_channels", MAX_RING_CHANNELS + 1, "ring_channels must be in 1..=4096, got 4097"),
+            ("ring_channels", 1 << 40, "ring_channels"),
+            ("ring_count", 0, "ring_count must be in 1..=64, got 0"),
+            ("ring_count", 1 << 40, "ring_count must be in 1..=64, got 1099511627776"),
+            ("tlb_entries", MAX_TLB_ENTRIES + 1, "tlb_entries must be in 1..=65536, got 65537"),
+            ("tlb_entries", 1 << 40, "tlb_entries"),
+            ("wb_entries", MAX_WB_ENTRIES + 1, "wb_entries must be in 1..=1024, got 1025"),
+            ("wb_entries", 1 << 40, "wb_entries"),
+            ("prefetch_window", MAX_PREFETCH_WINDOW + 1, "prefetch_window must be at most 4096, got 4097"),
+            ("prefetch_window", 1 << 40, "prefetch_window"),
         ] {
-            let cfg = MachineConfig {
-                disk_cache_pages: disk_cache,
-                ring_slots_per_channel: ring_slots,
-                ..ok.clone()
-            };
-            let err = cfg.validate().expect_err(reason);
+            let err = with(field, value).validate().expect_err(reason);
             assert!(err.contains(reason), "{err}");
         }
         let max = MachineConfig {
             disk_cache_pages: MAX_DISK_CACHE_PAGES,
             ring_slots_per_channel: MAX_RING_SLOTS,
+            ring_channels: MAX_RING_CHANNELS,
+            ring_count: MAX_RING_COUNT,
+            tlb_entries: MAX_TLB_ENTRIES,
+            wb_entries: MAX_WB_ENTRIES,
+            prefetch_window: MAX_PREFETCH_WINDOW,
             ..ok
         };
         assert!(max.validate().is_ok());

@@ -5,7 +5,7 @@
 //! the `reproduce` binary in `nw-bench` prints them. All experiments
 //! take a `scale` parameter: `1.0` reproduces the paper's Table 2
 //! inputs, smaller values run the same experiment on shrunken inputs
-//! (used by tests and Criterion benches).
+//! (used by tests).
 
 use crate::config::{MachineConfig, MachineKind, PrefetchMode};
 use crate::metrics::RunMetrics;

@@ -53,7 +53,6 @@ pub mod prefetch;
 pub mod report;
 pub mod sweep;
 pub mod topo;
-pub mod trace;
 pub mod vm;
 pub mod workload;
 

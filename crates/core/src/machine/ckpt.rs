@@ -27,7 +27,7 @@ use super::{BlockKind, Event, FaultInfo, FaultSource, Machine};
 use crate::checkpoint::sections;
 use crate::vm::{PageState, Vpn};
 use nw_apps::Action;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{capped, CkptError, CkptReader, CkptWriter};
 
 /// ENGINE tag of a flush-check run of `k >= 2` checks. A run of one
 /// keeps tag 7, so run-free checkpoints encode as they always have.
@@ -312,7 +312,7 @@ fn load_page_state(r: &mut CkptReader<'_>) -> Result<PageState, CkptError> {
         2 => {
             let node = r.u32()?;
             let n = r.usize()?;
-            let mut waiters = Vec::with_capacity(n);
+            let mut waiters = Vec::with_capacity(capped(n, r.section_remaining(), 1));
             for _ in 0..n {
                 waiters.push(r.u32()?);
             }
@@ -321,7 +321,7 @@ fn load_page_state(r: &mut CkptReader<'_>) -> Result<PageState, CkptError> {
         3 => {
             let from = r.u32()?;
             let n = r.usize()?;
-            let mut waiters = Vec::with_capacity(n);
+            let mut waiters = Vec::with_capacity(capped(n, r.section_remaining(), 1));
             for _ in 0..n {
                 waiters.push(r.u32()?);
             }
@@ -591,9 +591,11 @@ impl Machine {
         w.u64(self.m_dead_channels);
         w.end_section();
 
-        // TRACER: watched pages and collected lifecycle records.
+        // TRACER: always empty (no watched pages, no records); the
+        // section stays so `nwckpt-v1` files keep their bytes.
         w.begin_section(sections::TRACER);
-        self.tracer.ckpt_save(w);
+        w.usize(0);
+        w.usize(0);
         w.end_section();
 
         // PREFETCH: policy-side speculative state (adaptive only).
@@ -618,7 +620,8 @@ impl Machine {
         let scheduled = r.u64()?;
         let delivered = r.u64()?;
         let n = r.usize()?;
-        let mut entries = Vec::with_capacity(n.min(1 << 20));
+        // An entry is at least a time, a sequence number and a tag.
+        let mut entries = Vec::with_capacity(capped(n, r.section_remaining(), 3));
         self.flush_runs.clear();
         for _ in 0..n {
             let at = r.time()?;
@@ -865,9 +868,10 @@ impl Machine {
         self.m_dead_channels = r.u64()?;
         r.end_section()?;
 
-        // TRACER
+        // TRACER: older files may carry watched pages and records;
+        // nothing reads them.
         r.begin_section(sections::TRACER)?;
-        self.tracer.ckpt_restore(r)?;
+        r.skip_rest();
         r.end_section()?;
 
         // PREFETCH (present iff the policy carries state)
@@ -891,9 +895,14 @@ mod tests {
     /// whose header declares `len` payload bytes, so mutated bytes get
     /// past the checksum and reach the event decoder.
     fn container(payload: &[u8], len: usize) -> Vec<u8> {
+        framed(sections::ENGINE, payload, len)
+    }
+
+    /// [`container`] for section `id`.
+    fn framed(id: u32, payload: &[u8], len: usize) -> Vec<u8> {
         let mut buf = MAGIC.to_vec();
         buf.push(VERSION);
-        put_varint(&mut buf, sections::ENGINE as u64);
+        put_varint(&mut buf, id as u64);
         put_varint(&mut buf, len as u64);
         buf.extend_from_slice(payload);
         let sum = fnv1a(&buf);
@@ -963,6 +972,24 @@ mod tests {
             put_varint(&mut p, v);
         }
         assert!(decode(&container(&p, p.len())).is_err());
+    }
+
+    #[test]
+    fn page_state_waiters_reserve_no_more_than_the_section_holds() {
+        // An in-transit or swapping-out page on node 0 claiming 2^40
+        // waiters, in a 20-byte VM payload: decoding fails when the
+        // waiters run out, without first reserving 4 TB for them.
+        for tag in [2u64, 3] {
+            let mut p = Vec::new();
+            for v in [tag, 0, 1 << 40] {
+                put_varint(&mut p, v);
+            }
+            p.resize(20, 0);
+            let bytes = framed(sections::VM, &p, p.len());
+            let mut r = CkptReader::new(&bytes).expect("container is well formed");
+            r.begin_section(sections::VM).expect("VM section");
+            assert!(load_page_state(&mut r).is_err());
+        }
     }
 
     #[test]

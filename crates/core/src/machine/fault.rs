@@ -36,7 +36,6 @@ impl Machine {
                 source: FaultSource::DiskCacheMiss, // refined at the disk
             },
         );
-        self.trace(now, vpn, crate::trace::TraceKind::FaultToDisk { proc: p });
         self.obs_instant(now, groups::VM, n, "vm.fault.disk", vpn, p as u64);
         let disk = self.fs.disk_of(vpn);
         let io = self.disk_homes[disk as usize];
@@ -138,7 +137,6 @@ impl Machine {
                 source: FaultSource::Ring,
             },
         );
-        self.trace(now, vpn, crate::trace::TraceKind::FaultToRing { proc: p, channel });
         self.obs_instant(now, groups::VM, n, "vm.fault.ring", vpn, p as u64);
         // Snoop the page off the channel with the node's own tunable
         // receiver, then deliver through the local I/O and memory bus
@@ -265,14 +263,6 @@ impl Machine {
         self.frames[node as usize].remove_resident(vpn);
         self.shootdown(node, vpn);
         self.purge_page_from_caches(node, vpn, now);
-        self.trace(
-            now,
-            vpn,
-            crate::trace::TraceKind::Evicted {
-                node,
-                dirty: self.pt[vpn as usize].dirty,
-            },
-        );
         self.obs_instant(
             now,
             groups::VM,
@@ -404,7 +394,6 @@ impl Machine {
         self.pt[vpn as usize].referenced = true;
         self.pt[vpn as usize].last_node = node;
         self.frames[node as usize].add_resident(vpn);
-        self.trace(t, vpn, crate::trace::TraceKind::Arrived { node });
         if let Some(info) = self.fault_info.remove(&vpn) {
             let lat = t - info.start;
             self.m_fault_hist.add(lat);
@@ -541,7 +530,6 @@ impl Machine {
             _ => unreachable!("checked above"),
         };
         self.pt[vpn as usize].last_node = node;
-        self.trace(t, vpn, crate::trace::TraceKind::OnRing { channel: ch });
         if let Some(start) = self.swap_start.remove(&(node, vpn)) {
             self.m_swap_out_time.add(t - start);
             self.m_swap_out_hist.add(t - start);

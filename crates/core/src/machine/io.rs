@@ -8,7 +8,7 @@ use super::{FaultSource, Machine};
 use crate::error::SimError;
 use crate::observe::groups;
 use crate::vm::{PageState, Vpn};
-use nw_disk::{DiskFault, ReadOutcome, WriteOutcome};
+use nw_disk::{DiskFault, WriteOutcome};
 use nw_sim::Time;
 
 /// Most flush checks one queue entry may stand for. A longer run just
@@ -237,11 +237,14 @@ impl Machine {
         let t = self.queue.now();
         let io = self.disk_homes[disk as usize];
         let block = self.fs.block_of(vpn);
-        // Page crosses the I/O bus into the controller.
+        // Page crosses the I/O bus into the controller. The controller's
+        // answer is observed as a span over that crossing, so it starts
+        // when the write reached the I/O node, as a page's timeline has
+        // it (`TraceData::page_events`), and ends at the decision.
         let g = self.io_bus[io as usize].transfer(t, self.cfg.page_bytes);
         match self.disks[disk as usize].write_page(g.end, vpn, block, from) {
             WriteOutcome::Ack { flush_check_at } => {
-                self.obs_instant(g.end, groups::DISK, disk, "disk.admit", vpn, from as u64);
+                self.obs_span(t, g.end, groups::DISK, disk, "disk.admit", vpn, from as u64);
                 self.schedule_flush_check(flush_check_at, disk);
                 let d = self.mesh_send(g.end, io, from, self.cfg.ctl_msg_bytes, "mesh.ctl");
                 // A lost ACK leaves the swap pending; the swap timeout
@@ -252,8 +255,7 @@ impl Machine {
                 }
             }
             WriteOutcome::Nack => {
-                self.trace(t, vpn, crate::trace::TraceKind::SwapNacked);
-                self.obs_instant(g.end, groups::DISK, disk, "disk.nack", vpn, from as u64);
+                self.obs_span(t, g.end, groups::DISK, disk, "disk.nack", vpn, from as u64);
                 self.m_swap_nacks += 1;
                 // NACK control message back (traffic only; the node
                 // simply keeps the frame until the OK arrives).
@@ -308,7 +310,6 @@ impl Machine {
                 _ => unreachable!("checked above"),
             };
         self.swap_attempts.remove(&(node, vpn));
-        self.trace(t, vpn, crate::trace::TraceKind::SwapAcked);
         if let Some(start) = self.swap_start.remove(&(node, vpn)) {
             self.m_swap_out_time.add(t - start);
             self.m_swap_out_hist.add(t - start);
@@ -514,7 +515,6 @@ impl Machine {
                     // origin's ACK arrives, but faults from now on go
                     // to the disk.
                     self.pt[vpn as usize].state = PageState::OnDisk;
-                    self.trace(t, vpn, crate::trace::TraceKind::Drained { disk });
                     self.obs_instant(t, groups::DISK, disk, "disk.admit", vpn, origin as u64);
                     self.schedule_flush_check(flush_check_at, disk);
                 }
@@ -563,7 +563,6 @@ impl Machine {
     /// start any swap-out waiting for channel room.
     pub(crate) fn on_ring_ack(&mut self, origin: u32, ch: u32, vpn: Vpn) {
         let t = self.queue.now();
-        self.trace(t, vpn, crate::trace::TraceKind::RingAcked);
         self.obs_instant(t, groups::RING, ch, "ring.ack", vpn, origin as u64);
         if let Some(ring) = self.ring.as_mut() {
             ring.remove(ch as usize, vpn);
@@ -756,13 +755,4 @@ impl Machine {
                 .schedule_at(at.max(t), super::Event::SpecCheck { disk });
         }
     }
-
-    /// Accessor used by integration tests: has the ring drained
-    /// everything it was asked to?
-    pub fn ring_pending_drains(&self) -> usize {
-        self.ifaces.iter().map(|i| i.pending()).sum()
-    }
 }
-
-#[allow(unused_imports)]
-use ReadOutcome as _ReadOutcomeUsed;

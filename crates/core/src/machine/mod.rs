@@ -30,7 +30,6 @@ use crate::error::SimError;
 use crate::metrics::RunMetrics;
 use crate::observe::{self, groups, ObserveConfig, Observer, TraceData};
 use crate::prefetch::{build_policy, PrefetchPolicy};
-use crate::trace::{PageTracer, TraceKind};
 use crate::vm::{BarrierState, FramePool, PageEntry, PageState, ProcId, Vpn};
 use nw_apps::{Action, ActionStream, AppId};
 use nw_disk::{
@@ -212,7 +211,6 @@ pub struct Machine {
     /// outstanding-hint snapshots), reused across faults.
     pub(crate) scratch_pred: Vec<Vpn>,
     pub(crate) scratch_hints: Vec<Vpn>,
-    pub(crate) tracer: PageTracer,
     /// Structured-event observer (`None` in normal runs; every hook is
     /// a single branch on this option — see [`crate::observe`]).
     pub(crate) obs: Option<Box<Observer>>,
@@ -410,7 +408,6 @@ impl Machine {
             policy,
             scratch_pred: Vec::new(),
             scratch_hints: Vec::new(),
-            tracer: PageTracer::new(),
             obs: None,
             scratch_purge: Vec::with_capacity(LINES_PER_PAGE as usize),
         };
@@ -420,22 +417,6 @@ impl Machine {
             m.enable_observer(ocfg);
         }
         Ok(m)
-    }
-
-    /// Trace every lifecycle transition of `vpn` (see [`crate::trace`]).
-    /// Call before [`Machine::run`].
-    pub fn trace_page(&mut self, vpn: Vpn) {
-        self.tracer.watch(vpn);
-    }
-
-    /// Records collected for traced pages.
-    pub fn trace_records(&self) -> &[crate::trace::TraceRecord] {
-        self.tracer.records()
-    }
-
-    /// Shorthand used by the protocol handlers.
-    pub(crate) fn trace(&mut self, at: Time, vpn: Vpn, kind: TraceKind) {
-        self.tracer.emit(at, vpn, kind);
     }
 
     /// Attach a structured-event observer (see [`crate::observe`]).
@@ -737,13 +718,6 @@ impl Machine {
         self.procs.iter().map(|p| p.local_time).max().unwrap_or(0)
     }
 
-    /// Processors that have finished their streams so far — with
-    /// [`Machine::nprocs`], a cheap completion fraction for progress
-    /// reporting on long runs.
-    pub fn procs_finished(&self) -> usize {
-        self.finished
-    }
-
     fn collect_metrics(&self) -> RunMetrics {
         crate::observe::record_completed_run(self.events_dispatched, self.exec_time());
         let exec = self.exec_time();
@@ -985,42 +959,5 @@ impl Machine {
             fp.total(),
             "frame leak on node {node}"
         );
-    }
-}
-
-impl Machine {
-    /// Diagnostic run: like [`Machine::run`] but dumps protocol state
-    /// instead of panicking on deadlock. For debugging only.
-    pub fn debug_run(&mut self) {
-        for p in 0..self.procs.len() {
-            self.queue.schedule_at(0, Event::Resume(p as ProcId));
-        }
-        while let Some((_, ev)) = self.queue.pop() {
-            if let Err(e) = self.dispatch(ev) {
-                println!("SIM ERROR: {e}");
-                break;
-            }
-            if self.finished == self.procs.len() {
-                println!("finished ok");
-                return;
-            }
-        }
-        println!("DEADLOCK");
-        for (i, p) in self.procs.iter().enumerate() {
-            println!("proc {i}: done={} blocked={:?} pending={:?}", p.done, p.blocked, p.pending);
-        }
-        for (k, v) in &self.swap_start {
-            println!("swap in flight: node={} vpn={} since={}", k.0, k.1, v);
-            println!("  state: {:?}", self.pt[k.1 as usize].state);
-        }
-        for (i, d) in self.disks.iter().enumerate() {
-            println!("disk {i}: nackq={} pending_dirty={} acks={} nacks={}",
-                d.nack_queue_len(), d.has_pending_dirty(), d.write_acks(), d.write_nacks());
-        }
-        for (vpn, e) in self.pt.iter().enumerate() {
-            if !matches!(e.state, crate::vm::PageState::OnDisk | crate::vm::PageState::InMemory{..}) {
-                println!("page {vpn}: {:?}", e.state);
-            }
-        }
     }
 }

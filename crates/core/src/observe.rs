@@ -345,12 +345,17 @@ impl TraceData {
         out
     }
 
-    /// Distinct track groups present in the recorded events.
-    pub fn groups_present(&self) -> Vec<u8> {
-        let mut g: Vec<u8> = self.events.iter().map(|e| e.track.group).collect();
-        g.sort_unstable();
-        g.dedup();
-        g
+    /// One page's lifecycle, in emission order: every VM, ring and
+    /// disk event whose `arg0` is `vpn` (DESIGN.md §12 lists them).
+    /// `ring.fail` and `disk.flush` are left out, because their `arg0`
+    /// is a count; directory and mesh events carry lines and nodes. A
+    /// VM span is a wait and ends at its step; other events start at it.
+    pub fn page_events(&self, vpn: u64) -> impl Iterator<Item = &TraceEvent> + '_ {
+        self.events.iter().filter(move |e| {
+            matches!(e.track.group, groups::VM | groups::RING | groups::DISK)
+                && !matches!(e.name, "ring.fail" | "disk.flush")
+                && e.arg0 == vpn
+        })
     }
 }
 
@@ -816,6 +821,30 @@ mod tests {
         // mesh.page starts at t=100 (0.5us), disk.nack at t=150.
         assert!(page < nack, "events out of time order:\n{txt}");
         assert!(txt.contains("# counter ring.ch0.occupancy: 2 samples"));
+    }
+
+    #[test]
+    fn page_events_keep_only_events_about_the_page() {
+        let mut o = Observer::new(&ObserveConfig::default());
+        // Every event's arg0 is 7 but the ring.ack's: only page events
+        // about page 7 are kept, in emission order.
+        for (group, name) in [
+            (groups::VM, "vm.fault.disk"),
+            (groups::MESH, "mesh.ctl"),
+            (groups::DIR, "dir.read"),
+            (groups::DISK, "disk.read.hit"),
+            (groups::DISK, "disk.flush"),
+            (groups::RING, "ring.fail"),
+            (groups::RING, "ring.ack"),
+            (groups::VM, "vm.fault.disk_hit"),
+        ] {
+            let page = if name == "ring.ack" { 8 } else { 7 };
+            o.buf.span(1, 5, TrackId::new(group, 0), name, page, 0);
+        }
+        let d = o.into_data("sor".into(), "nwcache".into());
+        let names: Vec<&str> = d.page_events(7).map(|e| e.name).collect();
+        assert_eq!(names, ["vm.fault.disk", "disk.read.hit", "vm.fault.disk_hit"]);
+        assert_eq!(d.page_events(8).count(), 1);
     }
 
     #[test]

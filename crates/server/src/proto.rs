@@ -324,7 +324,7 @@ impl<'a> Dec<'a> {
 
     fn str(&mut self) -> Result<String, ProtoError> {
         let n = self.u64()? as usize;
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(ProtoError::Malformed(format!(
                 "string of {n} bytes overruns payload at {}",
                 self.pos
@@ -838,6 +838,19 @@ mod tests {
         put_varint(&mut frame, u64::MAX); // absurd length prefix
         let mut cur = std::io::Cursor::new(frame);
         let err = read_response(&mut cur).unwrap_err();
+        assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn string_length_near_u64_max_is_malformed() {
+        let mut payload = Vec::new();
+        put_varint(&mut payload, 0); // a run job
+        put_varint(&mut payload, u64::MAX); // its spec's length
+        let mut frame = Vec::new();
+        put_varint(&mut frame, T_SUBMIT);
+        put_varint(&mut frame, payload.len() as u64);
+        frame.extend_from_slice(&payload);
+        let err = read_request(&mut std::io::Cursor::new(frame)).unwrap_err();
         assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
     }
 

@@ -324,7 +324,7 @@ impl<'a> CkptReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.pos + n > self.limit {
+        if n > self.limit - self.pos {
             return Err(if self.limit == self.body_end {
                 CkptError::Truncated {
                     wanted: n,
@@ -447,7 +447,7 @@ impl<'a> CkptReader<'a> {
             });
         }
         let len = self.usize()?;
-        if self.pos + len > self.body_end {
+        if len > self.body_end - self.pos {
             return Err(CkptError::SectionOverrun {
                 section: id,
                 offset: self.pos,
@@ -478,6 +478,13 @@ impl<'a> CkptReader<'a> {
         self.limit - self.pos
     }
 
+    /// Discard the rest of the open section's payload: how a reader
+    /// drops a section whose contents nothing uses any more.
+    pub fn skip_rest(&mut self) {
+        assert!(self.section.is_some(), "skip_rest outside a section");
+        self.pos = self.limit;
+    }
+
     /// Read the next raw section header + payload without interpreting
     /// it (used by the structural validator and the diff tool).
     /// Returns `None` at the end of the body.
@@ -488,7 +495,7 @@ impl<'a> CkptReader<'a> {
         }
         let id = self.u32()?;
         let len = self.usize()?;
-        if self.pos + len > self.body_end {
+        if len > self.body_end - self.pos {
             return Err(CkptError::SectionOverrun {
                 section: id,
                 offset: self.pos,
@@ -507,6 +514,13 @@ impl<'a> CkptReader<'a> {
         }
         Ok(())
     }
+}
+
+/// How many of `count` declared items to reserve room for, when each
+/// takes at least `min_bytes` of the `remaining` input: a corrupt
+/// count can make a decoder fail, never over-allocate.
+pub fn capped(count: usize, remaining: usize, min_bytes: usize) -> usize {
+    count.min(remaining / min_bytes)
 }
 
 /// LEB128-encode `v` into `out`.
@@ -665,6 +679,30 @@ mod tests {
         // Over-consuming is caught as a section overrun.
         let mut r = CkptReader::new(&bytes).unwrap();
         r.begin_section(2).unwrap_err(); // wrong id, section 1 is first
+    }
+
+    #[test]
+    fn lengths_near_u64_max_are_errors_not_overflows() {
+        // A string length, then a section length, of u64::MAX.
+        let mut w = CkptWriter::new();
+        w.begin_section(1);
+        w.u64(u64::MAX);
+        w.end_section();
+        let bytes = w.finish();
+        let mut r = CkptReader::new(&bytes).unwrap();
+        r.begin_section(1).unwrap();
+        assert!(r.str().is_err());
+
+        let mut body = MAGIC.to_vec();
+        body.push(VERSION);
+        put_varint(&mut body, 1);
+        put_varint(&mut body, u64::MAX);
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        let overrun = |e| matches!(e, Err(CkptError::SectionOverrun { .. }));
+        assert!(overrun(CkptReader::new(&body).unwrap().begin_section(1)));
+        let mut r = CkptReader::new(&body).unwrap();
+        assert!(overrun(r.next_raw_section().map(|_| ())));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! version tag.
 
 use nw_apps::{Action, AppBuild};
-use nw_sim::ckpt::{put_varint, read_varint, CkptError};
+use nw_sim::ckpt::{capped, put_varint, read_varint, CkptError};
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
 
@@ -358,13 +358,6 @@ const MIN_BIN_RECORD: usize = 2;
 const MIN_TEXT_RECORD: usize = 3;
 /// Fewest input bytes one text processor header takes (`proc 0 0`).
 const MIN_TEXT_PROC: usize = 8;
-
-/// How many of `count` declared items to reserve room for, when each
-/// takes at least `min_bytes` of the `remaining` input: a corrupt
-/// count can make the decoder fail, never over-allocate.
-fn capped(count: usize, remaining: usize, min_bytes: usize) -> usize {
-    count.min(remaining / min_bytes)
-}
 
 /// Intern a workload name so replayed builds can carry the `'static`
 /// name `AppBuild` requires. Names are deduplicated, so replaying the

@@ -9,10 +9,12 @@
 //! regardless of how many worker threads the uninterrupted arm used.
 //! Any bit flip, truncation, or version skew in the file must be
 //! rejected with a structured `SimError`, never a panic or a silently
-//! wrong machine.
+//! wrong machine; a seeded mutation fuzz checks the same of damage
+//! that comes with a valid checksum and reaches the section decoders.
 
 use nw_apps::AppId;
 use nw_sim::ckpt::{fnv1a, put_varint, read_varint, CkptReader, MAGIC, VERSION};
+use nw_sim::Pcg32;
 use nwcache::checkpoint::{machine_from_bytes, machine_to_bytes, sections};
 use nwcache::config::{MachineConfig, MachineKind, PrefetchMode};
 use nwcache::sweep::run_grid;
@@ -115,44 +117,77 @@ fn round_trip_is_bit_identical_across_seeds_and_fault_cells() {
     }
 }
 
-/// Processor 0's `consumed` count in checkpoint `bytes`. The PROCS
-/// payload opens with the processor count, then that count.
-fn proc0_consumed(bytes: &[u8]) -> u64 {
+/// The `(id, payload)` sections of a well-formed checkpoint, in file
+/// order.
+fn ckpt_sections(bytes: &[u8]) -> Vec<(u32, Vec<u8>)> {
     let mut r = CkptReader::new(bytes).expect("valid container");
+    let mut out = Vec::new();
     while let Some((id, payload)) = r.next_raw_section().expect("sections parse") {
-        if id == sections::PROCS {
-            let mut pos = 0;
-            read_varint(payload, &mut pos).unwrap();
-            return read_varint(payload, &mut pos).unwrap();
-        }
+        out.push((id, payload.to_vec()));
     }
-    panic!("checkpoint has no PROCS section");
+    out
 }
 
-/// `bytes` with processor 0's `consumed` count replaced by `consumed`,
-/// re-framed with a valid checksum.
-fn with_proc0_consumed(bytes: &[u8], consumed: u64) -> Vec<u8> {
+/// An `nwckpt-v1` file of `sections`, framed and checksummed the way
+/// the writer does it, so altered payloads reach the decoders.
+fn ckpt_assemble(sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let mut out = MAGIC.to_vec();
     out.push(VERSION);
-    let mut r = CkptReader::new(bytes).expect("valid container");
-    while let Some((id, payload)) = r.next_raw_section().expect("sections parse") {
-        let mut payload = payload.to_vec();
-        if id == sections::PROCS {
-            let mut pos = 0;
-            let n = read_varint(&payload, &mut pos).unwrap();
-            read_varint(&payload, &mut pos).unwrap();
-            let mut head = Vec::new();
-            put_varint(&mut head, n);
-            put_varint(&mut head, consumed);
-            payload.splice(..pos, head);
-        }
-        put_varint(&mut out, id as u64);
+    for (id, payload) in sections {
+        put_varint(&mut out, *id as u64);
         put_varint(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(payload);
     }
     let sum = fnv1a(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
+}
+
+/// `bytes` with section `id`'s payload changed by `edit`.
+fn with_section(bytes: &[u8], id: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut sections = ckpt_sections(bytes);
+    let section = sections.iter_mut().find(|s| s.0 == id);
+    edit(&mut section.expect("section present").1);
+    ckpt_assemble(&sections)
+}
+
+/// Processor 0's `consumed` count in checkpoint `bytes`. The PROCS
+/// payload opens with the processor count, then that count.
+fn proc0_consumed(bytes: &[u8]) -> u64 {
+    let mut sections = ckpt_sections(bytes).into_iter();
+    let procs = sections.find(|s| s.0 == sections::PROCS);
+    let payload = procs.expect("checkpoint has a PROCS section").1;
+    let mut pos = 0;
+    read_varint(&payload, &mut pos).unwrap();
+    read_varint(&payload, &mut pos).unwrap()
+}
+
+/// `bytes` with processor 0's `consumed` count replaced by `consumed`.
+fn with_proc0_consumed(bytes: &[u8], consumed: u64) -> Vec<u8> {
+    with_section(bytes, sections::PROCS, |payload| {
+        let mut pos = 0;
+        let n = read_varint(payload, &mut pos).unwrap();
+        read_varint(payload, &mut pos).unwrap();
+        let mut head = Vec::new();
+        put_varint(&mut head, n);
+        put_varint(&mut head, consumed);
+        payload.splice(..pos, head);
+    })
+}
+
+/// The retired page tracer's TRACER payload in a checkpoint of sor on
+/// the scaled (0.05) NWCache machine with naive prefetching, taken
+/// after 800 events while it watched pages 0-3: four watched pages and
+/// eight lifecycle records. Machines no longer write such payloads,
+/// but restore must still read files that carry one.
+const LEGACY_TRACER: [u8; 48] = [
+    4, 0, 1, 2, 3, 8, 0, 0, 0, 0, 0, 1, 0, 1, 0, 3, 0, 2, 139, 222, 2, 0, 2, 0, 143, 190, 5, 1, 2,
+    1, 179, 191, 5, 2, 0, 1, 143, 254, 7, 2, 2, 1, 147, 190, 10, 3, 2, 2,
+];
+
+/// `bytes` as the retired tracer wrote them for the same state.
+fn with_legacy_tracer(bytes: &[u8]) -> Vec<u8> {
+    with_section(bytes, sections::TRACER, |p| *p = LEGACY_TRACER.to_vec())
 }
 
 #[test]
@@ -205,6 +240,41 @@ fn snapshot_of_restored_machine_is_byte_identical() {
         let again = machine_to_bytes("sor", &restore(&bytes));
         assert_eq!(bytes, again, "{label}");
     }
+}
+
+/// FNV-1a 64 digests of mid-run checkpoints (800 events) as the
+/// machines wrote them before the page tracer was retired: its TRACER
+/// section stays in place, empty, so every such file keeps its bytes.
+#[test]
+fn checkpoint_bytes_match_the_recorded_digests() {
+    let scaled = |kind, prefetch| MachineConfig::scaled_paper(kind, prefetch, SCALE);
+    let mut adaptive = scaled(MachineKind::NwCache, PrefetchMode::Adaptive);
+    adaptive.prefetch_window = 8;
+    let topo = nwcache::topo::TopoSpec::parse("mesh=8x8,rings=2")
+        .expect("topology parses")
+        .to_config(MachineKind::NwCache, PrefetchMode::Naive, SCALE);
+    for (label, cfg, spec, digest) in [
+        ("nwcache", scaled(MachineKind::NwCache, PrefetchMode::Naive), "sor", 0x620d_731a_d9f8_fb91),
+        ("standard", scaled(MachineKind::Standard, PrefetchMode::Naive), "gauss", 0x3d32_1570_40e9_f891),
+        ("adaptive", adaptive, "mg", 0x67e3_f6d2_0742_f5ef),
+        ("mesh=8x8,rings=2", topo, "sor", 0xdfb7_fe45_c3f1_f21d),
+    ] {
+        assert_eq!(fnv1a(&snapshot_at(&cfg, spec, 800)), digest, "{label}");
+    }
+}
+
+#[test]
+fn legacy_tracer_payload_restores_and_finishes_identically() {
+    let cfg = MachineConfig::scaled_paper(MachineKind::NwCache, PrefetchMode::Naive, SCALE);
+    let bytes = snapshot_at(&cfg, "sor", 800);
+    let legacy = with_legacy_tracer(&bytes);
+    // The exact file a machine watching pages 0-3 wrote at this point.
+    assert_eq!(fnv1a(&legacy), 0x0ffd_e1ca_fa60_34d6);
+    let resumed = restore(&legacy);
+    // The records are discarded: the restored machine saves the empty
+    // section again, and finishes like the uninterrupted run.
+    assert_eq!(machine_to_bytes("sor", &resumed), bytes);
+    assert_eq!(finish(resumed), finish(build_machine(&cfg, "sor")));
 }
 
 #[test]
@@ -415,5 +485,132 @@ fn missing_file_is_an_io_error_with_the_path() {
         }
         Err(e) => panic!("wrong error {e}"),
         Ok(_) => panic!("loaded a checkpoint that does not exist"),
+    }
+}
+
+/// Mutated checkpoints in the seeded fuzz, spread over its seeds.
+const FUZZ_CASES: u64 = 4000;
+
+/// The fuzz's seed checkpoints: an NWCache cell on a two-ring mesh,
+/// paused with page faults in flight (its CONFIG carries the topology
+/// block, its VM section waiter counts), an adaptive-prefetch cell (it
+/// writes a PREFETCH section) and a file with a legacy TRACER payload.
+fn fuzz_seeds() -> Vec<Vec<u8>> {
+    let topo = nwcache::topo::TopoSpec::parse("mesh=4x4,rings=2,dirshards=2")
+        .expect("topology parses")
+        .to_config(MachineKind::NwCache, PrefetchMode::Naive, SCALE);
+    let adaptive = MachineConfig::scaled_paper(MachineKind::NwCache, PrefetchMode::Adaptive, SCALE);
+    vec![
+        snapshot_at(&topo, "sor", 100),
+        snapshot_at(&adaptive, "mg", 200),
+        with_legacy_tracer(&snapshot_at(&clean_cfg(1), "sor", 800)),
+    ]
+}
+
+/// The byte ranges of `p` read as a run of varints, which every scalar
+/// of the format is; the last runs to the end if it does not decode.
+fn varints(p: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < p.len() {
+        let start = pos;
+        if read_varint(p, &mut pos).is_err() {
+            pos = p.len();
+        }
+        out.push(start..pos);
+    }
+    out
+}
+
+fn varint(v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_varint(&mut out, v);
+    out
+}
+
+/// Mutation `kind` of section payload `p`: truncation, bit flips, a
+/// random span, or one whole field replaced by a huge number (so the
+/// rest of the section still decodes in step).
+fn mutate(p: &mut Vec<u8>, rng: &mut Pcg32, kind: u64) {
+    if p.is_empty() {
+        p.push(rng.next_u32() as u8);
+        return;
+    }
+    let at = rng.gen_below(p.len() as u32) as usize;
+    match kind {
+        0 => p.truncate(at),
+        1 => {
+            for _ in 0..1 + rng.gen_below(3) {
+                let i = rng.gen_below(p.len() as u32) as usize;
+                p[i] ^= 1 << rng.gen_below(8);
+            }
+        }
+        2 => {
+            let end = (at + 1 + rng.gen_below(8) as usize).min(p.len());
+            for b in &mut p[at..end] {
+                *b = rng.next_u32() as u8;
+            }
+        }
+        _ => {
+            let fields = varints(p);
+            let field = fields[rng.gen_below(fields.len() as u32) as usize].clone();
+            let v = [1u64 << 24, 1 << 32, 1 << 40, u64::MAX][rng.gen_below(4) as usize];
+            p.splice(field, varint(v));
+        }
+    }
+}
+
+/// Whether `bytes` restore. A panic, or an allocation that aborts the
+/// process, fails the test; `what` names the case.
+fn restores(bytes: &[u8], what: &str) -> bool {
+    match std::panic::catch_unwind(|| machine_from_bytes(bytes)) {
+        Ok(result) => result.is_ok(),
+        Err(_) => panic!("{what}: restore panicked"),
+    }
+}
+
+/// Seeded fuzz: each case mutates one section of a seed checkpoint
+/// and frames it under a fresh checksum, so the bytes reach the
+/// section decoders. Every case ends in `Ok` or a structured error.
+#[test]
+fn mutated_checkpoints_restore_or_fail_cleanly() {
+    let seeds = fuzz_seeds();
+    let (mut ok, mut failed) = (0, 0);
+    for seed in &seeds {
+        assert!(restores(seed, "seed"));
+    }
+    for case in 0..FUZZ_CASES {
+        let mut rng = Pcg32::new(0xC4EC, case);
+        let seed = &seeds[(case % 3) as usize];
+        let ids: Vec<u32> = ckpt_sections(seed).iter().map(|s| s.0).collect();
+        let id = ids[rng.gen_below(ids.len() as u32) as usize];
+        let bytes = with_section(seed, id, |p| mutate(p, &mut rng, case % 4));
+        if restores(&bytes, &format!("case {case}, section {id}")) {
+            ok += 1;
+        } else {
+            failed += 1;
+        }
+    }
+    // The loop must exercise both outcomes, not just the error paths.
+    assert!(ok > 0 && failed > 0, "ok {ok}, failed {failed}");
+}
+
+/// Every field of the sections whose counts size the machine's own
+/// reservations, inflated to 2^40 in turn: CONFIG (the machine built
+/// from it), ENGINE (pending events) and VM (page waiters).
+#[test]
+fn every_inflated_count_restores_or_fails_cleanly() {
+    let seed = &fuzz_seeds()[0];
+    for (id, payload) in ckpt_sections(seed) {
+        if ![sections::CONFIG, sections::ENGINE, sections::VM].contains(&id) {
+            continue;
+        }
+        for field in varints(&payload) {
+            let what = format!("section {id}, bytes {field:?}");
+            let bytes = with_section(seed, id, |p| {
+                p.splice(field, varint(1 << 40));
+            });
+            restores(&bytes, &what);
+        }
     }
 }
