@@ -311,7 +311,7 @@ fn run_chunked(
             Ok(RunOutcome::Paused) if stop_after.is_some_and(|s| m.events_dispatched() >= s) => {}
             Ok(RunOutcome::Paused) => {
                 if let Some(path) = ckpt {
-                    checkpoint::save_file(Path::new(path), spec, &m)
+                    checkpoint::save_file(Path::new(path), spec, &mut m)
                         .unwrap_or_else(|e| die_err(&e));
                     eprintln!(
                         "nwsim: checkpoint at {} events (t={}) -> {path}",

@@ -95,14 +95,16 @@ pub(crate) struct Proc {
 }
 
 /// How a completed page fault was served (for latency tallies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum FaultSource {
+    #[default]
     DiskCacheHit,
     DiskCacheMiss,
     Ring,
 }
 
 /// In-flight fault bookkeeping.
+#[derive(Default)]
 pub(crate) struct FaultInfo {
     pub(crate) start: Time,
     pub(crate) source: FaultSource,

@@ -206,7 +206,7 @@ fn exec_time_is_max_of_processors() {
 /// `(time, u32::MAX, 1)` for any other event.
 fn pending(m: &Machine) -> Vec<(u64, u32, u32)> {
     m.queue
-        .ckpt_entries()
+        .pending()
         .into_iter()
         .map(|(at, _, ev)| match *ev {
             Event::FlushCheck { disk, run } => (at, disk, m.flush_runs.count(run)),
@@ -276,10 +276,8 @@ fn storm_finish(mut m: Machine) -> String {
 /// True when the most recently scheduled pending entry is a run of
 /// more than one check — a run the next flush check could still join.
 fn growable_run_pending(m: &Machine) -> bool {
-    let last = m.queue.next_seq().wrapping_sub(1);
-    m.queue.ckpt_entries().into_iter().any(|(_, seq, ev)| {
-        seq == last && matches!(*ev, Event::FlushCheck { run, .. } if m.flush_runs.count(run) > 1)
-    })
+    matches!(m.queue.last_scheduled(),
+        Some((_, _, &Event::FlushCheck { run, .. })) if m.flush_runs.count(run) > 1)
 }
 
 #[test]
@@ -329,19 +327,19 @@ fn storm_cell_checkpoints_restore_and_resave_identically() {
     let mut snaps = Vec::new();
     for &mark in &marks {
         storm_pause_at(&mut m, mark);
-        snaps.push(machine_to_bytes("radix", &m));
+        snaps.push(machine_to_bytes("radix", &mut m));
     }
     let reference = storm_finish(m);
 
     for (i, snap) in snaps.iter().enumerate() {
         let (_, mut r) = machine_from_bytes(snap).unwrap();
-        assert_eq!(machine_to_bytes("radix", &r), *snap, "resave at {}", marks[i]);
+        assert_eq!(machine_to_bytes("radix", &mut r), *snap, "resave at {}", marks[i]);
         // A restored run merges exactly where the uninterrupted one
         // did, so every later checkpoint lands on the same bytes.
         for j in i + 1..marks.len() {
             storm_pause_at(&mut r, marks[j]);
             assert_eq!(
-                machine_to_bytes("radix", &r),
+                machine_to_bytes("radix", &mut r),
                 snaps[j],
                 "restored at {}, saved at {}",
                 marks[i],

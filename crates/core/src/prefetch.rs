@@ -34,7 +34,7 @@
 
 use crate::config::{MachineConfig, PrefetchMode};
 use crate::vm::Vpn;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::Pcg32;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -203,24 +203,11 @@ impl Detector {
         self.window.iter().copied()
     }
 
-    fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.window.len());
-        for &v in &self.window {
-            w.u64(v);
-        }
-        let (state, inc) = self.rng.state_parts();
-        w.u64(state);
-        w.u64(inc);
-    }
-
-    fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        self.window.clear();
-        for _ in 0..n {
-            self.window.push_back(r.u64()?);
-        }
-        self.rng = Pcg32::from_parts(r.u64()?, r.u64()?);
-        Ok(())
+    /// Checkpoint the window and the RNG. A restored window is no
+    /// longer than the capacity: `observe` only slides a full window.
+    fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.list(&mut self.window, self.capacity, 1, "detector window pages", Ckpt::u64)?;
+        self.rng.ckpt(c)
     }
 }
 
@@ -308,12 +295,9 @@ pub trait PrefetchPolicy: std::fmt::Debug + Send {
         false
     }
 
-    /// Serialize detector + speculation state.
-    fn ckpt_save(&self, _w: &mut CkptWriter) {}
-
-    /// Restore state saved by [`PrefetchPolicy::ckpt_save`] into a
-    /// policy built from the same config.
-    fn ckpt_restore(&mut self, _r: &mut CkptReader<'_>) -> Result<(), CkptError> {
+    /// Checkpoint detector + speculation state, onto a policy built
+    /// from the same config.
+    fn ckpt(&mut self, _c: &mut Ckpt) -> Result<(), CkptError> {
         Ok(())
     }
 }
@@ -495,61 +479,35 @@ impl PrefetchPolicy for AdaptivePolicy {
         true
     }
 
-    fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.detectors.len());
-        for d in &self.detectors {
-            d.ckpt_save(w);
+    fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.each(&mut self.detectors, "detectors", |c, d| d.ckpt(c))?;
+        let mut hints: Vec<(Vpn, u32)> = self.outstanding.iter().map(|(&v, &n)| (v, n)).collect();
+        c.list(&mut hints, usize::MAX, 2, "outstanding hints", |c, (vpn, node)| {
+            c.u64(vpn)?;
+            c.u32(node)
+        })?;
+        if c.loading() {
+            self.outstanding.clear();
+            let nodes = self.inflight.len();
+            for (vpn, node) in hints {
+                if node as usize >= nodes {
+                    return Err(c.invalid(format!("hint for page {vpn} from node {node} of {nodes}")));
+                }
+                if self.outstanding.insert(vpn, node).is_some() {
+                    return Err(c.invalid(format!("page {vpn} hinted twice")));
+                }
+            }
         }
-        w.usize(self.outstanding.len());
-        for (&vpn, &node) in &self.outstanding {
-            w.u64(vpn);
-            w.u32(node);
-        }
-        w.usize(self.inflight.len());
-        for &c in &self.inflight {
-            w.u32(c);
-        }
-        w.u64(self.issued);
-        w.u64(self.peak);
-    }
-
-    fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.detectors.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("checkpoint has {n} detectors, machine has {}", self.detectors.len()),
-            });
-        }
-        for d in &mut self.detectors {
-            d.ckpt_restore(r)?;
-        }
-        let n = r.usize()?;
-        self.outstanding.clear();
-        for _ in 0..n {
-            let vpn = r.u64()?;
-            let node = r.u32()?;
-            self.outstanding.insert(vpn, node);
-        }
-        let n = r.usize()?;
-        if n != self.inflight.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("checkpoint has {n} inflight slots, machine has {}", self.inflight.len()),
-            });
-        }
-        for c in &mut self.inflight {
-            *c = r.u32()?;
-        }
-        self.issued = r.u64()?;
-        self.peak = r.u64()?;
-        Ok(())
+        c.each(&mut self.inflight, "inflight slots", Ckpt::u32)?;
+        c.u64(&mut self.issued)?;
+        c.u64(&mut self.peak)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nw_sim::ckpt::{CkptReader, CkptWriter};
 
     fn det(window: usize) -> Detector {
         Detector::new(window, 0x1999, 0)
@@ -744,23 +702,11 @@ mod tests {
         p.observe_fault(3, 8);
         p.predict(3, &mut out);
 
-        let mut w = CkptWriter::new();
-        w.begin_section(1);
-        p.ckpt_save(&mut w);
-        w.end_section();
-        let bytes = w.finish();
-
+        let bytes = save(&mut p);
         let mut q = AdaptivePolicy::new(&cfg);
-        let mut r = CkptReader::new(&bytes).expect("header");
-        r.begin_section(1).expect("section");
-        q.ckpt_restore(&mut r).expect("restore");
-        r.end_section().expect("end");
-
-        let mut w2 = CkptWriter::new();
-        w2.begin_section(1);
-        q.ckpt_save(&mut w2);
-        w2.end_section();
-        assert_eq!(bytes, w2.finish(), "policy state must round-trip");
+        restore(&mut q, &bytes).expect("restore");
+        let w2 = save(&mut q);
+        assert_eq!(bytes, w2, "policy state must round-trip");
         assert!(q.is_outstanding(105));
         assert_eq!(q.inflight(2), 2);
         // Post-restore predictions match the original instance.
@@ -768,6 +714,52 @@ mod tests {
         p.predict(2, &mut a);
         q.predict(2, &mut b);
         assert_eq!(a, b);
+    }
+
+    fn save(p: &mut AdaptivePolicy) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        Ckpt::Save(&mut w).section(1, |c| p.ckpt(c)).expect("saving cannot fail");
+        w.finish()
+    }
+
+    fn restore(p: &mut AdaptivePolicy, bytes: &[u8]) -> Result<(), CkptError> {
+        let mut r = CkptReader::new(bytes)?;
+        Ckpt::Load(&mut r).section(1, |c| p.ckpt(c))
+    }
+
+    fn rejected(res: Result<(), CkptError>, needle: &str) {
+        match res {
+            Err(CkptError::Invalid { what, .. }) => assert!(what.contains(needle), "{what}"),
+            other => panic!("expected Invalid({needle}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_hint_from_a_node_past_the_machine() {
+        let cfg = MachineConfig::paper_default(
+            crate::config::MachineKind::NwCache,
+            PrefetchMode::Adaptive,
+        );
+        let mut p = AdaptivePolicy::new(&cfg);
+        p.commit(2, 105);
+        p.outstanding.insert(105, 99);
+        // Accepted, node 99 would index past the 8 in-flight counters
+        // the first time the hint resolves.
+        rejected(restore(&mut AdaptivePolicy::new(&cfg), &save(&mut p)), "node 99 of 8");
+    }
+
+    #[test]
+    fn restore_rejects_a_detector_window_past_its_capacity() {
+        let cfg = MachineConfig::paper_default(
+            crate::config::MachineKind::NwCache,
+            PrefetchMode::Adaptive,
+        );
+        let mut p = AdaptivePolicy::new(&cfg);
+        let cap = p.detectors[0].capacity;
+        p.detectors[0].window.extend(0..cap as Vpn + 1);
+        // Accepted, the window would never shrink back: `observe`
+        // slides it only when it is exactly full.
+        rejected(restore(&mut AdaptivePolicy::new(&cfg), &save(&mut p)), "capacity");
     }
 
     #[test]

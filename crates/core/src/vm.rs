@@ -1,7 +1,7 @@
 //! Virtual-memory bookkeeping: the machine-wide page table, per-node
 //! frame pools, and barrier state.
 
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::Time;
 
 /// A virtual page number.
@@ -170,51 +170,19 @@ impl FramePool {
         &self.resident
     }
 
-    /// Serialize the pool. The resident list is dumped in stored order
-    /// — its order is observable through replacement victim scans.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u32(self.total);
-        w.u32(self.free);
-        w.u32(self.pending_evictions);
-        w.usize(self.resident.len());
-        for &vpn in &self.resident {
-            w.u64(vpn);
-        }
-        w.usize(self.waiters.len());
-        for &p in &self.waiters {
-            w.u32(p);
-        }
-    }
-
-    /// Overlay state saved by [`FramePool::ckpt_save`] onto a pool of
-    /// the same size.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let total = r.u32()?;
+    /// Checkpoint the pool, onto one of the same size. The resident
+    /// list is saved in stored order — its order is observable through
+    /// replacement victim scans.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        let mut total = self.total;
+        c.u32(&mut total)?;
         if total != self.total {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("frame pool has {total} frames, expected {}", self.total),
-            });
+            return Err(c.invalid(format!("frame pool has {total} frames, expected {}", self.total)));
         }
-        self.free = r.u32()?;
-        self.pending_evictions = r.u32()?;
-        let n = r.usize()?;
-        if n > total as usize {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("{n} resident pages exceed {total} frames"),
-            });
-        }
-        self.resident.clear();
-        for _ in 0..n {
-            self.resident.push(r.u64()?);
-        }
-        let n = r.usize()?;
-        self.waiters.clear();
-        for _ in 0..n {
-            self.waiters.push(r.u32()?);
-        }
-        Ok(())
+        c.u32(&mut self.free)?;
+        c.u32(&mut self.pending_evictions)?;
+        c.list(&mut self.resident, total as usize, 1, "resident pages", Ckpt::u64)?;
+        c.list(&mut self.waiters, usize::MAX, 1, "frame waiters", Ckpt::u32)
     }
 }
 
@@ -271,41 +239,20 @@ impl BarrierState {
         self.current_id
     }
 
-    /// Serialize the barrier (arrivals in arrival order).
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.nprocs);
-        w.u32(self.current_id);
-        w.usize(self.arrived.len());
-        for &(p, t) in &self.arrived {
-            w.u32(p);
-            w.time(t);
-        }
-    }
-
-    /// Overlay state saved by [`BarrierState::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let nprocs = r.usize()?;
+    /// Checkpoint the barrier (arrivals in arrival order). A restored
+    /// barrier holds fewer arrivals than processors: the last arrival
+    /// releases it.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        let mut nprocs = self.nprocs;
+        c.usize(&mut nprocs)?;
         if nprocs != self.nprocs {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("barrier spans {nprocs} procs, expected {}", self.nprocs),
-            });
+            return Err(c.invalid(format!("barrier spans {nprocs} procs, expected {}", self.nprocs)));
         }
-        self.current_id = r.u32()?;
-        let n = r.usize()?;
-        if n >= nprocs.max(1) {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("{n} barrier arrivals for {nprocs} procs"),
-            });
-        }
-        self.arrived.clear();
-        for _ in 0..n {
-            let p = r.u32()?;
-            let t = r.time()?;
-            self.arrived.push((p, t));
-        }
-        Ok(())
+        c.u32(&mut self.current_id)?;
+        c.list(&mut self.arrived, nprocs.max(1) - 1, 2, "barrier arrivals", |c, (p, t)| {
+            c.u32(p)?;
+            c.u64(t)
+        })
     }
 }
 

@@ -24,7 +24,7 @@
 use crate::dcd::LogDisk;
 use crate::mechanics::Mechanics;
 use crate::{Block, Page};
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::stats::Tally;
 use nw_sim::{Resource, Time};
 use std::collections::VecDeque;
@@ -149,7 +149,7 @@ pub enum WriteOutcome {
 
 /// A speculative read that completed and now sits in the controller's
 /// side cache waiting for the demand read it anticipated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct SpecEntry {
     page: Page,
     /// Node whose miss stream produced the hint (tagging lets the
@@ -162,7 +162,7 @@ struct SpecEntry {
 /// A batch is a run of consecutive blocks read in a single arm access
 /// (positioning paid once, like combined writes); each page becomes
 /// available as its slice of the transfer completes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SpecActive {
     page: Page,
     node: u32,
@@ -1044,180 +1044,87 @@ impl DiskController {
         &self.mech
     }
 
-    /// Serialize the controller: mechanics, arm, cache slots in slot
+    /// Checkpoint the controller: mechanics, arm, cache slots in slot
     /// order (slot order is observable through LRU victim selection),
-    /// NACK FIFO in arrival order, counters, tallies, and the log-disk
-    /// stage when attached.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        self.mech.ckpt_save(w);
-        self.arm.ckpt_save(w);
-        w.usize(self.slots.len());
-        for slot in &self.slots {
-            match slot.state {
-                SlotState::Empty => w.u32(0),
-                SlotState::Clean { page } => {
-                    w.u32(1);
-                    w.u64(page);
-                }
+    /// NACK FIFO in arrival order, counters, tallies, the log-disk
+    /// stage when attached, and the speculative-read engine. A restore
+    /// needs a controller built with the same configuration, including
+    /// the presence or absence of a log-disk stage.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        self.mech.ckpt(c)?;
+        self.arm.ckpt(c)?;
+        c.each(&mut self.slots, "cache slots", |c, slot| {
+            let tag = match slot.state {
+                SlotState::Empty => 0,
+                SlotState::Clean { .. } => 1,
+                SlotState::Dirty { .. } => 2,
+                SlotState::Reserved { .. } => 3,
+            };
+            let blank = |tag| {
+                Some(match tag {
+                    0 => SlotState::Empty,
+                    1 => SlotState::Clean { page: 0 },
+                    2 => SlotState::Dirty { page: 0, block: 0, seq: 0 },
+                    3 => SlotState::Reserved { node: 0 },
+                    _ => return None,
+                })
+            };
+            c.variant(&mut slot.state, tag, blank, "slot-state")?;
+            match &mut slot.state {
+                SlotState::Empty => {}
+                SlotState::Clean { page } => c.u64(page)?,
                 SlotState::Dirty { page, block, seq } => {
-                    w.u32(2);
-                    w.u64(page);
-                    w.u64(block);
-                    w.u64(seq);
+                    c.u64(page)?;
+                    c.u64(block)?;
+                    c.u64(seq)?;
                 }
-                SlotState::Reserved { node } => {
-                    w.u32(3);
-                    w.u32(node);
-                }
+                SlotState::Reserved { node } => c.u32(node)?,
             }
-            w.time(slot.available_at);
-            w.u64(slot.last_use);
+            c.u64(&mut slot.available_at)?;
+            c.u64(&mut slot.last_use)
+        })?;
+        c.list(&mut self.nack_fifo, usize::MAX, 2, "NACKed requests", |c, (node, page)| {
+            c.u32(node)?;
+            c.u64(page)
+        })?;
+        for v in [
+            &mut self.clock,
+            &mut self.dirty_seq,
+            &mut self.read_hits,
+            &mut self.read_misses,
+            &mut self.write_acks,
+            &mut self.write_nacks,
+            &mut self.prefetch_fills,
+        ] {
+            c.u64(v)?;
         }
-        w.usize(self.nack_fifo.len());
-        for &(node, page) in &self.nack_fifo {
-            w.u32(node);
-            w.u64(page);
-        }
-        w.u64(self.clock);
-        w.u64(self.dirty_seq);
-        w.u64(self.read_hits);
-        w.u64(self.read_misses);
-        w.u64(self.write_acks);
-        w.u64(self.write_nacks);
-        w.u64(self.prefetch_fills);
-        self.combining.ckpt_save(w);
-        self.read_service.ckpt_save(w);
-        match &self.log {
-            None => w.bool(false),
-            Some(log) => {
-                w.bool(true);
-                log.ckpt_save(w);
-            }
-        }
+        self.combining.ckpt(c)?;
+        self.read_service.ckpt(c)?;
+        // The presence flag, as a count of 0 or 1 log disks.
+        c.each(self.log.as_mut_slice(), "log disks", |c, log| log.ckpt(c))?;
         // Speculative-read engine: queue in arrival order, the active
         // batch in completion order, side cache in install order,
         // poll flag, counters.
-        w.usize(self.spec_queue.len());
-        for &(page, block, node) in &self.spec_queue {
-            w.u64(page);
-            w.u64(block);
-            w.u32(node);
+        c.list(&mut self.spec_queue, usize::MAX, 3, "queued hints", |c, (page, block, node)| {
+            c.u64(page)?;
+            c.u64(block)?;
+            c.u32(node)
+        })?;
+        c.list(&mut self.spec_active, usize::MAX, 4, "active hints", |c, a| {
+            c.u64(&mut a.page)?;
+            c.u32(&mut a.node)?;
+            c.u64(&mut a.done_at)?;
+            c.bool(&mut a.consumed)
+        })?;
+        c.list(&mut self.spec_cache, usize::MAX, 3, "side-cache pages", |c, e| {
+            c.u64(&mut e.page)?;
+            c.u32(&mut e.node)?;
+            c.u64(&mut e.ready_at)
+        })?;
+        c.bool(&mut self.spec_poll_armed)?;
+        for v in [&mut self.spec_hits, &mut self.spec_late, &mut self.spec_wasted, &mut self.spec_canceled] {
+            c.u64(v)?;
         }
-        w.usize(self.spec_active.len());
-        for a in &self.spec_active {
-            w.u64(a.page);
-            w.u32(a.node);
-            w.time(a.done_at);
-            w.bool(a.consumed);
-        }
-        w.usize(self.spec_cache.len());
-        for e in &self.spec_cache {
-            w.u64(e.page);
-            w.u32(e.node);
-            w.time(e.ready_at);
-        }
-        w.bool(self.spec_poll_armed);
-        w.u64(self.spec_hits);
-        w.u64(self.spec_late);
-        w.u64(self.spec_wasted);
-        w.u64(self.spec_canceled);
-    }
-
-    /// Overlay state saved by [`DiskController::ckpt_save`] onto a
-    /// controller built with the same configuration (including the
-    /// presence or absence of a log-disk stage).
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.mech.ckpt_restore(r)?;
-        self.arm.ckpt_restore(r)?;
-        let n = r.usize()?;
-        if n != self.slots.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("controller has {n} cache slots, expected {}", self.slots.len()),
-            });
-        }
-        for slot in &mut self.slots {
-            slot.state = match r.u32()? {
-                0 => SlotState::Empty,
-                1 => SlotState::Clean { page: r.u64()? },
-                2 => SlotState::Dirty {
-                    page: r.u64()?,
-                    block: r.u64()?,
-                    seq: r.u64()?,
-                },
-                3 => SlotState::Reserved { node: r.u32()? },
-                tag => {
-                    return Err(CkptError::Invalid {
-                        offset: r.offset(),
-                        what: format!("unknown slot-state tag {tag}"),
-                    })
-                }
-            };
-            slot.available_at = r.time()?;
-            slot.last_use = r.u64()?;
-        }
-        let n = r.usize()?;
-        self.nack_fifo.clear();
-        for _ in 0..n {
-            let node = r.u32()?;
-            let page = r.u64()?;
-            self.nack_fifo.push_back((node, page));
-        }
-        self.clock = r.u64()?;
-        self.dirty_seq = r.u64()?;
-        self.read_hits = r.u64()?;
-        self.read_misses = r.u64()?;
-        self.write_acks = r.u64()?;
-        self.write_nacks = r.u64()?;
-        self.prefetch_fills = r.u64()?;
-        self.combining.ckpt_restore(r)?;
-        self.read_service.ckpt_restore(r)?;
-        let has_log = r.bool()?;
-        match (&mut self.log, has_log) {
-            (Some(log), true) => log.ckpt_restore(r)?,
-            (None, false) => {}
-            (have, want) => {
-                return Err(CkptError::Invalid {
-                    offset: r.offset(),
-                    what: format!(
-                        "checkpoint log-disk presence {want} but controller has {}",
-                        have.is_some()
-                    ),
-                })
-            }
-        }
-        let n = r.usize()?;
-        self.spec_queue.clear();
-        for _ in 0..n {
-            let page = r.u64()?;
-            let block = r.u64()?;
-            let node = r.u32()?;
-            self.spec_queue.push_back((page, block, node));
-        }
-        let n = r.usize()?;
-        self.spec_active.clear();
-        for _ in 0..n {
-            self.spec_active.push_back(SpecActive {
-                page: r.u64()?,
-                node: r.u32()?,
-                done_at: r.time()?,
-                consumed: r.bool()?,
-            });
-        }
-        let n = r.usize()?;
-        self.spec_cache.clear();
-        for _ in 0..n {
-            self.spec_cache.push_back(SpecEntry {
-                page: r.u64()?,
-                node: r.u32()?,
-                ready_at: r.time()?,
-            });
-        }
-        self.spec_poll_armed = r.bool()?;
-        self.spec_hits = r.u64()?;
-        self.spec_late = r.u64()?;
-        self.spec_wasted = r.u64()?;
-        self.spec_canceled = r.u64()?;
         Ok(())
     }
 }
@@ -1225,6 +1132,7 @@ impl DiskController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nw_sim::ckpt::{CkptReader, CkptWriter};
 
     fn naive() -> DiskController {
         DiskController::paper_default(PrefetchPolicy::Naive)
@@ -1564,19 +1472,13 @@ mod tests {
         let p = c.spec_step(0); // 10 active, 20 queued
         assert!(p.started);
         let mut w = CkptWriter::new();
-        w.begin_section(1);
-        c.ckpt_save(&mut w);
-        w.end_section();
+        Ckpt::Save(&mut w).section(1, |k| c.ckpt(k)).expect("save");
         let bytes = w.finish();
         let mut c2 = demand();
         let mut r = CkptReader::new(&bytes).expect("header");
-        r.begin_section(1).expect("section");
-        c2.ckpt_restore(&mut r).expect("restore");
-        r.end_section().expect("section end");
+        Ckpt::Load(&mut r).section(1, |k| c2.ckpt(k)).expect("restore");
         let mut w2 = CkptWriter::new();
-        w2.begin_section(1);
-        c2.ckpt_save(&mut w2);
-        w2.end_section();
+        Ckpt::Save(&mut w2).section(1, |k| c2.ckpt(k)).expect("save");
         assert_eq!(bytes, w2.finish(), "spec state must round-trip");
     }
 }

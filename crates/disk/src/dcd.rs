@@ -23,7 +23,7 @@
 
 use crate::mechanics::Mechanics;
 use crate::{Block, Page};
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::stats::Tally;
 use nw_sim::{Resource, Time};
 use std::collections::HashMap;
@@ -137,47 +137,20 @@ impl LogDisk {
         self.arm.earliest_start(now)
     }
 
-    /// Serialize the log-disk state. The location map is dumped in
+    /// Checkpoint the log-disk state. The location map is saved in
     /// ascending page order for canonical checkpoint bytes (its
     /// iteration order is never observable — lookups are by key).
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        self.mech.ckpt_save(w);
-        self.arm.ckpt_save(w);
-        let mut locs: Vec<(Page, Block)> = self.locations.iter().map(|(&p, &b)| (p, b)).collect();
-        locs.sort_unstable();
-        w.usize(locs.len());
-        for (p, b) in locs {
-            w.u64(p);
-            w.u64(b);
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        self.mech.ckpt(c)?;
+        self.arm.ckpt(c)?;
+        c.map(&mut self.locations, "logged page", |c, p, b| {
+            c.u64(p)?;
+            c.u64(b)
+        })?;
+        for v in [&mut self.head, &mut self.appends, &mut self.log_reads, &mut self.destages] {
+            c.u64(v)?;
         }
-        w.u64(self.head);
-        w.u64(self.appends);
-        w.u64(self.log_reads);
-        w.u64(self.destages);
-        self.append_time.ckpt_save(w);
-    }
-
-    /// Overlay state saved by [`LogDisk::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.mech.ckpt_restore(r)?;
-        self.arm.ckpt_restore(r)?;
-        let n = r.usize()?;
-        self.locations.clear();
-        for _ in 0..n {
-            let p = r.u64()?;
-            let b = r.u64()?;
-            if self.locations.insert(p, b).is_some() {
-                return Err(CkptError::Invalid {
-                    offset: r.offset(),
-                    what: format!("duplicate logged page {p}"),
-                });
-            }
-        }
-        self.head = r.u64()?;
-        self.appends = r.u64()?;
-        self.log_reads = r.u64()?;
-        self.destages = r.u64()?;
-        self.append_time.ckpt_restore(r)
+        self.append_time.ckpt(c)
     }
 }
 

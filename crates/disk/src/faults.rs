@@ -8,7 +8,7 @@
 //! rates are nonzero, so an inactive injector leaves simulation
 //! results bit-identical to a build without fault support.
 
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::Pcg32;
 
 /// Outcome of a fault roll for one disk access.
@@ -81,23 +81,11 @@ impl DiskFaultInjector {
         self.stuck_requests
     }
 
-    /// Serialize the RNG position and counters (rates are config).
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        let (state, inc) = self.rng.state_parts();
-        w.u64(state);
-        w.u64(inc);
-        w.u64(self.media_errors);
-        w.u64(self.stuck_requests);
-    }
-
-    /// Overlay state saved by [`DiskFaultInjector::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let state = r.u64()?;
-        let inc = r.u64()?;
-        self.rng = Pcg32::from_parts(state, inc);
-        self.media_errors = r.u64()?;
-        self.stuck_requests = r.u64()?;
-        Ok(())
+    /// Checkpoint the RNG position and counters (rates are config).
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        self.rng.ckpt(c)?;
+        c.u64(&mut self.media_errors)?;
+        c.u64(&mut self.stuck_requests)
     }
 }
 

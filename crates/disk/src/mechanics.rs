@@ -8,7 +8,7 @@
 //! writes profitable.
 
 use crate::Block;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::time::msecs;
 use nw_sim::{Bandwidth, Time};
 
@@ -122,20 +122,11 @@ impl Mechanics {
         self.busy_accumulated
     }
 
-    /// Serialize the dynamic state (timing parameters are config).
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u64(self.head);
-        w.u64(self.ops);
-        w.u64(self.sequential_ops);
-        w.time(self.busy_accumulated);
-    }
-
-    /// Overlay state saved by [`Mechanics::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.head = r.u64()?;
-        self.ops = r.u64()?;
-        self.sequential_ops = r.u64()?;
-        self.busy_accumulated = r.time()?;
+    /// Checkpoint the dynamic state (timing parameters are config).
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        for v in [&mut self.head, &mut self.ops, &mut self.sequential_ops, &mut self.busy_accumulated] {
+            c.u64(v)?;
+        }
         Ok(())
     }
 }

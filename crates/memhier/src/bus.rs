@@ -7,7 +7,7 @@
 //! partly comes from removing swap-out and ring-hit page traffic from
 //! these buses.
 
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::{Bandwidth, Grant, Resource, Time};
 
 /// A node memory bus: a FIFO resource plus a fixed per-transaction
@@ -65,17 +65,10 @@ impl MemoryBus {
         &self.res
     }
 
-    /// Serialize the dynamic state (bandwidth/overhead are config).
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        self.res.ckpt_save(w);
-        w.u64(self.bytes);
-    }
-
-    /// Overlay state saved by [`MemoryBus::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.res.ckpt_restore(r)?;
-        self.bytes = r.u64()?;
-        Ok(())
+    /// Checkpoint the dynamic state (bandwidth/overhead are config).
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        self.res.ckpt(c)?;
+        c.u64(&mut self.bytes)
     }
 }
 

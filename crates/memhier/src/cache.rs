@@ -7,7 +7,7 @@
 //! presence + dirtiness.
 
 use crate::{first_line_of_page, Line, Vpn, LINES_PER_PAGE};
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 
 /// Geometry of a cache.
 #[derive(Debug, Clone, Copy)]
@@ -314,43 +314,19 @@ impl Cache {
         &self.cfg
     }
 
-    /// Serialize the dynamic state: every way in slot order (way order
-    /// inside a set is observable through LRU tie-breaking) plus the
-    /// LRU clock and statistics. Geometry comes from construction.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.ways.len());
-        for way in &self.ways {
-            w.bool(way.valid);
-            w.u64(way.line);
-            w.bool(way.dirty);
-            w.u64(way.last_use);
+    /// Checkpoint the dynamic state: every way in slot order (way
+    /// order inside a set is observable through LRU tie-breaking) plus
+    /// the LRU clock and statistics. Geometry comes from construction.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.each(&mut self.ways, "cache ways", |c, way| {
+            c.bool(&mut way.valid)?;
+            c.u64(&mut way.line)?;
+            c.bool(&mut way.dirty)?;
+            c.u64(&mut way.last_use)
+        })?;
+        for v in [&mut self.clock, &mut self.hits, &mut self.misses, &mut self.writebacks] {
+            c.u64(v)?;
         }
-        w.u64(self.clock);
-        w.u64(self.hits);
-        w.u64(self.misses);
-        w.u64(self.writebacks);
-    }
-
-    /// Overlay state saved by [`Cache::ckpt_save`] onto a cache of the
-    /// same geometry.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.ways.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("cache has {n} ways, expected {}", self.ways.len()),
-            });
-        }
-        for way in &mut self.ways {
-            way.valid = r.bool()?;
-            way.line = r.u64()?;
-            way.dirty = r.bool()?;
-            way.last_use = r.u64()?;
-        }
-        self.clock = r.u64()?;
-        self.hits = r.u64()?;
-        self.misses = r.u64()?;
-        self.writebacks = r.u64()?;
         Ok(())
     }
 }

@@ -3,7 +3,7 @@
 //! `nwcache`'s machine checkpoint tests: every mutated frame must end
 //! in a structured error or a state that saves back consistently.
 
-use nw_sim::ckpt::{fnv1a, put_varint, CkptError, CkptReader, CkptWriter, MAGIC, VERSION};
+use nw_sim::ckpt::{fnv1a, put_varint, Ckpt, CkptError, CkptReader, CkptWriter, MAGIC, VERSION};
 use nw_sim::Pcg32;
 
 /// Section id the tests frame their payloads in.
@@ -13,16 +13,14 @@ pub(crate) const SECTION: u32 = 1;
 pub(crate) const CASES: u64 = 4000;
 
 /// A container holding the one section `save` writes.
-pub(crate) fn frame(save: impl FnOnce(&mut CkptWriter)) -> Vec<u8> {
+pub(crate) fn frame(save: impl FnOnce(&mut Ckpt) -> Result<(), CkptError>) -> Vec<u8> {
     let mut w = CkptWriter::new();
-    w.begin_section(SECTION);
-    save(&mut w);
-    w.end_section();
+    Ckpt::Save(&mut w).section(SECTION, save).expect("saving cannot fail");
     w.finish()
 }
 
 /// The payload `save` writes into one section.
-pub(crate) fn payload(save: impl FnOnce(&mut CkptWriter)) -> Vec<u8> {
+pub(crate) fn payload(save: impl FnOnce(&mut Ckpt) -> Result<(), CkptError>) -> Vec<u8> {
     let bytes = frame(save);
     let mut r = CkptReader::new(&bytes).expect("fresh container");
     let (_, p) = r.next_raw_section().expect("one section").expect("one section");
@@ -85,10 +83,8 @@ pub(crate) fn mutated(valid: &[u8], seed: u64, case: u64) -> (Vec<u8>, bool) {
 /// Decode `bytes` as one section with `restore`.
 pub(crate) fn decode(
     bytes: &[u8],
-    restore: impl FnOnce(&mut CkptReader<'_>) -> Result<(), CkptError>,
+    restore: impl FnOnce(&mut Ckpt) -> Result<(), CkptError>,
 ) -> Result<(), CkptError> {
     let mut r = CkptReader::new(bytes)?;
-    r.begin_section(SECTION)?;
-    restore(&mut r)?;
-    r.end_section()
+    Ckpt::Load(&mut r).section(SECTION, restore)
 }

@@ -38,7 +38,7 @@
 
 use crate::linetable::{LineTable, TAG};
 use crate::{first_line_of_page, Line, Vpn};
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 
 /// Bitmask of node *groups* caching a line: one node per group up to
 /// 32 nodes, `ceil(nodes/32)` nodes per group beyond (see the module
@@ -153,7 +153,7 @@ impl Directory {
     /// Size the directory for a machine whose footprint is
     /// `footprint_pages` pages, at most `resident_pages` of them in
     /// memory at once: the page index is allocated and the block slab
-    /// reserved once, and [`ckpt_restore`](Self::ckpt_restore) rejects
+    /// reserved once, and a [`ckpt`](Self::ckpt) restore rejects
     /// lines past the footprint. Drops any state.
     pub fn reserve(&mut self, footprint_pages: u64, resident_pages: usize) {
         let pages = usize::try_from(footprint_pages).expect("footprint fits in memory");
@@ -348,55 +348,47 @@ impl Directory {
         self.owner_forwards
     }
 
-    /// Serialize every `(line, packed state)` entry in ascending line
+    /// Checkpoint every `(line, packed state)` entry in ascending line
     /// order plus the transaction counters. The packed state is the
     /// sharer mask, or `1 << 63 | owner` for a modified line. The
     /// storage layout (and the configured shard count) is not
     /// observable: every directory with the same entries checkpoints
-    /// to the same bytes.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.lines.len());
-        for (line, v) in self.lines.iter() {
-            w.u64(line);
-            w.u64(v);
+    /// to the same bytes. A restore takes the shard count, granularity
+    /// and footprint from the receiving directory (they are config,
+    /// not state), and rejects a line past the footprint, a duplicate
+    /// line, or a state that is neither a sharer mask nor a tagged
+    /// owner among the machine's nodes.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        let mut n = self.lines.len();
+        c.usize(&mut n)?;
+        if !c.loading() {
+            for (mut line, mut v) in self.lines.iter() {
+                c.u64(&mut line)?;
+                c.u64(&mut v)?;
+            }
+        } else {
+            self.lines.clear();
+            for _ in 0..n {
+                let (mut line, mut v) = (0, 0);
+                c.u64(&mut line)?;
+                c.u64(&mut v)?;
+                let what = if line >= self.line_limit {
+                    format!("directory line {line} is past the footprint ({} lines)", self.line_limit)
+                } else if !LineTable::is_packable(v)
+                    || matches!(State::unpack(v), State::Modified(o) if o >= self.nodes)
+                {
+                    format!("directory line {line} has state {v:#x} ({} nodes)", self.nodes)
+                } else if self.lines.insert(line, v).is_some() {
+                    format!("duplicate directory line {line}")
+                } else {
+                    continue;
+                };
+                return Err(c.invalid(what));
+            }
         }
-        w.u64(self.reads);
-        w.u64(self.writes);
-        w.u64(self.invalidations_sent);
-        w.u64(self.owner_forwards);
-    }
-
-    /// Overlay state saved by [`Directory::ckpt_save`]. The shard
-    /// count, granularity and footprint come from the receiving
-    /// directory (they are config, not state). A line past the
-    /// footprint, a duplicate line, or a state that is neither a sharer
-    /// mask nor a tagged owner among the machine's nodes is rejected.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        self.lines.clear();
-        for _ in 0..n {
-            let line = r.u64()?;
-            let v = r.u64()?;
-            let what = if line >= self.line_limit {
-                format!("directory line {line} is past the footprint ({} lines)", self.line_limit)
-            } else if !LineTable::is_packable(v)
-                || matches!(State::unpack(v), State::Modified(o) if o >= self.nodes)
-            {
-                format!("directory line {line} has state {v:#x} ({} nodes)", self.nodes)
-            } else if self.lines.insert(line, v).is_some() {
-                format!("duplicate directory line {line}")
-            } else {
-                continue;
-            };
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what,
-            });
+        for v in [&mut self.reads, &mut self.writes, &mut self.invalidations_sent, &mut self.owner_forwards] {
+            c.u64(v)?;
         }
-        self.reads = r.u64()?;
-        self.writes = r.u64()?;
-        self.invalidations_sent = r.u64()?;
-        self.owner_forwards = r.u64()?;
         Ok(())
     }
 }
@@ -545,15 +537,7 @@ mod tests {
         assert_eq!(one.tracked_lines(), four.tracked_lines());
         assert_eq!(one.invalidations_sent(), four.invalidations_sent());
         // Identical checkpoint bytes: the split is not observable.
-        let mut w1 = CkptWriter::new();
-        let mut w4 = CkptWriter::new();
-        w1.begin_section(1);
-        one.ckpt_save(&mut w1);
-        w1.end_section();
-        w4.begin_section(1);
-        four.ckpt_save(&mut w4);
-        w4.end_section();
-        assert_eq!(w1.finish(), w4.finish());
+        assert_eq!(ckpt_fuzz::frame(|c| one.ckpt(c)), ckpt_fuzz::frame(|c| four.ckpt(c)));
     }
 
     #[test]
@@ -562,16 +546,9 @@ mod tests {
         d.read(64, 0);
         d.write(129, 2);
         d.read(700, 1);
-        let mut w = CkptWriter::new();
-        w.begin_section(1);
-        d.ckpt_save(&mut w);
-        w.end_section();
-        let bytes = w.finish();
+        let bytes = ckpt_fuzz::frame(|c| d.ckpt(c));
         let mut e = Directory::with_topology(5, 8);
-        let mut r = CkptReader::new(&bytes).unwrap();
-        r.begin_section(1).unwrap();
-        e.ckpt_restore(&mut r).unwrap();
-        r.end_section().unwrap();
+        ckpt_fuzz::decode(&bytes, |c| e.ckpt(c)).unwrap();
         assert_eq!(e.tracked_lines(), 3);
         assert_eq!(e.modified_owner(129), Some(2));
         assert_eq!(e.sharers(700), 0b10);
@@ -671,15 +648,13 @@ mod tests {
                 .collect()
         }
 
-        fn ckpt_save(&self, w: &mut CkptWriter) {
-            w.usize(self.map.len());
+        fn save(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+            c.usize(&mut self.map.len())?;
             for (&line, &state) in &self.map {
-                w.u64(line);
-                w.u64(state.pack());
+                c.u64(&mut { line })?;
+                c.u64(&mut state.pack())?;
             }
-            for c in self.counters {
-                w.u64(c);
-            }
+            self.counters.iter_mut().try_for_each(|v| c.u64(v))
         }
     }
 
@@ -718,8 +693,8 @@ mod tests {
                 let ctx = format!("case {case} batch {batch}");
                 assert_eq!(d.tracked_lines(), model.map.len(), "{ctx}");
                 assert_eq!(
-                    ckpt_fuzz::payload(|w| d.ckpt_save(w)),
-                    ckpt_fuzz::payload(|w| model.ckpt_save(w)),
+                    ckpt_fuzz::payload(|c| d.ckpt(c)),
+                    ckpt_fuzz::payload(|c| model.save(c)),
                     "{ctx}: checkpoint bytes"
                 );
             }
@@ -730,22 +705,19 @@ mod tests {
     fn restore_into(pages: u64, bytes: &[u8]) -> (Directory, Result<(), CkptError>) {
         let mut d = Directory::with_topology(2, 8);
         d.reserve(pages, 2);
-        let res = ckpt_fuzz::decode(bytes, |r| d.ckpt_restore(r));
+        let res = ckpt_fuzz::decode(bytes, |c| d.ckpt(c));
         (d, res)
     }
 
     #[test]
     fn restore_rejects_lines_past_the_footprint_and_bad_states() {
         let frame = |entries: &[(u64, u64)]| {
-            ckpt_fuzz::frame(|w| {
-                w.usize(entries.len());
-                for &(line, v) in entries {
-                    w.u64(line);
-                    w.u64(v);
+            ckpt_fuzz::frame(|c| {
+                c.usize(&mut entries.len())?;
+                for mut v in entries.iter().flat_map(|&(line, v)| [line, v]).chain([0; 4]) {
+                    c.u64(&mut v)?;
                 }
-                for c in [0u64; 4] {
-                    w.u64(c);
-                }
+                Ok(())
             })
         };
         // 4 pages = lines 0..256.
@@ -773,7 +745,7 @@ mod tests {
         }
         source.write(70, 3);
         source.write(200, 6);
-        let valid = ckpt_fuzz::payload(|w| source.ckpt_save(w));
+        let valid = ckpt_fuzz::payload(|c| source.ckpt(c));
         for case in 0..ckpt_fuzz::CASES {
             let (bytes, must_fail) = ckpt_fuzz::mutated(&valid, 0xD1F1, case);
             let (mut d, res) = restore_into(4, &bytes);
@@ -782,7 +754,7 @@ mod tests {
                 // Whatever was accepted lies inside the footprint, saves
                 // back to what it loaded, and keeps working.
                 assert!(d.tracked_lines() <= 256, "case {case}");
-                let saved = ckpt_fuzz::frame(|w| d.ckpt_save(w));
+                let saved = ckpt_fuzz::frame(|c| d.ckpt(c));
                 let (_, again) = restore_into(4, &saved);
                 again.expect("re-save restores");
                 for vpn in 0..4 {

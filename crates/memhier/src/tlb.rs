@@ -26,7 +26,7 @@
 //! restore rebuilds both.
 
 use crate::Vpn;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 
 /// `2^64 / phi`, the Fibonacci hashing multiplier.
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -280,69 +280,51 @@ impl Tlb {
         self.invalidations
     }
 
-    /// Serialize the dynamic state. Entries are saved exactly as
+    /// Checkpoint the dynamic state. Entries are saved exactly as
     /// stored — append order as permuted by `swap_remove` — which is
     /// the order `nwckpt-v1` has always recorded; the derived index
-    /// and recency links are not saved.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.entries.len());
-        for e in &self.entries {
-            w.u64(e.vpn);
-            w.u64(e.last_use);
+    /// and recency links are not saved but rebuilt on restore, onto a
+    /// TLB of the same capacity. A restore rejects a duplicate VPN, a
+    /// repeated `last_use` or one past the clock: no writer produces
+    /// them, and exact LRU needs unique stamps. On error the TLB is
+    /// unchanged.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        let mut entries: Vec<(Vpn, u64)> = self.entries.iter().map(|e| (e.vpn, e.last_use)).collect();
+        c.list(&mut entries, self.capacity, 2, "TLB entries", |c, (vpn, last_use)| {
+            c.u64(vpn)?;
+            c.u64(last_use)
+        })?;
+        let mut clock = self.clock;
+        let mut counters = [self.hits, self.misses, self.invalidations];
+        c.u64(&mut clock)?;
+        counters.iter_mut().try_for_each(|v| c.u64(v))?;
+        if !c.loading() {
+            return Ok(());
         }
-        w.u64(self.clock);
-        w.u64(self.hits);
-        w.u64(self.misses);
-        w.u64(self.invalidations);
-    }
-
-    /// Overlay state saved by [`Tlb::ckpt_save`] onto a TLB of the
-    /// same capacity, rebuilding the hash index and recency list. A
-    /// duplicate VPN, a repeated `last_use` or one past the clock is
-    /// rejected: no writer produces them, and exact LRU needs unique
-    /// stamps. On error the TLB is unchanged.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n > self.capacity {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("TLB holds {n} entries, capacity is {}", self.capacity),
-            });
+        let mut vpns: Vec<Vpn> = entries.iter().map(|e| e.0).collect();
+        vpns.sort_unstable();
+        let mut stamps: Vec<u64> = entries.iter().map(|e| e.1).collect();
+        stamps.sort_unstable();
+        if let Some(w) = vpns.windows(2).find(|w| w[0] == w[1]) {
+            return Err(c.invalid(format!("TLB caches vpn {} twice", w[0])));
+        } else if let Some(w) = stamps.windows(2).find(|w| w[0] == w[1]) {
+            return Err(c.invalid(format!("TLB last-use stamp {} repeats", w[0])));
+        } else if stamps.last().is_some_and(|&s| s > clock) {
+            return Err(c.invalid(format!("TLB last-use stamp passes the clock {clock}")));
         }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let vpn = r.u64()?;
-            let last_use = r.u64()?;
-            entries.push(Entry {
+        self.entries = entries
+            .into_iter()
+            .map(|(vpn, last_use)| Entry {
                 vpn,
                 last_use,
                 prev: NIL,
                 next: NIL,
-            });
-        }
-        let clock = r.u64()?;
-        let counters = [r.u64()?, r.u64()?, r.u64()?];
-        let mut vpns: Vec<Vpn> = entries.iter().map(|e| e.vpn).collect();
-        vpns.sort_unstable();
-        let mut stamps: Vec<u64> = entries.iter().map(|e| e.last_use).collect();
-        stamps.sort_unstable();
-        let what = if let Some(w) = vpns.windows(2).find(|w| w[0] == w[1]) {
-            format!("TLB caches vpn {} twice", w[0])
-        } else if let Some(w) = stamps.windows(2).find(|w| w[0] == w[1]) {
-            format!("TLB last-use stamp {} repeats", w[0])
-        } else if stamps.last().is_some_and(|&s| s > clock) {
-            format!("TLB last-use stamp passes the clock {clock}")
-        } else {
-            self.entries = entries;
-            self.clock = clock;
-            [self.hits, self.misses, self.invalidations] = counters;
-            self.rebuild();
-            return Ok(());
-        };
-        Err(CkptError::Invalid {
-            offset: r.offset(),
-            what,
-        })
+            })
+            .collect();
+        self.clock = clock;
+        [self.hits, self.misses, self.invalidations] = counters;
+        self.rebuild();
+        Ok(())
     }
 
     /// Rebuild the hash index and recency list from `entries`.
@@ -488,25 +470,25 @@ mod tests {
             self.entries.iter().any(|e| e.0 == vpn)
         }
 
-        fn ckpt_save(&self, w: &mut CkptWriter) {
-            w.usize(self.entries.len());
-            for &(vpn, last_use) in &self.entries {
-                w.u64(vpn);
-                w.u64(last_use);
+        fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+            c.list(&mut self.entries, self.capacity, 2, "TLB entries", |c, (vpn, last_use)| {
+                c.u64(vpn)?;
+                c.u64(last_use)
+            })?;
+            for v in [&mut self.clock, &mut self.hits, &mut self.misses, &mut self.invalidations] {
+                c.u64(v)?;
             }
-            for v in [self.clock, self.hits, self.misses, self.invalidations] {
-                w.u64(v);
-            }
+            Ok(())
         }
     }
 
     /// A fresh TLB restored from `tlb`'s checkpoint, which must save
     /// back to the same bytes.
-    fn restored(tlb: &Tlb) -> Tlb {
+    fn restored(tlb: &mut Tlb) -> Tlb {
         let mut back = Tlb::new(tlb.capacity);
-        let bytes = ckpt_fuzz::frame(|w| tlb.ckpt_save(w));
-        ckpt_fuzz::decode(&bytes, |r| back.ckpt_restore(r)).expect("round trip");
-        assert_eq!(ckpt_fuzz::frame(|w| back.ckpt_save(w)), bytes);
+        let bytes = ckpt_fuzz::frame(|c| tlb.ckpt(c));
+        ckpt_fuzz::decode(&bytes, |c| back.ckpt(c)).expect("round trip");
+        assert_eq!(ckpt_fuzz::frame(|c| back.ckpt(c)), bytes);
         back
     }
 
@@ -539,14 +521,14 @@ mod tests {
                     "{ctx}"
                 );
                 assert_eq!(
-                    ckpt_fuzz::payload(|w| tlb.ckpt_save(w)),
-                    ckpt_fuzz::payload(|w| model.ckpt_save(w)),
+                    ckpt_fuzz::payload(|c| tlb.ckpt(c)),
+                    ckpt_fuzz::payload(|c| model.ckpt(c)),
                     "{ctx}: checkpoint bytes"
                 );
                 // Mid-sequence, continue on a restored copy: the
                 // rebuilt index and recency list must carry on exactly.
                 if batch == 10 {
-                    tlb = restored(&tlb);
+                    tlb = restored(&mut tlb);
                 }
             }
         }
@@ -565,25 +547,25 @@ mod tests {
     #[test]
     fn restore_rejects_duplicates_and_stale_stamps() {
         let frame = |entries: &[(u64, u64)], clock: u64| {
-            ckpt_fuzz::frame(|w| {
-                w.usize(entries.len());
-                for &(vpn, last_use) in entries {
-                    w.u64(vpn);
-                    w.u64(last_use);
+            ckpt_fuzz::frame(|c| {
+                c.usize(&mut entries.len())?;
+                for mut v in entries.iter().flat_map(|&(vpn, last_use)| [vpn, last_use]) {
+                    c.u64(&mut v)?;
                 }
-                for v in [clock, 0, 0, 0] {
-                    w.u64(v);
+                for mut v in [clock, 0, 0, 0] {
+                    c.u64(&mut v)?;
                 }
+                Ok(())
             })
         };
         let reject = |bytes: &[u8], needle: &str| {
             let mut tlb = checkpointed(4, &[1, 2, 3]);
-            let before = ckpt_fuzz::payload(|w| tlb.ckpt_save(w));
-            match ckpt_fuzz::decode(bytes, |r| tlb.ckpt_restore(r)) {
+            let before = ckpt_fuzz::payload(|c| tlb.ckpt(c));
+            match ckpt_fuzz::decode(bytes, |c| tlb.ckpt(c)) {
                 Err(CkptError::Invalid { what, .. }) => assert!(what.contains(needle), "{what}"),
                 other => panic!("expected Invalid({needle}), got {other:?}"),
             }
-            assert_eq!(ckpt_fuzz::payload(|w| tlb.ckpt_save(w)), before, "TLB unchanged");
+            assert_eq!(ckpt_fuzz::payload(|c| tlb.ckpt(c)), before, "TLB unchanged");
         };
         reject(&frame(&[(5, 1), (5, 2)], 9), "twice");
         reject(&frame(&[(5, 3), (6, 3)], 9), "repeats");
@@ -593,18 +575,18 @@ mod tests {
 
     #[test]
     fn restore_survives_seeded_mutations() {
-        let source = checkpointed(8, &[3, 9, 3, 14, 2, 7, 9, 30, 31, 1, 3, 5]);
-        let valid = ckpt_fuzz::payload(|w| source.ckpt_save(w));
+        let mut source = checkpointed(8, &[3, 9, 3, 14, 2, 7, 9, 30, 31, 1, 3, 5]);
+        let valid = ckpt_fuzz::payload(|c| source.ckpt(c));
         for case in 0..ckpt_fuzz::CASES {
             let (bytes, must_fail) = ckpt_fuzz::mutated(&valid, 0x71B1, case);
             let mut tlb = Tlb::new(8);
-            let res = ckpt_fuzz::decode(&bytes, |r| tlb.ckpt_restore(r));
+            let res = ckpt_fuzz::decode(&bytes, |c| tlb.ckpt(c));
             assert!(!(must_fail && res.is_ok()), "case {case} decoded");
             if res.is_ok() {
                 // Whatever was accepted is a consistent TLB: it keeps
                 // working and saves back to what it loaded.
                 assert!(tlb.len() <= 8, "case {case}");
-                let again = restored(&tlb);
+                let again = restored(&mut tlb);
                 for v in 0..40 {
                     if !tlb.lookup(v) {
                         tlb.insert(v);

@@ -7,7 +7,7 @@
 //! until the head entry drains (the machine model charges that stall).
 
 use crate::Line;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use std::collections::VecDeque;
 
 /// Result of inserting a store into the write buffer.
@@ -98,34 +98,12 @@ impl WriteBuffer {
         self.full_stalls
     }
 
-    /// Serialize the FIFO contents (in drain order) and statistics.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.entries.len());
-        for &line in &self.entries {
-            w.u64(line);
+    /// Checkpoint the FIFO contents (in drain order) and statistics.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.list(&mut self.entries, self.capacity, 1, "write-buffer lines", Ckpt::u64)?;
+        for v in [&mut self.coalesced, &mut self.queued, &mut self.full_stalls] {
+            c.u64(v)?;
         }
-        w.u64(self.coalesced);
-        w.u64(self.queued);
-        w.u64(self.full_stalls);
-    }
-
-    /// Overlay state saved by [`WriteBuffer::ckpt_save`] onto a buffer
-    /// of the same capacity.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n > self.capacity {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("write buffer holds {n} lines, capacity is {}", self.capacity),
-            });
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push_back(r.u64()?);
-        }
-        self.coalesced = r.u64()?;
-        self.queued = r.u64()?;
-        self.full_stalls = r.u64()?;
         Ok(())
     }
 }

@@ -11,7 +11,7 @@
 //! An injector with both rates at zero never draws from its RNG, so
 //! inactive plans leave results bit-identical.
 
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::Pcg32;
 
 /// Fate of one control message.
@@ -85,23 +85,11 @@ impl MeshFaults {
         self.corrupted
     }
 
-    /// Serialize the RNG position and counters (rates are config).
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        let (state, inc) = self.rng.state_parts();
-        w.u64(state);
-        w.u64(inc);
-        w.u64(self.dropped);
-        w.u64(self.corrupted);
-    }
-
-    /// Overlay state saved by [`MeshFaults::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let state = r.u64()?;
-        let inc = r.u64()?;
-        self.rng = Pcg32::from_parts(state, inc);
-        self.dropped = r.u64()?;
-        self.corrupted = r.u64()?;
-        Ok(())
+    /// Checkpoint the RNG position and counters (rates are config).
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        self.rng.ckpt(c)?;
+        c.u64(&mut self.dropped)?;
+        c.u64(&mut self.corrupted)
     }
 }
 

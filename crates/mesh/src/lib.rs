@@ -33,7 +33,7 @@
 pub mod faults;
 pub mod topology;
 
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::stats::Tally;
 use nw_sim::{Bandwidth, Resource, Time};
 pub use faults::{MeshFaults, MsgFault};
@@ -253,40 +253,17 @@ impl Mesh {
         self.links.iter().map(|l| l.busy_cycles()).sum()
     }
 
-    /// Serialize every directed link's state and the traffic tallies.
-    /// In-flight messages need no separate bookkeeping: wormhole
-    /// delivery is computed at send time, so the link `next_free`
-    /// horizons and the already-scheduled arrival events are the whole
-    /// in-flight state.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.links.len());
-        for link in &self.links {
-            link.ckpt_save(w);
-        }
-        w.u64(self.messages);
-        w.u64(self.bytes);
-        self.latency.ckpt_save(w);
-        self.wait.ckpt_save(w);
-    }
-
-    /// Overlay state saved by [`Mesh::ckpt_save`] onto a mesh of the
-    /// same topology.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.links.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("mesh has {n} links, expected {}", self.links.len()),
-            });
-        }
-        for link in &mut self.links {
-            link.ckpt_restore(r)?;
-        }
-        self.messages = r.u64()?;
-        self.bytes = r.u64()?;
-        self.latency.ckpt_restore(r)?;
-        self.wait.ckpt_restore(r)?;
-        Ok(())
+    /// Checkpoint every directed link's state and the traffic tallies,
+    /// onto a mesh of the same topology. In-flight messages need no
+    /// separate bookkeeping: wormhole delivery is computed at send
+    /// time, so the link `next_free` horizons and the already-scheduled
+    /// arrival events are the whole in-flight state.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.each(&mut self.links, "mesh links", |c, link| link.ckpt(c))?;
+        c.u64(&mut self.messages)?;
+        c.u64(&mut self.bytes)?;
+        self.latency.ckpt(c)?;
+        self.wait.ckpt(c)
     }
 
     /// Mean link utilization over `[0, horizon]`.

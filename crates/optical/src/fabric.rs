@@ -26,12 +26,12 @@
 //! **Checkpoint format.** Rings are saved back to back in ring order;
 //! the per-node arbiters follow only when `rings > 1`. A single-ring
 //! fabric therefore serializes to exactly the bytes [`OpticalRing::
-//! ckpt_save`] always produced, which is what keeps pre-fabric
+//! ckpt`] always produced, which is what keeps pre-fabric
 //! checkpoints restorable.
 
 use crate::ring::{RingConfig, RingError};
 use crate::{OpticalRing, Page};
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::{Resource, Time};
 
 /// A stack of identical optical rings addressed by global channel id.
@@ -202,34 +202,20 @@ impl RingFabric {
         self.rings[r].peak_occupancy(ch)
     }
 
-    /// Serialize the fabric: each ring back to back, then (only with
-    /// several rings) the per-node arbiters. A single-ring fabric's
-    /// bytes are exactly [`OpticalRing::ckpt_save`]'s.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        for ring in &self.rings {
-            ring.ckpt_save(w);
-        }
-        for arb in &self.arbiters {
-            arb.ckpt_save(w);
-        }
-    }
-
-    /// Overlay state saved by [`RingFabric::ckpt_save`] onto a fabric
-    /// with the same geometry.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        for ring in &mut self.rings {
-            ring.ckpt_restore(r)?;
-        }
-        for arb in &mut self.arbiters {
-            arb.ckpt_restore(r)?;
-        }
-        Ok(())
+    /// Checkpoint the fabric, onto one with the same geometry: each
+    /// ring back to back, then (only with several rings) the per-node
+    /// arbiters. A single-ring fabric's bytes are exactly
+    /// [`OpticalRing::ckpt`]'s.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        self.rings.iter_mut().try_for_each(|ring| ring.ckpt(c))?;
+        self.arbiters.iter_mut().try_for_each(|arb| arb.ckpt(c))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nw_sim::ckpt::{CkptReader, CkptWriter};
 
     fn fabric(rings: usize) -> RingFabric {
         RingFabric::new(RingConfig::paper_default(), rings)
@@ -247,12 +233,8 @@ mod tests {
         // Identical checkpoint bytes.
         let mut wf = CkptWriter::new();
         let mut wr = CkptWriter::new();
-        wf.begin_section(1);
-        f.ckpt_save(&mut wf);
-        wf.end_section();
-        wr.begin_section(1);
-        r.ckpt_save(&mut wr);
-        wr.end_section();
+        Ckpt::Save(&mut wf).section(1, |c| f.ckpt(c)).expect("save");
+        Ckpt::Save(&mut wr).section(1, |c| r.ckpt(c)).expect("save");
         assert_eq!(wf.finish(), wr.finish());
     }
 
@@ -322,20 +304,14 @@ mod tests {
         f.insert(200, 16 + 5, 12).unwrap();
         f.fail_channel(16 + 7);
         let mut w = CkptWriter::new();
-        w.begin_section(1);
-        f.ckpt_save(&mut w);
-        w.end_section();
+        Ckpt::Save(&mut w).section(1, |c| f.ckpt(c)).expect("save");
         let bytes = w.finish();
         let mut g = fabric(3);
         let mut r = CkptReader::new(&bytes).unwrap();
-        r.begin_section(1).unwrap();
-        g.ckpt_restore(&mut r).unwrap();
-        r.end_section().unwrap();
+        Ckpt::Load(&mut r).section(1, |c| g.ckpt(c)).unwrap();
         r.finish().unwrap();
         let mut w2 = CkptWriter::new();
-        w2.begin_section(1);
-        g.ckpt_save(&mut w2);
-        w2.end_section();
+        Ckpt::Save(&mut w2).section(1, |c| g.ckpt(c)).expect("save");
         assert_eq!(bytes, w2.finish());
         assert!(g.contains(8 + 1, 11));
         assert!(g.is_dead(16 + 7));

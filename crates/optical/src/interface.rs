@@ -13,11 +13,11 @@
 //! entry: the page no longer needs to reach the disk.
 
 use crate::Page;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use std::collections::VecDeque;
 
 /// A swap-out notification queued at the interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SwapRecord {
     /// The node that swapped the page out (owns the ring slot).
     pub origin: u32,
@@ -158,63 +158,23 @@ impl NwcInterface {
         self.cancelled
     }
 
-    /// Serialize every channel FIFO (in drain order), the drain
-    /// pointer and the counters.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.fifos.len());
-        for fifo in &self.fifos {
-            w.usize(fifo.len());
-            for rec in fifo {
-                w.u32(rec.origin);
-                w.u64(rec.page);
-            }
+    /// Checkpoint every channel FIFO (in drain order), the drain
+    /// pointer and the counters, onto an interface tracking the same
+    /// number of channels.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.each(&mut self.fifos, "interface FIFOs", |c, fifo| {
+            c.list(fifo, usize::MAX, 2, "swap records", |c, rec| {
+                c.u32(&mut rec.origin)?;
+                c.u64(&mut rec.page)
+            })
+        })?;
+        c.opt(&mut self.current, 0, Ckpt::usize)?;
+        if let Some(ch) = self.current.filter(|&ch| ch >= self.fifos.len()) {
+            return Err(c.invalid(format!("drain pointer {ch} out of range")));
         }
-        match self.current {
-            None => w.bool(false),
-            Some(ch) => {
-                w.bool(true);
-                w.usize(ch);
-            }
+        for v in [&mut self.enqueued, &mut self.drained, &mut self.cancelled] {
+            c.u64(v)?;
         }
-        w.u64(self.enqueued);
-        w.u64(self.drained);
-        w.u64(self.cancelled);
-    }
-
-    /// Overlay state saved by [`NwcInterface::ckpt_save`] onto an
-    /// interface tracking the same number of channels.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.fifos.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("interface has {n} fifos, expected {}", self.fifos.len()),
-            });
-        }
-        for fifo in &mut self.fifos {
-            let len = r.usize()?;
-            fifo.clear();
-            for _ in 0..len {
-                let origin = r.u32()?;
-                let page = r.u64()?;
-                fifo.push_back(SwapRecord { origin, page });
-            }
-        }
-        self.current = if r.bool()? {
-            let ch = r.usize()?;
-            if ch >= self.fifos.len() {
-                return Err(CkptError::Invalid {
-                    offset: r.offset(),
-                    what: format!("drain pointer {ch} out of range"),
-                });
-            }
-            Some(ch)
-        } else {
-            None
-        };
-        self.enqueued = r.u64()?;
-        self.drained = r.u64()?;
-        self.cancelled = r.u64()?;
         Ok(())
     }
 }

@@ -11,7 +11,7 @@
 //! bits.
 
 use crate::Page;
-use nw_sim::ckpt::{CkptError, CkptReader, CkptWriter};
+use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::{Bandwidth, Resource, Time};
 
 /// Ring geometry and timing.
@@ -314,60 +314,22 @@ impl OpticalRing {
         self.channels[ch].stats.peak_occupancy
     }
 
-    /// Serialize every channel: transmitter, stored pages in slot
+    /// Checkpoint every channel: transmitter, stored pages in slot
     /// order, dead flag and statistics. Geometry is config.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.channels.len());
-        for chan in &self.channels {
-            chan.tx.ckpt_save(w);
-            w.usize(chan.pages.slots.len());
-            for &(page, t0) in &chan.pages.slots {
-                w.u64(page);
-                w.time(t0);
-            }
-            w.bool(chan.dead);
-            w.u64(chan.stats.inserts);
-            w.u64(chan.stats.removals);
-            w.u64(chan.stats.snoops);
-            w.usize(chan.stats.peak_occupancy);
-        }
-    }
-
-    /// Overlay state saved by [`OpticalRing::ckpt_save`] onto a ring
-    /// with the same configuration.
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.channels.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("ring has {n} channels, expected {}", self.channels.len()),
-            });
-        }
-        for chan in &mut self.channels {
-            chan.tx.ckpt_restore(r)?;
-            let slots = r.usize()?;
-            if slots > self.cfg.slots_per_channel {
-                return Err(CkptError::Invalid {
-                    offset: r.offset(),
-                    what: format!(
-                        "channel holds {slots} pages, capacity is {}",
-                        self.cfg.slots_per_channel
-                    ),
-                });
-            }
-            chan.pages.slots.clear();
-            for _ in 0..slots {
-                let page = r.u64()?;
-                let t0 = r.time()?;
-                chan.pages.slots.push((page, t0));
-            }
-            chan.dead = r.bool()?;
-            chan.stats.inserts = r.u64()?;
-            chan.stats.removals = r.u64()?;
-            chan.stats.snoops = r.u64()?;
-            chan.stats.peak_occupancy = r.usize()?;
-        }
-        Ok(())
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        let cap = self.cfg.slots_per_channel;
+        c.each(&mut self.channels, "ring channels", |c, chan| {
+            chan.tx.ckpt(c)?;
+            c.list(&mut chan.pages.slots, cap, 2, "pages on a channel", |c, (page, t0)| {
+                c.u64(page)?;
+                c.u64(t0)
+            })?;
+            c.bool(&mut chan.dead)?;
+            c.u64(&mut chan.stats.inserts)?;
+            c.u64(&mut chan.stats.removals)?;
+            c.u64(&mut chan.stats.snoops)?;
+            c.usize(&mut chan.stats.peak_occupancy)
+        })
     }
 }
 

@@ -229,7 +229,7 @@ pub fn warm_start(
                         sections: vec!["META"],
                     });
                 }
-                WarmStart::Ready { machine, .. } => {
+                WarmStart::Ready { mut machine, .. } => {
                     let fresh = machine.checkpoint(spec);
                     let diffs = checkpoint::diff_bytes(&cached, &fresh).map_err(|e| {
                         WarmError::Sim(SimError::CheckpointCorrupt {
@@ -254,8 +254,8 @@ pub fn warm_start(
             hit: true,
         });
     }
-    let started = cold_warmup(cfg, spec, warmup_events)?;
-    if let WarmStart::Ready { machine, .. } = &started {
+    let mut started = cold_warmup(cfg, spec, warmup_events)?;
+    if let WarmStart::Ready { machine, .. } = &mut started {
         cache.insert(key, machine.checkpoint(spec));
     }
     Ok(started)
@@ -329,7 +329,7 @@ mod tests {
         // semantically wrong.
         let key = checkpoint::warm_key(&c, "sor", 500);
         let poisoned = match cold_warmup(&c, "sor", 700).unwrap() {
-            WarmStart::Ready { machine, .. } => machine.checkpoint("sor"),
+            WarmStart::Ready { mut machine, .. } => machine.checkpoint("sor"),
             WarmStart::Finished(_) => panic!("run finished inside warmup"),
         };
         cache.insert(key, poisoned);
@@ -411,7 +411,7 @@ mod tests {
         // An older binary's state for "500 events" cut the run at a
         // different point than 500 events cut it now.
         let stale = match cold_warmup(&c, "sor", 700).unwrap() {
-            WarmStart::Ready { machine, .. } => machine.checkpoint("sor"),
+            WarmStart::Ready { mut machine, .. } => machine.checkpoint("sor"),
             WarmStart::Finished(_) => panic!("run finished inside warmup"),
         };
         std::fs::write(WarmCache::entry_path(&dir, v1_key(&c, "sor", 500)), stale).unwrap();

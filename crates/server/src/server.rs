@@ -613,7 +613,7 @@ fn run_cell(
             let dir = &state.opts.autosave_dir;
             let _ = std::fs::create_dir_all(dir);
             let path = dir.join(format!("job-{job}.nwckpt"));
-            match checkpoint::save_file(&path, &spec.spec, &machine) {
+            match checkpoint::save_file(&path, &spec.spec, &mut machine) {
                 Ok(()) => {
                     ServerMetrics::incr(&state.metrics.jobs_drained);
                     let _ = tx.send(Response::Drained {

@@ -47,7 +47,7 @@ pub mod time;
 pub mod trace;
 
 pub use atomic_write::write_atomic;
-pub use ckpt::{CkptError, CkptReader, CkptWriter};
+pub use ckpt::{Ckpt, CkptError, CkptReader, CkptWriter};
 pub use engine::EventQueue;
 pub use pool::JobPanic;
 pub use resource::{Grant, Resource};

@@ -7,7 +7,7 @@
 //! used by timing simulators — precise enough to capture queueing
 //! delay and utilization without simulating individual queue entries.
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{Ckpt, CkptError};
 use crate::time::Time;
 
 /// The interval granted to a single request on a [`Resource`].
@@ -120,20 +120,11 @@ impl Resource {
         }
     }
 
-    /// Serialize the dynamic state (the name comes from construction).
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.time(self.next_free);
-        w.time(self.busy_cycles);
-        w.time(self.wait_cycles);
-        w.u64(self.acquisitions);
-    }
-
-    /// Overlay dynamic state saved by [`Resource::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.next_free = r.time()?;
-        self.busy_cycles = r.time()?;
-        self.wait_cycles = r.time()?;
-        self.acquisitions = r.u64()?;
+    /// Checkpoint the dynamic state (the name comes from construction).
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        for v in [&mut self.next_free, &mut self.busy_cycles, &mut self.wait_cycles, &mut self.acquisitions] {
+            c.u64(v)?;
+        }
         Ok(())
     }
 }

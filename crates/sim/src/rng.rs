@@ -4,6 +4,8 @@
 //! simulation carries no external RNG dependency and results are
 //! reproducible bit-for-bit across toolchains.
 
+use crate::ckpt::{Ckpt, CkptError};
+
 /// PCG-XSH-RR 64/32 generator (O'Neill 2014).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pcg32 {
@@ -90,15 +92,11 @@ impl Pcg32 {
         self.gen_f64() < p
     }
 
-    /// The raw generator state `(state, inc)`, for checkpointing.
-    pub fn state_parts(&self) -> (u64, u64) {
-        (self.state, self.inc)
-    }
-
-    /// Rebuild a generator from [`Pcg32::state_parts`] output. The
-    /// restored stream continues exactly where the saved one stopped.
-    pub fn from_parts(state: u64, inc: u64) -> Self {
-        Pcg32 { state, inc }
+    /// Checkpoint the raw generator state `(state, inc)`: a restored
+    /// stream continues exactly where the saved one stopped.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.u64(&mut self.state)?;
+        c.u64(&mut self.inc)
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -113,6 +111,7 @@ impl Pcg32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt::{CkptReader, CkptWriter};
 
     #[test]
     fn deterministic_for_same_seed() {
@@ -211,13 +210,20 @@ mod tests {
     }
 
     #[test]
-    fn state_parts_round_trip_continues_stream() {
+    fn ckpt_round_trip_continues_stream() {
         let mut a = Pcg32::new(17, 3);
         for _ in 0..123 {
             a.next_u32();
         }
-        let (state, inc) = a.state_parts();
-        let mut b = Pcg32::from_parts(state, inc);
+        let mut w = CkptWriter::new();
+        w.begin_section(1);
+        a.ckpt(&mut Ckpt::Save(&mut w)).expect("saving cannot fail");
+        w.end_section();
+        let bytes = w.finish();
+        let mut b = Pcg32::new(0, 0);
+        let mut r = CkptReader::new(&bytes).expect("valid container");
+        r.begin_section(1).expect("section 1");
+        b.ckpt(&mut Ckpt::Load(&mut r)).expect("round trip");
         for _ in 0..1000 {
             assert_eq!(a.next_u32(), b.next_u32());
         }

@@ -1,6 +1,6 @@
 //! Statistics collectors used throughout the simulator.
 
-use crate::ckpt::{CkptError, CkptReader, CkptWriter};
+use crate::ckpt::{Ckpt, CkptError};
 use crate::time::Time;
 
 /// A running tally: count, sum, min, max. The workhorse for "average
@@ -86,23 +86,13 @@ impl Tally {
         self.variance().sqrt()
     }
 
-    /// Serialize the full internal state.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.u64(self.n);
-        w.u128(self.sum);
-        w.u128(self.sum_sq);
-        w.opt_u64(self.min);
-        w.opt_u64(self.max);
-    }
-
-    /// Overlay state saved by [`Tally::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.n = r.u64()?;
-        self.sum = r.u128()?;
-        self.sum_sq = r.u128()?;
-        self.min = r.opt_u64()?;
-        self.max = r.opt_u64()?;
-        Ok(())
+    /// Checkpoint the full internal state.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.u64(&mut self.n)?;
+        c.u128(&mut self.sum)?;
+        c.u128(&mut self.sum_sq)?;
+        c.opt(&mut self.min, 0, Ckpt::u64)?;
+        c.opt(&mut self.max, 0, Ckpt::u64)
     }
 
     /// Merge another tally into this one.
@@ -196,28 +186,10 @@ impl Histogram {
         self.tally.max().unwrap_or(0)
     }
 
-    /// Serialize the buckets and underlying tally.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.usize(self.buckets.len());
-        for &b in &self.buckets {
-            w.u64(b);
-        }
-        self.tally.ckpt_save(w);
-    }
-
-    /// Overlay state saved by [`Histogram::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.buckets.len() {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("histogram has {n} buckets, expected {}", self.buckets.len()),
-            });
-        }
-        for b in &mut self.buckets {
-            *b = r.u64()?;
-        }
-        self.tally.ckpt_restore(r)
+    /// Checkpoint the buckets and underlying tally.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.each(&mut self.buckets, "histogram buckets", Ckpt::u64)?;
+        self.tally.ckpt(c)
     }
 }
 
@@ -378,41 +350,17 @@ impl BoundedSeries {
         self.samples.iter().map(|&(_, v)| v).max()
     }
 
-    /// Serialize the current interval (it doubles under pressure) and
+    /// Checkpoint the current interval (it doubles under pressure) and
     /// the raw bucket samples. The capacity is construction config.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.time(self.interval);
-        w.usize(self.samples.len());
-        for &(b, v) in &self.samples {
-            w.time(b);
-            w.u64(v);
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.u64(&mut self.interval)?;
+        if self.interval == 0 {
+            return Err(c.invalid("bounded series interval is zero"));
         }
-    }
-
-    /// Overlay state saved by [`BoundedSeries::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let interval = r.time()?;
-        if interval == 0 {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: "bounded series interval is zero".into(),
-            });
-        }
-        let n = r.usize()?;
-        if n > self.cap {
-            return Err(CkptError::Invalid {
-                offset: r.offset(),
-                what: format!("bounded series holds {n} samples, cap is {}", self.cap),
-            });
-        }
-        self.interval = interval;
-        self.samples.clear();
-        for _ in 0..n {
-            let b = r.time()?;
-            let v = r.u64()?;
-            self.samples.push((b, v));
-        }
-        Ok(())
+        c.list(&mut self.samples, self.cap, 2, "bounded-series samples", |c, (b, v)| {
+            c.u64(b)?;
+            c.u64(v)
+        })
     }
 }
 
@@ -486,22 +434,11 @@ impl CycleBreakdown {
         self.other += other.other;
     }
 
-    /// Serialize all five categories.
-    pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        w.time(self.no_free);
-        w.time(self.transit);
-        w.time(self.fault);
-        w.time(self.tlb);
-        w.time(self.other);
-    }
-
-    /// Overlay state saved by [`CycleBreakdown::ckpt_save`].
-    pub fn ckpt_restore(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        self.no_free = r.time()?;
-        self.transit = r.time()?;
-        self.fault = r.time()?;
-        self.tlb = r.time()?;
-        self.other = r.time()?;
+    /// Checkpoint all five categories.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        for v in [&mut self.no_free, &mut self.transit, &mut self.fault, &mut self.tlb, &mut self.other] {
+            c.u64(v)?;
+        }
         Ok(())
     }
 

@@ -56,9 +56,9 @@ fn concurrent_saves_to_distinct_paths_round_trip_exactly() {
                 // All threads churn temp files in the same directory.
                 let path = dir.join(format!("worker-{w}.nwckpt"));
                 for _ in 0..5 {
-                    let m = machine_at(&cfg(), 400);
-                    checkpoint::save_file(&path, SPEC, &m).unwrap();
-                    let (meta, loaded) = checkpoint::load_file(&path).unwrap();
+                    let mut m = machine_at(&cfg(), 400);
+                    checkpoint::save_file(&path, SPEC, &mut m).unwrap();
+                    let (meta, mut loaded) = checkpoint::load_file(&path).unwrap();
                     assert_eq!(meta.spec, SPEC);
                     assert_eq!(meta.events, 400);
                     // The loaded machine re-checkpoints to the exact
@@ -88,9 +88,9 @@ fn racing_saves_to_one_path_never_leave_a_torn_file() {
         .map(|events| {
             let path = path.clone();
             thread::spawn(move || {
-                let m = machine_at(&cfg(), events);
+                let mut m = machine_at(&cfg(), events);
                 for _ in 0..10 {
-                    checkpoint::save_file(&path, SPEC, &m).unwrap();
+                    checkpoint::save_file(&path, SPEC, &mut m).unwrap();
                 }
             })
         })

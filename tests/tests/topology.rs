@@ -101,13 +101,13 @@ fn topology_checkpoint_round_trip_is_bit_identical() {
         RunOutcome::Paused => {}
         RunOutcome::Done(_) => panic!("run finished before the snapshot point"),
     }
-    let bytes = machine_to_bytes(&workload, &m);
+    let bytes = machine_to_bytes(&workload, &mut m);
     let (_meta, mut restored) = match machine_from_bytes(&bytes) {
         Ok(pair) => pair,
         Err(e) => panic!("restore failed: {e}"),
     };
     // restore(save(m)) serializes back to the same bytes.
-    assert_eq!(bytes, machine_to_bytes(&workload, &restored), "snapshot not canonical");
+    assert_eq!(bytes, machine_to_bytes(&workload, &mut restored), "snapshot not canonical");
     assert_eq!(
         finish(&mut restored),
         uninterrupted,
