@@ -136,7 +136,11 @@ fn app_spec(p: &Parsed) -> Result<&str, Usage> {
 }
 
 fn app_of(p: &Parsed) -> Result<AppSel, Usage> {
-    Ok(AppSel::parse(app_spec(p)?).unwrap_or_else(|e| die_err(&e)))
+    let sel = AppSel::parse(app_spec(p)?).unwrap_or_else(|e| die_err(&e));
+    if let AppSel::Gen(sc) = &sel {
+        sc.validate().map_err(|e| p.usage(format!("invalid scenario: {e}")))?;
+    }
+    Ok(sel)
 }
 
 /// Write `trace` to `--out` in the encoding `--binary` selects, then
@@ -189,8 +193,8 @@ fn workload_cmd(p: &Parsed) -> Result<(), Usage> {
         "workload gen" => {
             let spec = p.require("--spec")?;
             let sc = Scenario::parse(spec).map_err(|e| p.usage(format!("bad --spec: {e}")))?;
-            sc.validate().map_err(|e| p.usage(format!("invalid scenario: {e}")))?;
             let procs = p.positive("--procs")?.unwrap_or(8);
+            sc.validate_for(procs).map_err(|e| p.usage(format!("invalid scenario: {e}")))?;
             // Default matches the machine's default workload seed, so
             // gen + replay reproduces `--app workload:gen:SPEC`.
             let seed = p.value("--seed")?.unwrap_or_else(|| {
@@ -630,7 +634,7 @@ fn compare_cmd(p: &Parsed) -> Result<(), Usage> {
             Ok((lower(p, &params)?, sel.clone()))
         })
         .collect::<Result<Vec<_>, Usage>>()?;
-    let results: Vec<_> = nwcache::sweep::run_sel_grid(nwcache::sweep::jobs(), grid)
+    let results: Vec<_> = nwcache::sweep::run_grid(nwcache::sweep::jobs(), grid)
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| die_err(&e)))
         .collect();

@@ -117,8 +117,10 @@ fn main() {
         t != "faults" && (all || targets.contains(&t))
     };
 
+    // One memo for every target: each distinct cell runs once.
+    let mut lab = exp::Lab::default();
     // Tables 3-6: swap-out time and write combining under each policy.
-    type Rows = fn(PrefetchMode, f64) -> Vec<exp::PairedRow>;
+    type Rows = fn(&mut exp::Lab, PrefetchMode, f64) -> Vec<exp::PairedRow>;
     let paired: [(&str, Rows, PrefetchMode, &str, f64); 4] = [
         ("table3", exp::table_swap_out, PrefetchMode::Optimal, "swap-out times (Mpcycles) under OPTIMAL", 1e6),
         ("table4", exp::table_swap_out, PrefetchMode::Naive, "swap-out times (Kpcycles) under NAIVE", 1e3),
@@ -128,20 +130,19 @@ fn main() {
     for (target, rows, mode, what, unit) in paired {
         if want(target) {
             let title = format!("Table {}. Average {what} prefetching", &target[5..]);
-            println!("{}", report::render_paired(&title, "", &rows(mode, scale), unit));
+            println!("{}", report::render_paired(&title, &rows(&mut lab, mode, scale), unit));
         }
     }
     if want("table7") {
-        let rows = exp::table_hit_rates(scale);
+        let rows = exp::table_hit_rates(&mut lab, scale);
         println!("{}", report::render_hit_rates(&rows));
     }
     if want("table8") {
-        let rows = exp::table_disk_hit_latency(scale);
+        let rows = exp::table_disk_hit_latency(&mut lab, scale);
         println!(
             "{}",
             report::render_paired(
                 "Table 8. Average page-fault latency (Kpcycles) for disk cache hits, NAIVE prefetching",
-                "",
                 &rows,
                 1e3
             )
@@ -151,7 +152,7 @@ fn main() {
         [("fig3", PrefetchMode::Optimal, "OPTIMAL"), ("fig4", PrefetchMode::Naive, "NAIVE")]
     {
         if want(target) {
-            let bars = exp::figure_breakdown(mode, scale);
+            let bars = exp::figure_breakdown(&mut lab, mode, scale);
             let n = &target[3..];
             let title = format!(
                 "Figure {n}. Normalized execution time breakdown, {label} prefetching (standard bar = 1.0)"
@@ -166,7 +167,7 @@ fn main() {
             (PrefetchMode::Naive, "NAIVE"),
         ] {
             println!("Overall NWCache improvement (%) under {label} prefetching");
-            for (app, imp) in exp::overall_improvement(mode, scale) {
+            for (app, imp) in exp::overall_improvement(&mut lab, mode, scale) {
                 println!("{app:<10} {imp:>7.1}%");
             }
             println!();
@@ -182,7 +183,7 @@ fn main() {
                 (PrefetchMode::Naive, "naive"),
             ] {
                 let rows =
-                    exp::minfree_sweep(AppId::Sor, kind, mode, &[2, 4, 8, 12, 16], scale);
+                    exp::minfree_sweep(&mut lab, AppId::Sor, kind, mode, &[2, 4, 8, 12, 16], scale);
                 println!(
                     "{}",
                     report::render_sweep(
@@ -199,9 +200,9 @@ fn main() {
         // between the naive and optimal extremes.
         println!("Windowed (realistic) prefetching — NWCache improvement (%)");
         println!("{:<10} {:>8} {:>8} {:>8}", "app", "naive", "window", "optimal");
-        let naive = exp::overall_improvement(PrefetchMode::Naive, scale);
-        let window = exp::overall_improvement(PrefetchMode::Window, scale);
-        let optimal = exp::overall_improvement(PrefetchMode::Optimal, scale);
+        let naive = exp::overall_improvement(&mut lab, PrefetchMode::Naive, scale);
+        let window = exp::overall_improvement(&mut lab, PrefetchMode::Window, scale);
+        let optimal = exp::overall_improvement(&mut lab, PrefetchMode::Optimal, scale);
         for ((n, w), o) in naive.iter().zip(&window).zip(&optimal) {
             println!("{:<10} {:>7.1}% {:>7.1}% {:>7.1}%", n.0, n.1, w.1, o.1);
         }
@@ -216,7 +217,7 @@ fn main() {
             "{:<10} {:>16} {:>10} {:>8} {:>9} {:>6} {:>7} {:>9}",
             "policy", "exec (pcycles)", "disk hits", "issued", "spec hit", "late", "wasted", "canceled"
         );
-        let rows = exp::prefetch_policy_sweep(scale);
+        let rows = exp::prefetch_policy_sweep(&mut lab, scale);
         for r in &rows {
             println!(
                 "{:<10} {:>16} {:>9.1}% {:>8} {:>9} {:>6} {:>7} {:>9}",
@@ -247,7 +248,7 @@ fn main() {
     if want("ionodes") {
         println!("I/O-node sensitivity (sor, naive prefetching)");
         println!("{:<10} {:>14} {:>14}", "io nodes", "standard", "nwcache");
-        for (n, s, w) in exp::ionode_sweep(AppId::Sor, PrefetchMode::Naive, &[1, 2, 4, 8], scale) {
+        for (n, s, w) in exp::ionode_sweep(&mut lab, AppId::Sor, PrefetchMode::Naive, &[1, 2, 4, 8], scale) {
             println!("{n:<10} {s:>14} {w:>14}");
         }
         println!();
@@ -279,7 +280,7 @@ fn main() {
         println!("Zipf-skew sensitivity (generated workload, nwcache, naive prefetching)");
         println!("{:<8} {:>10} {:>16}", "skew", "hit rate", "exec (pcycles)");
         for (skew, hr, t) in
-            exp::zipf_skew_sweep(&[0.0, 0.4, 0.8, 1.0, 1.2, 1.5], PrefetchMode::Naive)
+            exp::zipf_skew_sweep(&mut lab, &[0.0, 0.4, 0.8, 1.0, 1.2, 1.5], PrefetchMode::Naive)
         {
             println!("{skew:<8.1} {hr:>9.1}% {t:>16}");
         }
@@ -288,7 +289,7 @@ fn main() {
     if want("scaling") {
         println!("Machine-size scaling (sor, naive prefetching)");
         println!("{:<8} {:>14} {:>14} {:>12}", "nodes", "standard", "nwcache", "improvement");
-        for (n, s, w) in exp::scaling_sweep(AppId::Sor, PrefetchMode::Naive, &[2, 4, 8, 16], scale) {
+        for (n, s, w) in exp::scaling_sweep(&mut lab, AppId::Sor, PrefetchMode::Naive, &[2, 4, 8, 16], scale) {
             let imp = 100.0 * (s as f64 - w as f64) / s as f64;
             println!("{n:<8} {s:>14} {w:>14} {imp:>11.1}%");
         }
@@ -299,7 +300,7 @@ fn main() {
         // ROADMAP item 1: does the 8-node win survive 64 and 256
         // nodes? Weak scaling fixes per-processor work; strong
         // scaling splits one fixed problem across the machine.
-        let rows = exp::scale_study(&exp::SCALE_TOPOS, scale).unwrap_or_else(|e| {
+        let rows = exp::scale_study(&mut lab, &exp::SCALE_TOPOS, scale).unwrap_or_else(|e| {
             eprintln!("reproduce: scale study: {e}");
             std::process::exit(2);
         });
@@ -349,13 +350,14 @@ fn main() {
             "{:<10} {:>14} {:>14} {:>14}",
             "app", "standard", "dcd", "nwcache"
         );
-        for (app, std_t, dcd_t, nwc_t) in exp::dcd_comparison(PrefetchMode::Naive, scale) {
+        for (app, std_t, dcd_t, nwc_t) in exp::dcd_comparison(&mut lab, PrefetchMode::Naive, scale) {
             println!("{app:<10} {std_t:>14} {dcd_t:>14} {nwc_t:>14}");
         }
         println!();
     }
     if want("ablations") {
         let rows = exp::ablation_flush_delay(
+            &mut lab,
             AppId::Sor,
             MachineKind::NwCache,
             PrefetchMode::Optimal,
@@ -369,6 +371,7 @@ fn main() {
         }
         println!();
         let rows = exp::ablation_ring_geometry(
+            &mut lab,
             AppId::Gauss,
             PrefetchMode::Naive,
             &[13, 26, 52, 104, 208],
@@ -377,6 +380,7 @@ fn main() {
         println!("Ablation: page-replacement policy (sor, standard, naive)");
         println!("{:<8} {:>16} {:>10}", "policy", "exec (pcycles)", "swaps");
         for (name, t, sw) in exp::replacement_comparison(
+            &mut lab,
             AppId::Sor,
             MachineKind::Standard,
             PrefetchMode::Naive,
@@ -397,6 +401,7 @@ fn main() {
     }
     if want_faults {
         let rows = exp::fault_tolerance(
+            &mut lab,
             AppId::Sor,
             scale,
             &[0.0, 1e-5, 1e-4, 1e-3],
@@ -428,7 +433,7 @@ fn main() {
     }
     if want("diskcache") {
         let (rows, nwc) =
-            exp::diskcache_sweep(AppId::Sor, PrefetchMode::Optimal, &[4, 8, 16, 32, 64, 128], scale);
+            exp::diskcache_sweep(&mut lab, AppId::Sor, PrefetchMode::Optimal, &[4, 8, 16, 32, 64, 128], scale);
         println!(
             "{}",
             report::render_sweep(

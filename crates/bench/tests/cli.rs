@@ -330,6 +330,11 @@ fn usage_errors_exit_2_with_reason() {
         ("nwsim", &["run", "--app", "sor", "--scale", "0.05", "--machine", "nwcache", "--topo", "mesh=4x2,rings=1099511627776"], "ring_count must be in 1..="),
         ("nwsim", &["run", "--app", gen, "--topo", "mesh=4x2,rings=100000000"], "ring_count must be in 1..="),
         ("nwsim", &["run", "--app", gen, "--prefetch", "adaptive:1099511627776"], "prefetch_window must be at most"),
+        ("nwsim", &["run", "--app", "workload:gen:zipf,ws=1099511627776,acc=1", "--scale", "0.05"], "working set must be at most"),
+        ("nwsim", &["run", "--app", "workload:gen:seq,ws=288230376151711744,acc=1"], "working set must be at most"),
+        ("nwsim", &["run", "--app", "workload:gen:uniform,ws=64,acc=1000000000000"], "accesses summed over phases must be at most"),
+        ("nwsim", &["run", "--app", "workload:gen:seq,acc=1,bar=4294967295"], "barriers summed over phases must be at most"),
+        ("nwsim", &["workload", "gen", "--spec", "uniform,ws=64,acc=20000", "--procs", "1024"], "must total at most"),
         ("reproduce", &["--scale", "2.0", "table3"], "--scale needs a number in (0, 1]"),
         ("reproduce", &["--scale", "0", "table3"], "--scale needs a number in (0, 1]"),
         ("reproduce", &["--scale", "-1", "table3"], "--scale needs a number in (0, 1]"),

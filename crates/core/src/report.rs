@@ -5,11 +5,10 @@ use crate::experiments::{BreakdownBar, PairedRow};
 
 /// Render a standard-vs-NWCache table (Tables 3/4/5/6/8). `unit`
 /// divides the values (e.g. `1e6` prints Mpcycles).
-pub fn render_paired(title: &str, header: &str, rows: &[PairedRow], unit: f64) -> String {
+pub fn render_paired(title: &str, rows: &[PairedRow], unit: f64) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(&format!("{:<10} {:>14} {:>14}\n", "app", "standard", "nwcache"));
-    let _ = header;
     for r in rows {
         out.push_str(&format!(
             "{:<10} {:>14.2} {:>14.2}\n",
@@ -136,7 +135,7 @@ mod tests {
                 nwcache: 200_000.0,
             },
         ];
-        let s = render_paired("Table 3", "", &rows, 1e6);
+        let s = render_paired("Table 3", &rows, 1e6);
         assert!(s.contains("sor"));
         assert!(s.contains("fft"));
         assert!(s.contains("2.00"));

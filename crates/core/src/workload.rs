@@ -104,7 +104,7 @@ impl AppSel {
                 cfg.seed,
             )),
             AppSel::Gen(sc) => {
-                sc.validate().map_err(SimError::BadConfig)?;
+                sc.validate_for(cfg.nodes as usize).map_err(SimError::BadConfig)?;
                 Ok(sc.build(cfg.nodes as usize, cfg.seed))
             }
             AppSel::Replay(tr) => Ok(Arc::as_ref(tr).clone().into_build()),

@@ -246,6 +246,35 @@ fn validation_errors_carry_the_cli_exit_code() {
 }
 
 #[test]
+fn hostile_scenario_dials_are_job_errors_and_the_server_lives() {
+    // Each spec used to abort, panic or exhaust the server process.
+    let (addr, handle, join) = start(ServeOptions::default());
+    let mut conn = Connection::connect(&addr).unwrap();
+    for hostile in [
+        "workload:gen:zipf,ws=1099511627776,acc=1",
+        "workload:gen:seq,ws=288230376151711744,acc=1",
+        "workload:gen:uniform,ws=64,acc=1000000000000",
+        "workload:gen:seq,acc=1,bar=4294967295",
+    ] {
+        for warmup_events in [0, 100] {
+            let spec = JobSpec { warmup_events, ..run_spec(hostile) };
+            let r = conn.run_job(&spec, |_| {}).unwrap();
+            assert_eq!(r.code, 2, "{hostile}: {:?}", r.message);
+            assert!(r.message.unwrap().contains("must be at most"), "{hostile}");
+        }
+    }
+    // Within every per-processor bound, but 20,000 accesses on each of
+    // 1,024 nodes.
+    let wide = JobSpec { topo: Some("mesh=32x32".into()), ..run_spec("workload:gen:uniform,ws=64,acc=20000") };
+    let r = conn.run_job(&wide, |_| {}).unwrap();
+    assert_eq!(r.code, 2, "{:?}", r.message);
+    assert!(r.message.unwrap().contains("must total at most"));
+    Connection::connect(&addr).unwrap().ping().unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn metrics_served_over_protocol_and_plain_http() {
     let (addr, handle, join) = start(ServeOptions::default());
     let mut conn = Connection::connect(&addr).unwrap();

@@ -27,6 +27,29 @@ use nw_sim::Pcg32;
 /// Cache lines per 4 KB page.
 const LINES_PER_PAGE: u64 = PAGE_BYTES / LINE_BYTES;
 
+/// Largest working set a phase may ask for, in pages (4 GiB): far
+/// above the 24,576 pages of the full-scale 256-node scale-study cell,
+/// far below a Zipf table whose allocation fails.
+pub const MAX_PAGES: u64 = 1 << 20;
+
+// The byte and line counts of a working set cannot overflow.
+const _: () = assert!(MAX_PAGES.checked_mul(PAGE_BYTES).is_some());
+
+/// Most accesses a processor may make, summed over all phases: far
+/// above the 200,000 of the longest scenario in use, far below a
+/// stream that exhausts memory when materialized.
+pub const MAX_ACCESSES: u64 = 1 << 20;
+
+/// Most barriers a scenario may hold, summed over all phases: far
+/// above the few per phase in use, and every barrier id fits a `u32`.
+pub const MAX_BARRIERS: u64 = 1 << 16;
+
+/// Most accesses all processors together may make: ten times the
+/// 1.6 million of the largest run in use (200,000 per processor on 8
+/// nodes), so that [`MAX_ACCESSES`] on a 1,024-node machine cannot
+/// materialize a billion-action stream.
+pub const MAX_TOTAL_ACCESSES: u64 = 1 << 24;
+
 /// Page-popularity pattern of a phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pattern {
@@ -99,17 +122,37 @@ pub struct Scenario {
 impl Scenario {
     /// Validate every dial, following the config-validation pattern:
     /// fractions in `[0, 1]`, non-empty phase lists, non-zero working
-    /// sets and access counts.
+    /// sets and access counts, and sizes within [`MAX_PAGES`],
+    /// [`MAX_ACCESSES`] and [`MAX_BARRIERS`].
     pub fn validate(&self) -> Result<(), String> {
         if self.phases.is_empty() {
             return Err("scenario has no phases".into());
         }
+        let (mut accesses, mut barriers) = (0u64, 0u64);
         for (i, ph) in self.phases.iter().enumerate() {
             if ph.pages == 0 {
                 return Err(format!("phase {i}: working set must be > 0 pages"));
             }
+            if ph.pages > MAX_PAGES {
+                return Err(format!(
+                    "phase {i}: working set must be at most {MAX_PAGES} pages, got {}",
+                    ph.pages
+                ));
+            }
             if ph.accesses == 0 {
                 return Err(format!("phase {i}: accesses must be > 0"));
+            }
+            accesses = accesses.saturating_add(ph.accesses);
+            if accesses > MAX_ACCESSES {
+                return Err(format!(
+                    "phase {i}: accesses summed over phases must be at most {MAX_ACCESSES}, got {accesses}"
+                ));
+            }
+            barriers += u64::from(ph.barriers);
+            if barriers > MAX_BARRIERS {
+                return Err(format!(
+                    "phase {i}: barriers summed over phases must be at most {MAX_BARRIERS}, got {barriers}"
+                ));
             }
             if !(0.0..=1.0).contains(&ph.write_frac) || ph.write_frac.is_nan() {
                 return Err(format!(
@@ -142,6 +185,20 @@ impl Scenario {
         Ok(())
     }
 
+    /// [`Scenario::validate`], then bound the accesses `nprocs`
+    /// processors make together by [`MAX_TOTAL_ACCESSES`].
+    pub fn validate_for(&self, nprocs: usize) -> Result<(), String> {
+        self.validate()?;
+        let per_proc: u64 = self.phases.iter().map(|ph| ph.accesses).sum();
+        let total = per_proc.saturating_mul(nprocs as u64);
+        if total > MAX_TOTAL_ACCESSES {
+            return Err(format!(
+                "{per_proc} accesses on each of {nprocs} processors must total at most {MAX_TOTAL_ACCESSES}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Shared data footprint: the largest phase working set,
     /// page-rounded by construction.
     pub fn data_bytes(&self) -> u64 {
@@ -153,11 +210,11 @@ impl Scenario {
     /// either encoding bit-identically.
     ///
     /// # Panics
-    /// Panics if the scenario fails [`Scenario::validate`] or
+    /// Panics if the scenario fails [`Scenario::validate_for`] or
     /// `nprocs == 0`.
     pub fn to_trace(&self, nprocs: usize, seed: u64) -> Trace {
         assert!(nprocs > 0, "need at least one processor");
-        self.validate().unwrap_or_else(|e| panic!("invalid scenario: {e}"));
+        self.validate_for(nprocs).unwrap_or_else(|e| panic!("invalid scenario: {e}"));
         let procs = (0..nprocs)
             .map(|p| self.gen_proc(p, nprocs, seed))
             .collect();
@@ -452,12 +509,21 @@ mod tests {
             "seq:0",
             "seq,bar=0",
             "seq,burst=0:100",
+            "zipf,ws=1099511627776,acc=1",
+            "seq,ws=288230376151711744,acc=1",
+            "uniform,ws=64,acc=1000000000000",
+            "seq,acc=1,bar=4294967295",
+            "seq,acc=600000;seq,acc=600000",
         ] {
             let sc = Scenario::parse(bad).unwrap();
             assert!(sc.validate().is_err(), "spec '{bad}' validated");
         }
         assert!(Scenario { name: "x".into(), phases: vec![] }.validate().is_err());
         assert!(Scenario::parse("zipf:0.8,ws=16,acc=100").unwrap().validate().is_ok());
+        // Within every per-processor bound, too many processors.
+        let wide = Scenario::parse("uniform,ws=64,acc=20000").unwrap();
+        assert!(wide.validate_for(8).is_ok());
+        assert!(wide.validate_for(1024).is_err());
     }
 
     #[test]

@@ -72,8 +72,8 @@ fn adaptive_prefetch_sweep_is_bit_identical_to_serial() {
             ),
         ]
     };
-    let serial = nwcache::sweep::run_sel_grid(1, grid());
-    let parallel = nwcache::sweep::run_sel_grid(parallel_jobs(), grid());
+    let serial = nwcache::sweep::run_grid(1, grid());
+    let parallel = nwcache::sweep::run_grid(parallel_jobs(), grid());
     assert_eq!(serial, parallel, "adaptive cells diverged at jobs={}", parallel_jobs());
     let busy = serial[0].as_ref().expect("clean seq cell");
     assert!(busy.prefetch_spec_issued > 0, "sweep must exercise speculation");

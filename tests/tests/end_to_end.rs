@@ -3,6 +3,7 @@
 //! claims hold qualitatively at reduced scale.
 
 use nw_apps::AppId;
+use nwcache::experiments::Lab;
 use nwcache::{run_app, MachineConfig, MachineKind, PrefetchMode};
 
 const SCALE: f64 = 0.1;
@@ -97,11 +98,14 @@ fn nwcache_reduces_interconnect_traffic() {
 
 #[test]
 fn deterministic_across_thread_scheduling() {
-    // run_parallel spawns threads; the runs themselves must remain
-    // bit-identical regardless.
+    // The sweep pool runs the two cells on two threads; the runs
+    // themselves must remain bit-identical regardless.
     let cfg = MachineConfig::scaled_paper(MachineKind::NwCache, PrefetchMode::Naive, SCALE);
     let jobs = vec![(cfg.clone(), AppId::Radix), (cfg.clone(), AppId::Radix)];
-    let results = nwcache::experiments::run_parallel(jobs);
+    let results: Vec<_> = nwcache::sweep::run_grid(2, jobs)
+        .into_iter()
+        .map(|r| r.expect("radix cell"))
+        .collect();
     assert_eq!(results[0].exec_time, results[1].exec_time);
     assert_eq!(results[0].page_faults, results[1].page_faults);
     let direct = run_app(&cfg, AppId::Radix);
@@ -109,8 +113,25 @@ fn deterministic_across_thread_scheduling() {
 }
 
 #[test]
+fn one_lab_runs_each_distinct_cell_once() {
+    // Tables 3, 5 and 7, Figure 3 and the overall summary are views of
+    // one matrix: the 14 optimal cells, plus Table 7's 7 naive NWCache
+    // cells. A target that re-simulates a cell it shares fails here.
+    use nwcache::experiments as exp;
+    let (mode, scale) = (PrefetchMode::Optimal, 0.05);
+    let mut lab = Lab::default();
+    exp::table_swap_out(&mut lab, mode, scale);
+    exp::table_combining(&mut lab, mode, scale);
+    exp::figure_breakdown(&mut lab, mode, scale);
+    exp::overall_improvement(&mut lab, mode, scale);
+    assert_eq!(lab.cells(), 14);
+    exp::table_hit_rates(&mut lab, scale);
+    assert_eq!(lab.cells(), 21);
+}
+
+#[test]
 fn experiment_tables_have_a_row_per_app() {
-    let rows = nwcache::experiments::table_swap_out(PrefetchMode::Naive, 0.05);
+    let rows = nwcache::experiments::table_swap_out(&mut Lab::default(), PrefetchMode::Naive, 0.05);
     assert_eq!(rows.len(), 7);
     let names: Vec<&str> = rows.iter().map(|r| r.app.as_str()).collect();
     assert_eq!(
@@ -121,7 +142,7 @@ fn experiment_tables_have_a_row_per_app() {
 
 #[test]
 fn figure_breakdowns_normalize_to_standard() {
-    let bars = nwcache::experiments::figure_breakdown(PrefetchMode::Naive, 0.05);
+    let bars = nwcache::experiments::figure_breakdown(&mut Lab::default(), PrefetchMode::Naive, 0.05);
     assert_eq!(bars.len(), 14); // 7 apps x 2 machines
     for pair in bars.chunks(2) {
         let std_total: f64 = pair[0].parts.iter().sum();
@@ -138,6 +159,7 @@ fn figure_breakdowns_normalize_to_standard() {
 #[test]
 fn minfree_sweep_returns_all_points() {
     let rows = nwcache::experiments::minfree_sweep(
+        &mut Lab::default(),
         AppId::Sor,
         MachineKind::NwCache,
         PrefetchMode::Naive,
@@ -152,6 +174,7 @@ fn minfree_sweep_returns_all_points() {
 fn diskcache_sweep_monotone_trend() {
     // Larger standard-machine controller caches must not hurt.
     let (rows, nwc_ref) = nwcache::experiments::diskcache_sweep(
+        &mut Lab::default(),
         AppId::Sor,
         PrefetchMode::Optimal,
         &[4, 64],

@@ -54,7 +54,7 @@ fn nwcache_beats_dcd_on_swap_staging() {
 
 #[test]
 fn dcd_comparison_experiment_shape() {
-    let rows = exp::dcd_comparison(PrefetchMode::Naive, 0.05);
+    let rows = exp::dcd_comparison(&mut exp::Lab::default(), PrefetchMode::Naive, 0.05);
     assert_eq!(rows.len(), 7);
     // The NWCache wins the majority of the suite even at tiny scale.
     let nwc_wins = rows.iter().filter(|&&(_, s, _, n)| n < s).count();
@@ -92,7 +92,7 @@ fn window_mode_beats_naive_on_sequential_apps() {
 
 #[test]
 fn scaling_sweep_runs_all_machine_sizes() {
-    let rows = exp::scaling_sweep(AppId::Sor, PrefetchMode::Naive, &[2, 4, 8, 16], 0.05);
+    let rows = exp::scaling_sweep(&mut exp::Lab::default(), AppId::Sor, PrefetchMode::Naive, &[2, 4, 8, 16], 0.05);
     assert_eq!(rows.len(), 4);
     for (n, s, w) in rows {
         assert!(s > 0 && w > 0, "{n} nodes produced a zero time");
@@ -114,6 +114,7 @@ fn sixteen_node_machine_is_consistent() {
 #[test]
 fn flush_delay_ablation_affects_combining() {
     let rows = exp::ablation_flush_delay(
+        &mut exp::Lab::default(),
         AppId::Sor,
         MachineKind::NwCache,
         PrefetchMode::Optimal,
@@ -133,7 +134,13 @@ fn flush_delay_ablation_affects_combining() {
 
 #[test]
 fn ring_geometry_ablation_reports_capacity() {
-    let rows = exp::ablation_ring_geometry(AppId::Gauss, PrefetchMode::Naive, &[26, 52, 104], SCALE);
+    let rows = exp::ablation_ring_geometry(
+        &mut exp::Lab::default(),
+        AppId::Gauss,
+        PrefetchMode::Naive,
+        &[26, 52, 104],
+        SCALE,
+    );
     assert_eq!(rows.len(), 3);
     // Slots scale with fiber length.
     assert!(rows[0].1 < rows[2].1);

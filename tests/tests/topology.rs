@@ -80,8 +80,8 @@ fn topology_sweep_is_bit_identical_across_jobs() {
             })
             .collect()
     };
-    let serial = nwcache::sweep::run_sel_grid(1, grid());
-    let parallel = nwcache::sweep::run_sel_grid(4, grid());
+    let serial = nwcache::sweep::run_grid(1, grid());
+    let parallel = nwcache::sweep::run_grid(4, grid());
     // Full-state equality: every counter, histogram bucket and time
     // series — not just the headline numbers.
     assert_eq!(serial, parallel, "jobs=4 diverged from serial");
@@ -121,10 +121,16 @@ fn scale_study_report_is_parallelism_independent() {
     // worker-count fields, so two exports at different job counts
     // must be byte-identical — the CI scale-smoke contract.
     let topos = ["mesh=4x2", "mesh=4x4,rings=2,dirshards=2"];
+    // A fresh Lab per run, so the second study simulates its cells
+    // instead of reading the first one's memo.
+    let study = || {
+        let mut lab = nwcache::experiments::Lab::default();
+        nwcache::experiments::scale_study(&mut lab, &topos, SCALE).expect("study runs")
+    };
     nwcache::sweep::set_jobs(1);
-    let serial = nwcache::experiments::scale_study(&topos, SCALE).expect("study runs");
+    let serial = study();
     nwcache::sweep::set_jobs(4);
-    let parallel = nwcache::experiments::scale_study(&topos, SCALE).expect("study runs");
+    let parallel = study();
     nwcache::sweep::set_jobs(0);
     assert_eq!(
         nwcache::experiments::scale_report_json(SCALE, &serial),

@@ -13,7 +13,7 @@
 use nw_apps::AppId;
 use nw_workload::{Scenario, Trace};
 use nwcache::config::{MachineConfig, MachineKind, PrefetchMode};
-use nwcache::sweep::run_sel_grid;
+use nwcache::sweep::run_grid;
 use nwcache::workload::{record, try_run_sel, AppSel};
 use std::sync::Arc;
 
@@ -123,8 +123,8 @@ fn mixed_selection_grid_is_deterministic_at_any_job_count() {
             (cfg(2), AppSel::Gen(sc.clone())),
         ]
     };
-    let serial = run_sel_grid(1, grid());
-    let parallel = run_sel_grid(parallel_jobs(), grid());
+    let serial = run_grid(1, grid());
+    let parallel = run_grid(parallel_jobs(), grid());
     assert_eq!(serial, parallel, "jobs={} diverged from serial", parallel_jobs());
     assert!(serial.iter().all(|r| r.is_ok()));
     // The Gen cell and the Replay cell of the same scenario+seed are
