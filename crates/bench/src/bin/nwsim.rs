@@ -523,15 +523,6 @@ fn dispatch(p: &Parsed) -> Result<(), Usage> {
             }
         }
         "ckpt-diff" => ckpt_diff(&p.args()[0], &p.args()[1]),
-        "bench-validate" => {
-            let path = &p.args()[0];
-            let json = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-            match nwcache::hotbench::validate_bench_json(&json) {
-                Ok(()) => println!("{path}: valid nwcache-bench-v1"),
-                Err(e) => die(&format!("{path}: {e}")),
-            }
-        }
         "trace-validate" => {
             let path = &p.args()[0];
             let json = std::fs::read_to_string(path)
@@ -548,7 +539,6 @@ fn dispatch(p: &Parsed) -> Result<(), Usage> {
         }
         "trace" => trace_cmd(p)?,
         "compare" => compare_cmd(p)?,
-        "bench" => bench_cmd(p)?,
         "apps" => {
             println!("{:<8} description", "name");
             for app in AppId::ALL {
@@ -683,100 +673,4 @@ fn ckpt_diff(a: &str, b: &str) {
         println!("{a} and {b} differ in {differing} section(s)");
         std::process::exit(1);
     }
-}
-
-fn bench_cmd(p: &Parsed) -> Result<(), Usage> {
-    let quick = p.has("--quick");
-    let check_regress: Option<f64> = p.value("--check-regress")?;
-    // Read (and vet) the baseline before spending minutes timing
-    // kernels: a gate against a useless baseline should fail fast,
-    // not after the run.
-    let baseline = p.get("--baseline").map(|path| {
-        std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read baseline {path}: {e}")))
-    });
-    // A --quick baseline's timings are noise: gating against it passes
-    // and fails at random. Refuse it.
-    if let (Some(_), Some(json)) = (check_regress, &baseline) {
-        if !nwcache::hotbench::baseline_is_authoritative(json) {
-            die(
-                "--check-regress: baseline was recorded with --quick \
-                 (\"authoritative\": false); re-record it with a full \
-                 `nwsim bench --out`",
-            );
-        }
-    }
-    eprintln!(
-        "nwsim bench: timing hot-path kernels ({}) ...",
-        if quick { "quick" } else { "full" }
-    );
-    let mut report = nwcache::hotbench::BenchReport::run(quick);
-    if let Some(json) = &baseline {
-        report.attach_baseline(json);
-    }
-    println!(
-        "{:<22} {:>12} {:>14} {:>13} {:>9}",
-        "kernel", "iters", "ns/iter", "events/sec", "speedup"
-    );
-    for k in &report.kernels {
-        let eps = k
-            .events_per_sec()
-            .map(|e| format!("{e:.0}"))
-            .unwrap_or_else(|| "-".into());
-        match k.speedup() {
-            Some(s) => println!(
-                "{:<22} {:>12} {:>14.1} {:>13} {:>8.2}x",
-                k.name, k.iters, k.ns_per_iter, eps, s
-            ),
-            None => println!(
-                "{:<22} {:>12} {:>14.1} {:>13} {:>9}",
-                k.name, k.iters, k.ns_per_iter, eps, "-"
-            ),
-        }
-    }
-    if let Some(path) = p.get("--out") {
-        write_atomic(Path::new(path), report.to_json().as_bytes())
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("nwsim bench: wrote {path}");
-    }
-    if let Some(pct) = check_regress {
-        if !report.kernels.iter().any(|k| k.baseline_ns_per_iter.is_some()) {
-            die("--check-regress needs --baseline with matching kernels");
-        }
-        let mut failed = false;
-        for k in &report.kernels {
-            let Some(b) = k.baseline_ns_per_iter else { continue };
-            let regress = (k.ns_per_iter / b.max(f64::MIN_POSITIVE) - 1.0) * 100.0;
-            if regress > pct {
-                eprintln!(
-                    "nwsim bench: REGRESSION {}: {:.1} ns/iter vs baseline {:.1} (+{:.1}% > {:.1}%)",
-                    k.name, k.ns_per_iter, b, regress, pct
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "nwsim bench: ok {}: {:+.1}% vs baseline (budget {:.1}%)",
-                    k.name, regress, pct
-                );
-            }
-            // Event-throughput gate (tolerant of baselines
-            // predating the events_per_sec field).
-            let (Some(cur), Some(base)) = (k.events_per_sec(), k.baseline_events_per_sec)
-            else {
-                continue;
-            };
-            let drop = (1.0 - cur / base.max(f64::MIN_POSITIVE)) * 100.0;
-            if drop > pct {
-                eprintln!(
-                    "nwsim bench: REGRESSION {}: {:.0} events/sec vs baseline {:.0} (-{:.1}% > {:.1}%)",
-                    k.name, cur, base, drop, pct
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
-    Ok(())
 }

@@ -264,6 +264,7 @@ fn main() {
         for (bytes, ratio, hr) in exp::reuse_distance_sweep(
             &[mb, 2 * mb, 5 * mb / 2, 3 * mb, 4 * mb, 6 * mb],
             PrefetchMode::Naive,
+            scale,
         ) {
             println!(
                 "{:<14.2} {:>18.2} {:>9.1}%",
@@ -279,9 +280,8 @@ fn main() {
         // generated workload (see EXPERIMENTS.md for the recipe).
         println!("Zipf-skew sensitivity (generated workload, nwcache, naive prefetching)");
         println!("{:<8} {:>10} {:>16}", "skew", "hit rate", "exec (pcycles)");
-        for (skew, hr, t) in
-            exp::zipf_skew_sweep(&mut lab, &[0.0, 0.4, 0.8, 1.0, 1.2, 1.5], PrefetchMode::Naive)
-        {
+        let skews = [0.0, 0.4, 0.8, 1.0, 1.2, 1.5];
+        for (skew, hr, t) in exp::zipf_skew_sweep(&mut lab, &skews, PrefetchMode::Naive, scale) {
             println!("{skew:<8.1} {hr:>9.1}% {t:>16}");
         }
         println!();

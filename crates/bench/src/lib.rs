@@ -22,7 +22,6 @@ const ADDR: Group = &["--addr H:P"];
 const JOB: Group =
     &["--warm-events N", "--verify-warm", "--deadline-ms N", "--progress-every N", "--trace-out PATH"];
 const OBSERVE: Group = &["--trace-out PATH", "--sample-interval N", "--trace-capacity N", "--text"];
-const BENCH: Group = &["--quick", "--out PATH", "--baseline PATH", "--check-regress PCT"];
 const SERVE: Group =
     &["--job-slots N", "--warm-dir DIR", "--warm-capacity N", "--autosave-dir DIR", "--chunk-events N"];
 
@@ -37,8 +36,6 @@ pub static NWSIM: Cli = Cli {
         Verb::new("trace", &[Opt("APP")], &[APP, MACHINE, PARAMS, OVERRIDES, OBSERVE, JOBS]),
         Verb::new("trace-validate", &[One("PATH")], &[]),
         Verb::new("compare", &[], &[APP, PARAMS, JOBS]),
-        Verb::new("bench", &[], &[BENCH, JOBS]),
-        Verb::new("bench-validate", &[One("PATH")], &[]),
         Verb::new("apps", &[], &[JOBS]),
         Verb::new("config", &[], &[MACHINE, PARAMS, OVERRIDES, JOBS]),
         Verb::new("workload gen", &[], &[&["--spec SPEC", "--procs N", "--seed N"], TRACE_FILE]),

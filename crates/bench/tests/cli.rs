@@ -116,38 +116,6 @@ fn record_then_replay_matches_direct_run() {
 }
 
 #[test]
-fn check_regress_refuses_quick_baseline() {
-    // A baseline recorded with --quick says "authoritative": false;
-    // gating against its noise must fail fast (before any kernel
-    // timing starts), with a message naming the cure.
-    let path = scratch("quick-baseline.json");
-    std::fs::write(
-        &path,
-        "{\n  \"schema\": \"nwcache-bench-v1\",\n  \"quick\": true,\n  \
-         \"authoritative\": false,\n  \"kernels\": [\n  ]\n}",
-    )
-    .expect("write baseline");
-    let out = nwsim()
-        .args([
-            "bench",
-            "--quick",
-            "--baseline",
-            path.to_str().unwrap(),
-            "--check-regress",
-            "10",
-        ])
-        .output()
-        .expect("spawn nwsim");
-    assert_eq!(out.status.code(), Some(2), "quick baseline must be refused");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("authoritative"), "{stderr}");
-    assert!(stderr.contains("re-record"), "{stderr}");
-    // Refusal happened before the kernels ran.
-    assert!(!stderr.contains("timing hot-path kernels"), "{stderr}");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn topo_flag_builds_generated_machines() {
     let out = nwsim()
         .args(["config", "--topo", "mesh=4x4,io=corners,rings=2,dirshards=4"])
@@ -258,7 +226,7 @@ fn removed_sim_threads_flag_points_to_jobs() {
     let nwsim_calls: [&[&str]; 4] = [
         &["run", "--app", "sor", "--sim-threads", "4"],
         &["resume", "missing.nwckpt", "--sim-threads", "1"],
-        &["bench", "--quick", "--sim-threads", "4"],
+        &["compare", "--sim-threads", "4"],
         &["serve", "--sim-threads", "2"],
     ];
     let outs = nwsim_calls
@@ -322,6 +290,8 @@ fn usage_errors_exit_2_with_reason() {
         ("nwsim", &["config", "--checkpoint-every", "0"], "unknown flag '--checkpoint-every'"),
         ("nwsim", &["run", "--app", gen, "--checkpoint-every", "0"], "--checkpoint-every must be positive"),
         ("nwsim", &["workload", "bogus"], "unknown command 'workload bogus'"),
+        ("nwsim", &["bench"], "unknown command 'bench'"),
+        ("nwsim", &["bench-validate"], "unknown command 'bench-validate'"),
         ("nwsim", &["compare", "--app", gen, "--scale", "2.0"], "scale 2 out of range (0, 1]"),
         ("nwsim", &["run", "--app", gen, "--disk-cache", "0"], "disk_cache_pages must be in 1..="),
         ("nwsim", &["run", "--app", gen, "--ring-slots", "0"], "ring_slots_per_channel must be in 1..="),
@@ -329,6 +299,7 @@ fn usage_errors_exit_2_with_reason() {
         ("nwsim", &["run", "--app", gen, "--ring-slots", "100000000000"], "ring_slots_per_channel must be in 1..="),
         ("nwsim", &["run", "--app", "sor", "--scale", "0.05", "--machine", "nwcache", "--topo", "mesh=4x2,rings=1099511627776"], "ring_count must be in 1..="),
         ("nwsim", &["run", "--app", gen, "--topo", "mesh=4x2,rings=100000000"], "ring_count must be in 1..="),
+        ("nwsim", &["run", "--app", "sor", "--topo", "mesh=4x2,dirshards=18446744073709551615"], "dir_shards must be in 1..=8"),
         ("nwsim", &["run", "--app", gen, "--prefetch", "adaptive:1099511627776"], "prefetch_window must be at most"),
         ("nwsim", &["run", "--app", "workload:gen:zipf,ws=1099511627776,acc=1", "--scale", "0.05"], "working set must be at most"),
         ("nwsim", &["run", "--app", "workload:gen:seq,ws=288230376151711744,acc=1"], "working set must be at most"),

@@ -135,7 +135,7 @@ fn documented_commands(text: &str) -> Vec<(&'static Cli, Vec<String>)> {
 fn documented_and_ci_command_lines_parse() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     for (doc, at_least) in [
-        ("README.md", 40),
+        ("README.md", 37),
         ("EXPERIMENTS.md", 10),
         (".github/workflows/ci.yml", 35),
     ] {

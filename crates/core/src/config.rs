@@ -299,10 +299,10 @@ pub struct MachineConfig {
     /// `ring_count > 1`).
     pub ring_shard: RingShard,
 
-    /// Directory shards (paper-equivalent: 1), the `dirshards=` word.
-    /// Kept in the config and `nwckpt-v1`, but it no longer splits
-    /// storage: the page-indexed directory makes every lookup one
-    /// probe, and the split was never observable.
+    /// Directory shards (paper-equivalent: 1; at most one per node),
+    /// the `dirshards=` word. Kept in the config and `nwckpt-v1`, but
+    /// it no longer splits storage: the page-indexed directory makes
+    /// every lookup one probe, and the split was never observable.
     pub dir_shards: usize,
 
     /// Disk controller cache capacity in pages (Table 1: 16 KB = 4).
@@ -520,10 +520,8 @@ impl MachineConfig {
         if self.has_ring() && self.ring_channels < self.nodes as usize {
             return Err("each node needs its own cache channel".into());
         }
-        if self.dir_shards == 0 {
-            return Err("dir_shards must be at least 1".into());
-        }
         for (name, value, max) in [
+            ("dir_shards", self.dir_shards, self.nodes as usize),
             ("disk_cache_pages", self.disk_cache_pages, MAX_DISK_CACHE_PAGES),
             ("ring_slots_per_channel", self.ring_slots_per_channel, MAX_RING_SLOTS),
             ("ring_channels", self.ring_channels, MAX_RING_CHANNELS),
@@ -729,6 +727,7 @@ mod tests {
                 "tlb_entries" => &mut c.tlb_entries,
                 "wb_entries" => &mut c.wb_entries,
                 "prefetch_window" => &mut c.prefetch_window,
+                "dir_shards" => &mut c.dir_shards,
                 _ => unreachable!("{field}"),
             } = value;
             c
@@ -752,6 +751,10 @@ mod tests {
             ("wb_entries", 1 << 40, "wb_entries"),
             ("prefetch_window", MAX_PREFETCH_WINDOW + 1, "prefetch_window must be at most 4096, got 4097"),
             ("prefetch_window", 1 << 40, "prefetch_window"),
+            // The shard count is recorded only; at most one per node.
+            ("dir_shards", 0, "dir_shards must be in 1..=8, got 0"),
+            ("dir_shards", 9, "dir_shards must be in 1..=8, got 9"),
+            ("dir_shards", usize::MAX, "dir_shards must be in 1..=8"),
         ] {
             let err = with(field, value).validate().expect_err(reason);
             assert!(err.contains(reason), "{err}");
@@ -764,6 +767,7 @@ mod tests {
             tlb_entries: MAX_TLB_ENTRIES,
             wb_entries: MAX_WB_ENTRIES,
             prefetch_window: MAX_PREFETCH_WINDOW,
+            dir_shards: 8,
             ..ok
         };
         assert!(max.validate().is_ok());
@@ -861,12 +865,9 @@ mod tests {
         c.mesh_height = 4;
         c.io_placement = IoPlacement::Row;
         assert!(c.validate().is_err());
-        // Zero rings / zero shards are invalid.
+        // Zero rings are invalid.
         let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
         c.ring_count = 0;
-        assert!(c.validate().is_err());
-        let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-        c.dir_shards = 0;
         assert!(c.validate().is_err());
         // Node cap.
         let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);

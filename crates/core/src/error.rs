@@ -173,7 +173,7 @@ impl std::error::Error for SimError {}
 /// | code | meaning |
 /// |------|---------|
 /// | 0 | success |
-/// | 1 | a comparison gate tripped: `ckpt-diff` drift, `bench --check-regress` regression |
+/// | 1 | a comparison gate tripped: `ckpt-diff` drift |
 /// | 2 | validation error: bad flags, unknown app, malformed spec, invalid config |
 /// | 3 | simulation fault: deadlock, livelock, exhausted fault retries, I/O failure, worker panic |
 /// | 4 | corrupt or version-incompatible checkpoint file |
@@ -182,7 +182,7 @@ impl std::error::Error for SimError {}
 pub enum ExitCode {
     /// The command completed.
     Success = 0,
-    /// A comparison gate failed (checkpoint drift, bench regression).
+    /// A comparison gate failed (checkpoint drift).
     GateFailed = 1,
     /// The request itself was invalid: flags, specs, configuration.
     Validation = 2,

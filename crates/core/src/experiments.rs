@@ -335,15 +335,22 @@ pub fn ionode_sweep(
 /// and measure the NWCache hit rate. The paper explains Table 7's
 /// ordering by whether "working sets can (almost) fit in the combined
 /// memory/NWCache size"; this experiment shows the effect directly.
-/// Returns `(data_bytes, data / (memory + ring), hit_rate %)`.
+/// The footprints are full-scale sizes, shrunk with the machine's
+/// capacity (see [`capacity_shrink`]) so each keeps its ratio to it.
+/// Returns `(data_bytes, data / (memory + ring), hit_rate %)` per
+/// footprint, with `data_bytes` the simulated size.
 pub fn reuse_distance_sweep(
     footprints_bytes: &[u64],
     prefetch: PrefetchMode,
+    scale: f64,
 ) -> Vec<(u64, f64, f64)> {
     use nw_apps::synth::{build as synth_build, SynthConfig};
-    let base = MachineConfig::paper_default(MachineKind::NwCache, prefetch);
+    let base = MachineConfig::scaled_paper(MachineKind::NwCache, prefetch, scale);
     let capacity = mem_plus_ring(&base) as f64;
-    let tasks: Vec<_> = footprints_bytes
+    let shrink = capacity_shrink(&base);
+    let footprints: Vec<u64> =
+        footprints_bytes.iter().map(|&b| (b as f64 * shrink) as u64).collect();
+    let tasks: Vec<_> = footprints
         .iter()
         .map(|&data_bytes| {
             let cfg = base.clone();
@@ -354,7 +361,7 @@ pub fn reuse_distance_sweep(
             }
         })
         .collect();
-    footprints_bytes
+    footprints
         .iter()
         .zip(nw_sim::pool::run(crate::sweep::jobs(), tasks))
         .map(|(&bytes, r)| (bytes, bytes as f64 / capacity, r.expect("run").ring_hit_rate()))
@@ -365,6 +372,15 @@ pub fn reuse_distance_sweep(
 fn mem_plus_ring(cfg: &MachineConfig) -> u64 {
     cfg.memory_per_node * cfg.nodes as u64
         + (cfg.ring_channels * cfg.ring_slots_per_channel) as u64 * cfg.page_bytes
+}
+
+/// [`mem_plus_ring`] of `cfg` over that of the paper machine: 1.0 at
+/// full scale. Below it, the per-node frame floor keeps memory from
+/// shrinking as far as `scale`, so the capacity-relative sweeps shrink
+/// their workloads by this factor instead.
+fn capacity_shrink(cfg: &MachineConfig) -> f64 {
+    let paper = MachineConfig::paper_default(cfg.kind, cfg.prefetch);
+    mem_plus_ring(cfg) as f64 / mem_plus_ring(&paper) as f64
 }
 
 /// Access-skew sensitivity, an axis the paper's fixed Table 2 suite
@@ -378,14 +394,17 @@ pub fn zipf_skew_sweep(
     lab: &mut Lab,
     skews: &[f64],
     prefetch: PrefetchMode,
+    scale: f64,
 ) -> Vec<(f64, f64, u64)> {
     use nw_workload::{Pattern, Phase, Scenario};
     use std::sync::Arc;
 
-    let base = MachineConfig::paper_default(MachineKind::NwCache, prefetch);
+    let base = MachineConfig::scaled_paper(MachineKind::NwCache, prefetch, scale);
     // 1.5x the combined capacity: out-of-core, but close enough that
     // a concentrated hot set fits back in.
     let pages = mem_plus_ring(&base) * 3 / 2 / base.page_bytes;
+    // As many accesses per page as at full scale.
+    let accesses = (4000.0 * capacity_shrink(&base)) as u64;
     let grid: Vec<(MachineConfig, AppSel)> = skews
         .iter()
         .map(|&skew| {
@@ -394,7 +413,7 @@ pub fn zipf_skew_sweep(
                 phases: vec![Phase {
                     pattern: Pattern::Zipf { skew },
                     pages,
-                    accesses: 4000,
+                    accesses,
                     write_frac: 0.6,
                     barriers: 4,
                     ..Phase::default()
@@ -854,5 +873,23 @@ mod tests {
         let again = lab.try_run(vec![(bad, AppId::Sor)]);
         assert_eq!(again, twice[..1]);
         assert_eq!(lab.cells(), 1);
+    }
+
+    #[test]
+    fn reuse_and_zipf_sweeps_shrink_with_scale() {
+        // The zipf cell runs on the scaled machine, not the paper one.
+        let mut lab = Lab::default();
+        zipf_skew_sweep(&mut lab, &[1.2], PrefetchMode::Naive, 0.05);
+        let small = crate::checkpoint::config_to_bytes(&cfg());
+        assert_eq!(lab.memo.keys().map(|k| &k.config).collect::<Vec<_>>(), [&small]);
+        let full = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
+        assert!(cfg().memory_per_node < full.memory_per_node);
+        // The reuse footprint shrinks and keeps its capacity ratio.
+        let mb = 1 << 20;
+        let [(bytes, ratio, _)] = reuse_distance_sweep(&[mb], PrefetchMode::Naive, 0.05)[..] else {
+            panic!("one footprint, one row");
+        };
+        assert!(bytes < mb / 4, "{bytes}");
+        assert!((ratio - mb as f64 / mem_plus_ring(&full) as f64).abs() < 1e-3, "{ratio}");
     }
 }

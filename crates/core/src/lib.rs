@@ -45,7 +45,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod error;
 pub mod experiments;
-pub mod hotbench;
 pub mod machine;
 pub mod metrics;
 pub mod observe;

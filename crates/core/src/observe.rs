@@ -507,7 +507,7 @@ pub fn validate_chrome_trace(doc: &str) -> Result<TraceStats, String> {
 }
 
 /// Minimal recursive-descent JSON parser — the workspace's one JSON
-/// reader (trace validation, bench reports), with no external crates.
+/// reader (trace validation), with no external crates.
 pub(crate) mod json {
     /// A parsed JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -564,15 +564,6 @@ pub(crate) mod json {
             match self {
                 Value::Int(n) => Some(*n as f64),
                 Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The exact value, if this is a non-negative integer that
-        /// fits in a `u64`.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Int(n) => Some(*n),
                 _ => None,
             }
         }
@@ -890,15 +881,25 @@ mod tests {
         assert_eq!(a.len(), 6);
         assert_eq!(a[1].as_f64(), Some(-2.5));
         assert_eq!(a[2].as_f64(), Some(300.0));
-        assert_eq!(a[0].as_u64(), Some(1));
-        assert_eq!(a[1].as_u64(), None);
+        assert_eq!(a[0], json::Value::Int(1));
+        assert_eq!(a[1], json::Value::Num(-2.5));
         // Integers above 2^53 read back exactly.
         let big = json::parse("[9007199254740993, 18446744073709551616]").unwrap();
         let big = big.as_array().unwrap();
-        assert_eq!(big[0].as_u64(), Some(9_007_199_254_740_993));
-        assert_eq!(big[1].as_u64(), None, "past u64::MAX falls back to f64");
+        assert_eq!(big[0], json::Value::Int(9_007_199_254_740_993));
+        assert!(matches!(big[1], json::Value::Num(_)), "past u64::MAX falls back to f64");
         assert_eq!(obj[2].1.get("d").and_then(|d| d.as_array()).map(|d| d.len()), Some(0));
         assert_eq!(obj[1].1.as_str(), Some("q\"\nA"));
+        // A pretty-printed document, one field per line.
+        let pretty = json::parse(
+            "{\n  \"quick\": false,\n  \"rows\": [\n    {\n      \"name\": \"x\",\n      \
+             \"n\": 250.5\n    }\n  ]\n}",
+        )
+        .unwrap();
+        assert_eq!(pretty.get("quick"), Some(&json::Value::Bool(false)));
+        let row = &pretty.get("rows").and_then(|r| r.as_array()).unwrap()[0];
+        assert_eq!(row.get("name").and_then(|n| n.as_str()), Some("x"));
+        assert_eq!(row.get("n").and_then(|n| n.as_f64()), Some(250.5));
         assert!(json::parse("{\"a\":}").is_err());
         assert!(json::parse("[1,2").is_err());
         assert!(json::parse("[1,2] extra").is_err());

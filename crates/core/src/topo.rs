@@ -19,9 +19,10 @@
 //!   forces 4.
 //! * `rings=K` (default 1) — optical rings in the fabric.
 //! * `shard=page|region` (default `page`) — page-to-ring sharding.
-//! * `dirshards=N` (default 1) — directory shards; validated and
-//!   recorded in checkpoints, but storage is no longer split (one
-//!   page-indexed directory makes every lookup a single probe).
+//! * `dirshards=N` (default 1) — directory shards, at most one per
+//!   node; validated and recorded in checkpoints, but storage is no
+//!   longer split (one page-indexed directory makes every lookup a
+//!   single probe).
 //!
 //! [`TopoSpec::parse`] only checks syntax; [`TopoSpec::validate`]
 //! (also run by [`TopoSpec::to_config`]) applies the full
@@ -313,6 +314,8 @@ mod tests {
             "mesh=4x2,io=spread:16",  // more I/O nodes than nodes
             "mesh=4x2,rings=0",       // zero rings
             "mesh=4x2,dirshards=0",   // zero shards
+            "mesh=4x2,dirshards=9",   // more shards than nodes
+            "mesh=4x2,dirshards=18446744073709551615",
         ] {
             let t = TopoSpec::parse(bad).expect(bad);
             assert!(t.validate().is_err(), "validated '{bad}'");

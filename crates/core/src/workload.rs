@@ -12,8 +12,8 @@
 //!
 //! Replayed and generated workloads build into ordinary
 //! [`nw_apps::AppBuild`]s, so they flow through sweeps, fault plans,
-//! observability, and the bench harness without those layers knowing
-//! the difference. Selections are cheap to clone (traces are behind
+//! observability, and the `reproduce` harness without those layers
+//! knowing the difference. Selections are cheap to clone (traces are behind
 //! an [`Arc`]), which is what lets a single decoded trace fan out
 //! across a parallel sweep grid without re-reading the file per cell.
 

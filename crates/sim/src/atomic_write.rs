@@ -1,7 +1,7 @@
 //! Atomic output-file writes shared by every artifact emitter.
 //!
 //! Every durable artifact the workspace produces — checkpoints, sweep
-//! and bench JSON reports, Perfetto traces, recorded `nwtrace` files,
+//! JSON reports, Perfetto traces, recorded `nwtrace` files,
 //! warm-state cache entries — is written through [`write_atomic`]: the
 //! bytes land in a sibling temp file first and are renamed over the
 //! target. `rename(2)` within one directory is atomic on every

@@ -22,8 +22,8 @@
 //!   [`nw_apps::Action`] layer.
 //! * **replay** — [`Trace::into_build`] presents a recorded or
 //!   generated trace as a normal app to the simulator, so traces flow
-//!   through sweeps, fault plans, observability tracing, and the bench
-//!   harness unchanged.
+//!   through sweeps, fault plans, observability tracing, and the
+//!   `reproduce` harness unchanged.
 //!
 //! ```
 //! use nw_workload::{Scenario, Trace};

@@ -13,9 +13,8 @@
 //!
 //! [`Trace::decode`] sniffs the encoding from the first bytes, so
 //! callers never need to know which one a file uses. The schema is
-//! **frozen** (like `nwcache-bench-v1` / `nwcache-sweep-v1`): traces
-//! recorded today must decode forever; any format evolution bumps the
-//! version tag.
+//! **frozen** (like `nwcache-sweep-v1`): traces recorded today must
+//! decode forever; any format evolution bumps the version tag.
 
 use nw_apps::{Action, AppBuild};
 use nw_sim::ckpt::{capped, put_varint, read_varint, CkptError};
