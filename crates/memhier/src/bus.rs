@@ -44,6 +44,7 @@ impl MemoryBus {
 
     /// Occupy the bus for a `bytes`-byte transfer starting no earlier
     /// than `now`; returns the granted interval.
+    #[inline]
     pub fn transfer(&mut self, now: Time, bytes: u64) -> Grant {
         self.bytes += bytes;
         let dur = self.overhead + self.bw.transfer_cycles(bytes);

@@ -189,6 +189,7 @@ impl Directory {
 
     /// A read by `node`. Updates sharer state and reports where the
     /// data comes from.
+    #[inline]
     pub fn read(&mut self, line: Line, node: u32) -> ReadOutcome {
         self.reads += 1;
         let bit = self.bit(node);
@@ -219,6 +220,7 @@ impl Directory {
     }
 
     /// A write (ownership request) by `node`.
+    #[inline]
     pub fn write(&mut self, line: Line, node: u32) -> WriteOutcome {
         self.writes += 1;
         let bit = self.bit(node);
@@ -267,6 +269,7 @@ impl Directory {
     /// with coarse sharer groups a clean eviction cannot clear the
     /// group's bit (another member may still share the line), so only
     /// the node-precise granularity ever shrinks a shared mask.
+    #[inline]
     pub fn evict(&mut self, line: Line, node: u32) {
         let bit = self.bit(node);
         let precise = self.granularity == 1;

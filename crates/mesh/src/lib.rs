@@ -165,6 +165,7 @@ impl Mesh {
     ///
     /// `src == dst` models a node-local message: only NI overhead, no
     /// link traversal or contention.
+    #[inline]
     pub fn send(&mut self, now: Time, src: NodeId, dst: NodeId, bytes: u64) -> Delivery {
         self.messages += 1;
         self.bytes += bytes;
