@@ -250,11 +250,14 @@ fn hostile_scenario_dials_are_job_errors_and_the_server_lives() {
     // Each spec used to abort, panic or exhaust the server process.
     let (addr, handle, join) = start(ServeOptions::default());
     let mut conn = Connection::connect(&addr).unwrap();
+    // 1,000 Zipf phases, each within bounds, whose CDFs total 8 GB.
+    let zipf_phases = format!("workload:gen:{}", vec!["zipf:1,ws=1048576,acc=1"; 1000].join(";"));
     for hostile in [
         "workload:gen:zipf,ws=1099511627776,acc=1",
         "workload:gen:seq,ws=288230376151711744,acc=1",
         "workload:gen:uniform,ws=64,acc=1000000000000",
         "workload:gen:seq,acc=1,bar=4294967295",
+        &zipf_phases,
     ] {
         for warmup_events in [0, 100] {
             let spec = JobSpec { warmup_events, ..run_spec(hostile) };
