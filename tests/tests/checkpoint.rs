@@ -268,6 +268,8 @@ fn checkpoint_bytes_match_the_recorded_digests() {
         ("mesh=8x8,rings=2", topo, "sor", 0xdfb7_fe45_c3f1_f21d),
         ("dcd", dcd, "gauss", 0xb1fa_8bca_19a8_527e),
         ("nwcache faulted", faulted, "sor", 0x2738_1004_9785_b9e0),
+        ("nwcache optimal", scaled(MachineKind::NwCache, PrefetchMode::Optimal), "sor", 0x086f_265d_59df_8382),
+        ("standard window", scaled(MachineKind::Standard, PrefetchMode::Window), "gauss", 0xe932_12f2_b6ef_cf36),
     ] {
         assert_eq!(fnv1a(&snapshot_at(&cfg, spec, 800)), digest, "{label}");
     }

@@ -57,6 +57,8 @@ const GOLDEN_OPTIMAL_CLEAN: &str = include_str!("golden/clean_prefetch_optimal_0
 const GOLDEN_OPTIMAL_FAULTED: &str = include_str!("golden/faulted_prefetch_optimal_01.json");
 const GOLDEN_NAIVE_CLEAN: &str = include_str!("golden/clean_prefetch_naive_01.json");
 const GOLDEN_NAIVE_FAULTED: &str = include_str!("golden/faulted_prefetch_naive_01.json");
+const GOLDEN_WINDOW_CLEAN: &str = include_str!("golden/clean_prefetch_window_01.json");
+const GOLDEN_WINDOW_FAULTED: &str = include_str!("golden/faulted_prefetch_window_01.json");
 const GOLDEN_ADAPTIVE_CLEAN: &str = include_str!("golden/clean_prefetch_adaptive_01.json");
 const GOLDEN_ADAPTIVE_FAULTED: &str = include_str!("golden/faulted_prefetch_adaptive_01.json");
 
@@ -102,6 +104,27 @@ fn naive_policy_is_bit_identical_under_faults() {
     assert!(m.disk_media_errors > 0, "no media errors in golden cell");
 }
 
+#[test]
+fn window_policy_run_is_pinned() {
+    let m = try_run_sel(&cell(PrefetchMode::Window), &sel()).expect("clean run");
+    assert_eq!(
+        m.summary().to_json().trim(),
+        GOLDEN_WINDOW_CLEAN.trim(),
+        "window policy drifted from its pinned snapshot"
+    );
+}
+
+#[test]
+fn window_policy_run_is_pinned_under_faults() {
+    let m = try_run_sel(&faulted(PrefetchMode::Window), &sel()).expect("faulted run");
+    assert_eq!(
+        m.summary().to_json().trim(),
+        GOLDEN_WINDOW_FAULTED.trim(),
+        "window policy (faulted) drifted from its pinned snapshot"
+    );
+    assert!(m.disk_media_errors > 0, "no media errors in golden cell");
+}
+
 // ---- adaptive policy: pinned snapshots + behavioural bounds ----------------
 
 #[test]
@@ -123,6 +146,31 @@ fn adaptive_policy_run_is_pinned_under_faults() {
         "adaptive policy (faulted) drifted from its pinned snapshot"
     );
     assert!(m.disk_media_errors > 0, "no media errors in golden cell");
+}
+
+/// `RunSummary::to_json` leaves the speculation and controller-cache
+/// counters out, so the snapshots above cannot see them: pin them
+/// exactly for both adaptive cells. Order: spec issued, hits, late,
+/// wasted, canceled, in-flight peak, disk read hits, disk read misses.
+#[test]
+fn adaptive_speculation_counters_are_pinned() {
+    for (label, cfg, want) in [
+        ("clean", cell(PrefetchMode::Adaptive), [435, 340, 91, 6, 25, 8, 340, 36]),
+        ("faulted", faulted(PrefetchMode::Adaptive), [444, 335, 78, 12, 20, 8, 335, 41]),
+    ] {
+        let m = try_run_sel(&cfg, &sel()).expect("run");
+        let got = [
+            m.prefetch_spec_issued,
+            m.prefetch_spec_hits,
+            m.prefetch_spec_late,
+            m.prefetch_spec_wasted,
+            m.prefetch_spec_canceled,
+            m.prefetch_inflight_peak,
+            m.disk_read_hits,
+            m.disk_read_misses,
+        ];
+        assert_eq!(got, want, "{label} adaptive speculation counters drifted");
+    }
 }
 
 /// The headline conformance bound: from the demand-miss stream alone
@@ -198,7 +246,7 @@ fn adaptive_speculation_never_exceeds_inflight_cap() {
 /// bit-identity contract, but cheaper to diagnose from counters).
 #[test]
 fn non_speculating_policies_issue_no_hints() {
-    for mode in [PrefetchMode::Optimal, PrefetchMode::Naive] {
+    for mode in [PrefetchMode::Optimal, PrefetchMode::Naive, PrefetchMode::Window] {
         let m = try_run_sel(&cell(mode), &sel()).expect("run");
         assert_eq!(m.prefetch_spec_issued, 0);
         assert_eq!(m.prefetch_spec_hits, 0);
@@ -215,6 +263,7 @@ fn print_prefetch_golden() {
     for (mode, name) in [
         (PrefetchMode::Optimal, "optimal"),
         (PrefetchMode::Naive, "naive"),
+        (PrefetchMode::Window, "window"),
         (PrefetchMode::Adaptive, "adaptive"),
     ] {
         let clean = try_run_sel(&cell(mode), &sel()).expect("clean run");
