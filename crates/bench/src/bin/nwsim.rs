@@ -77,11 +77,6 @@ fn die_err(e: &SimError) -> ! {
     std::process::exit(e.exit_code().code())
 }
 
-fn machine_kind(p: &Parsed, s: &str) -> Result<MachineKind, Usage> {
-    MachineKind::parse(s)
-        .ok_or_else(|| p.usage(format!("unknown machine '{s}' (standard|nwcache|dcd)")))
-}
-
 /// The shared `--machine/--prefetch/--scale/--seed/--topo` subset of
 /// the flags, as the [`RunParams`] value the server uses for the same
 /// job fields — one lowering path, so `nwsim run` and a server job
@@ -90,7 +85,8 @@ fn run_params(p: &Parsed) -> Result<RunParams, Usage> {
     let (prefetch, prefetch_window) =
         PrefetchMode::parse_spec(p.get("--prefetch").unwrap_or("naive")).map_err(|e| p.usage(e))?;
     Ok(RunParams {
-        machine: machine_kind(p, p.get("--machine").unwrap_or("nwcache"))?,
+        machine: MachineKind::parse(p.get("--machine").unwrap_or("nwcache"))
+            .map_err(|e| p.usage(e))?,
         prefetch,
         prefetch_window,
         scale: p.value("--scale")?.unwrap_or(0.25),
@@ -373,7 +369,7 @@ fn job_spec(p: &Parsed, kind: JobKind) -> Result<JobSpec, Usage> {
             .collect(),
     };
     for m in &machines {
-        machine_kind(p, m)?;
+        MachineKind::parse(m).map_err(|e| p.usage(e))?;
     }
     Ok(JobSpec {
         kind,

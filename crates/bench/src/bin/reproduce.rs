@@ -14,8 +14,7 @@
 //! one per core, the default). Results are bit-identical at any job
 //! count; each simulation itself runs on one serial event loop.
 //! `--json out.json` runs the full paper matrix and writes a
-//! stable-schema `SweepReport` (`nwcache-sweep-v1`) — the format the
-//! `BENCH_*.json` perf trajectories are recorded in. With `--json` and
+//! stable-schema `SweepReport` (`nwcache-sweep-v1`). With `--json` and
 //! no explicit targets, only the export runs.
 //!
 //! `scale` runs the generated-topology weak-/strong-scaling study
@@ -46,7 +45,7 @@ use nwcache::AppSel;
 /// `--trace-cell app:machine:prefetch`: re-run that cell, lowered like
 /// `nwsim run`'s flags, with the observer attached. Split from the
 /// right so the app position can itself contain ':'
-/// (workload:gen:<spec> and trace paths with colons).
+/// (`workload:gen:<spec>` and trace paths with colons).
 fn trace_cell(p: &Parsed, cell: &str, scale: f64) -> Result<(), Usage> {
     let bad = |reason: String| p.usage(format!("--trace-cell: {reason}"));
     let mut parts = cell.rsplitn(3, ':');
@@ -54,8 +53,7 @@ fn trace_cell(p: &Parsed, cell: &str, scale: f64) -> Result<(), Usage> {
     else {
         return Err(bad(format!("wants app:machine:prefetch, got '{cell}'")));
     };
-    let machine = MachineKind::parse(machine)
-        .ok_or_else(|| bad(format!("unknown machine '{machine}' (standard|nwcache|dcd)")))?;
+    let machine = MachineKind::parse(machine).map_err(bad)?;
     let (prefetch, prefetch_window) = PrefetchMode::parse_spec(prefetch).map_err(bad)?;
     let params = RunParams { machine, prefetch, prefetch_window, scale, ..RunParams::default() };
     let cfg = params.to_config().map_err(|e| bad(e.to_string()))?;

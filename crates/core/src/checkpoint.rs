@@ -70,8 +70,8 @@ pub mod sections {
     /// The retired page-lifecycle tracer: written as two zero counts
     /// so checkpoint bytes stay unchanged; restore discards any payload.
     pub const TRACER: u32 = 11;
-    /// Adaptive-prefetch detector state. Written only when the run's
-    /// policy carries state, so non-adaptive checkpoints are unchanged.
+    /// Adaptive-prefetch detector state. Written only for adaptive
+    /// runs, the one mode with machine-side prefetch state.
     pub const PREFETCH: u32 = 12;
 
     /// Human-readable section name for validators and diff output.

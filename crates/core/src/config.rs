@@ -657,19 +657,53 @@ impl RunParams {
 
 impl MachineKind {
     /// Parse a CLI machine label (`standard|std|nwcache|nwc|dcd`).
-    /// Shared by `nwsim` and the serve protocol so both reject exactly
-    /// the same strings.
-    pub fn parse(s: &str) -> Option<MachineKind> {
+    /// Shared by both binaries and the serve protocol so all reject
+    /// exactly the same strings with the same message.
+    pub fn parse(s: &str) -> Result<MachineKind, String> {
         match s {
-            "standard" | "std" => Some(MachineKind::Standard),
-            "nwcache" | "nwc" => Some(MachineKind::NwCache),
-            "dcd" => Some(MachineKind::Dcd),
-            _ => None,
+            "standard" | "std" => Ok(MachineKind::Standard),
+            "nwcache" | "nwc" => Ok(MachineKind::NwCache),
+            "dcd" => Ok(MachineKind::Dcd),
+            other => Err(format!("unknown machine '{other}' (standard|nwcache|dcd)")),
+        }
+    }
+
+    /// Label reported in `RunSummary::machine` and trace metadata.
+    pub fn label(self) -> &'static str {
+        match self {
+            MachineKind::Standard => "standard",
+            MachineKind::NwCache => "nwcache",
+            MachineKind::Dcd => "dcd",
         }
     }
 }
 
 impl PrefetchMode {
+    /// Label reported in `RunSummary::prefetch`.
+    pub fn label(self) -> &'static str {
+        match self {
+            PrefetchMode::Optimal => "optimal",
+            PrefetchMode::Naive => "naive",
+            PrefetchMode::Window => "window",
+            PrefetchMode::Adaptive => "adaptive",
+        }
+    }
+
+    /// The controller-level policy the disks run with. Window depth is
+    /// the controller cache size; adaptive controllers serve demand
+    /// reads only, since every speculative read is an explicit hint
+    /// from the machine (see `crate::prefetch`).
+    pub fn disk_policy(self, disk_cache_pages: usize) -> nw_disk::PrefetchPolicy {
+        match self {
+            PrefetchMode::Optimal => nw_disk::PrefetchPolicy::Optimal,
+            PrefetchMode::Naive => nw_disk::PrefetchPolicy::Naive,
+            PrefetchMode::Window => nw_disk::PrefetchPolicy::Window {
+                depth: disk_cache_pages,
+            },
+            PrefetchMode::Adaptive => nw_disk::PrefetchPolicy::Demand,
+        }
+    }
+
     /// Parse a CLI prefetch spec: `optimal|naive|window|adaptive[:N]`,
     /// where the optional `:N` suffix sets the adaptive detector's
     /// sliding window.
@@ -1020,5 +1054,33 @@ mod tests {
     fn standard_machine_has_no_ring() {
         assert!(!MachineConfig::paper_default(MachineKind::Standard, PrefetchMode::Naive).has_ring());
         assert!(MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive).has_ring());
+    }
+
+    #[test]
+    fn labels_parse_back_to_their_mode() {
+        for kind in [MachineKind::Standard, MachineKind::NwCache, MachineKind::Dcd] {
+            assert_eq!(MachineKind::parse(kind.label()), Ok(kind));
+        }
+        assert_eq!(
+            MachineKind::parse("ring"),
+            Err("unknown machine 'ring' (standard|nwcache|dcd)".to_string())
+        );
+        for mode in [
+            PrefetchMode::Optimal,
+            PrefetchMode::Naive,
+            PrefetchMode::Window,
+            PrefetchMode::Adaptive,
+        ] {
+            assert_eq!(PrefetchMode::parse_spec(mode.label()), Ok((mode, None)));
+        }
+    }
+
+    #[test]
+    fn prefetch_modes_map_to_controller_policies() {
+        use nw_disk::PrefetchPolicy as P;
+        assert_eq!(PrefetchMode::Optimal.disk_policy(4), P::Optimal);
+        assert_eq!(PrefetchMode::Naive.disk_policy(4), P::Naive);
+        assert_eq!(PrefetchMode::Window.disk_policy(4), P::Window { depth: 4 });
+        assert_eq!(PrefetchMode::Adaptive.disk_policy(4), P::Demand);
     }
 }

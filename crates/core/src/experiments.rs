@@ -336,7 +336,8 @@ pub fn ionode_sweep(
 /// ordering by whether "working sets can (almost) fit in the combined
 /// memory/NWCache size"; this experiment shows the effect directly.
 /// The footprints are full-scale sizes, shrunk with the machine's
-/// capacity (see [`capacity_shrink`]) so each keeps its ratio to it.
+/// memory + ring capacity (relative to the paper machine's) so each
+/// keeps its ratio to it.
 /// Returns `(data_bytes, data / (memory + ring), hit_rate %)` per
 /// footprint, with `data_bytes` the simulated size.
 pub fn reuse_distance_sweep(
@@ -751,7 +752,7 @@ pub fn scale_study(lab: &mut Lab, topos: &[&str], scale: f64) -> Result<Vec<Scal
                 AppSel::parse(&format!("workload:gen:{}", scale_scenario(mode, nodes, scale)))
                     .map_err(|e| format!("{t} ({mode}): {e}"))?;
             for kind in PAIR {
-                meta.push((topo.to_spec(), nodes, crate::sweep::kind_label(kind), mode));
+                meta.push((topo.to_spec(), nodes, kind.label(), mode));
                 grid.push((topo.to_config(kind, PrefetchMode::Naive, scale), sel.clone()));
             }
         }

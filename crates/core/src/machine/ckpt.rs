@@ -393,12 +393,10 @@ impl Machine {
             Ok(())
         })?;
 
-        // PREFETCH: policy-side speculative state (adaptive only).
-        // Stateless policies have no section at all, keeping their
-        // checkpoint bytes identical to what they were before the
-        // policy layer existed.
-        if self.policy.has_ckpt_state() {
-            c.section(sections::PREFETCH, |c| self.policy.ckpt(c))?;
+        // PREFETCH: speculation state (adaptive only). The other
+        // modes have no machine-side prefetch state and no section.
+        if let Some(spec) = &mut self.spec {
+            c.section(sections::PREFETCH, |c| spec.ckpt(c))?;
         }
         Ok(())
     }

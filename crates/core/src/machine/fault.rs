@@ -2,7 +2,7 @@
 //! swap-out initiation.
 
 use super::{BlockKind, FaultInfo, FaultSource, Machine};
-use crate::config::MachineKind;
+use crate::config::{MachineKind, PrefetchMode};
 use crate::error::SimError;
 use crate::observe::groups;
 use crate::vm::{PageState, ProcId, Vpn};
@@ -50,39 +50,39 @@ impl Machine {
     /// longer cover (demand misses shift the window, so a collision
     /// with an unpredicted page naturally cancels the stale lookahead),
     /// and issue new bounded speculative hints over the mesh. A no-op
-    /// (no RNG rolls, no traffic) for the non-speculating policies.
+    /// (no RNG rolls, no traffic) unless the mode is adaptive.
     pub(crate) fn maybe_speculate(&mut self, node: u32, vpn: Vpn, now: Time) {
-        if !self.policy.speculates() {
+        // Taken out for the round so the mesh and disk paths below can
+        // borrow the machine; nothing they call touches it.
+        let Some(mut spec) = self.spec.take() else {
             return;
-        }
-        self.policy.observe_fault(node, vpn);
-        let mut preds = std::mem::take(&mut self.scratch_pred);
-        self.policy.predict(node, &mut preds);
+        };
+        spec.observe_fault(node, vpn);
+        let mut preds = std::mem::take(&mut spec.preds);
+        spec.predict(node, &mut preds);
         // Cancel queued hints that fell out of the prediction set. The
         // faulting page itself is never stale: its demand read is en
         // route to the controller and will consume the speculative
         // fill (the late-hit path) — retracting it here would throw
         // away exactly the work the hint existed to do.
-        let mut stale = std::mem::take(&mut self.scratch_hints);
-        self.policy.outstanding_for(node, &mut stale);
+        let mut stale = std::mem::take(&mut spec.stale);
+        spec.outstanding_for(node, &mut stale);
         for &old in &stale {
             if old != vpn
                 && !preds.contains(&old)
                 && self.disks[self.fs.disk_of(old) as usize].spec_cancel(old)
             {
-                self.policy.on_resolved(old);
+                spec.release(old);
             }
         }
-        stale.clear();
-        self.scratch_hints = stale;
         // Issue hints for fresh, useful predictions within the cap.
         for &pred in &preds {
-            if self.policy.inflight(node) >= self.policy.cap() {
+            if spec.inflight(node) >= spec.cap() {
                 break;
             }
             if pred >= self.npages
                 || self.pt[pred as usize].state != PageState::OnDisk
-                || self.policy.is_outstanding(pred)
+                || spec.is_outstanding(pred)
             {
                 continue;
             }
@@ -91,7 +91,7 @@ impl Machine {
             if dc.cache_contains(pred) || dc.spec_tracks(pred) {
                 continue;
             }
-            self.policy.commit(node, pred);
+            spec.commit(node, pred);
             let io = self.disk_homes[disk as usize];
             // The hint is a control message and shares the protected
             // mesh paths' fault model: bandwidth is spent either way,
@@ -107,11 +107,14 @@ impl Machine {
                     },
                 );
             } else {
-                self.policy.on_resolved(pred);
+                spec.release(pred);
             }
         }
         preds.clear();
-        self.scratch_pred = preds;
+        stale.clear();
+        spec.preds = preds;
+        spec.stale = stale;
+        self.spec = Some(spec);
     }
 
     /// Fault on a page whose Ring bit is set: victim read straight off
@@ -162,7 +165,7 @@ impl Machine {
         // node bus in time" (paper par. 5, Contention), so the disk,
         // I/O-bus and mesh bandwidth is spent even though the fault is
         // served from the ring.
-        if self.policy.background_on_ring_hit() {
+        if self.cfg.prefetch == PrefetchMode::Optimal {
             self.disks[disk as usize].background_read(now);
             let bg = self.io_bus[io as usize].transfer(now, self.cfg.page_bytes);
             self.mesh_send(bg.end, io, n, self.cfg.page_bytes, "mesh.page");

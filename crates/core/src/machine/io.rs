@@ -174,8 +174,8 @@ impl Machine {
         // A demand read consumes any speculative work on the same page
         // (queued hint canceled, active fill adopted, side-cache entry
         // promoted) — the hint slot frees up either way.
-        if self.policy.is_outstanding(vpn) {
-            self.policy.on_resolved(vpn);
+        if let Some(spec) = &mut self.spec {
+            spec.release(vpn);
         }
         if outcome.is_hit() {
             if let Some(info) = self.fault_info.get_mut(&vpn) {
@@ -728,7 +728,9 @@ impl Machine {
         let block = self.fs.block_of(vpn);
         match self.disks[disk as usize].spec_hint(t, vpn, block, node) {
             nw_disk::SpecOutcome::Duplicate => {
-                self.policy.on_resolved(vpn);
+                if let Some(spec) = &mut self.spec {
+                    spec.release(vpn);
+                }
             }
             nw_disk::SpecOutcome::Queued { schedule_check } => {
                 self.obs_instant(t, groups::DISK, disk, "disk.spec.hint", vpn, node as u64);
@@ -747,7 +749,9 @@ impl Machine {
         let t = self.queue.now();
         let prog = self.disks[disk as usize].spec_step(t);
         for &(page, node) in &prog.installed {
-            self.policy.on_installed(page);
+            if let Some(spec) = &mut self.spec {
+                spec.release(page);
+            }
             self.obs_instant(t, groups::DISK, disk, "disk.spec.install", page, node as u64);
         }
         if let Some(at) = prog.next_check {

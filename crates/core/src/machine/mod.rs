@@ -25,11 +25,11 @@ mod tests;
 
 pub use events::Event;
 
-use crate::config::{MachineConfig, MachineKind, RingShard};
+use crate::config::{MachineConfig, MachineKind, PrefetchMode, RingShard};
 use crate::error::SimError;
 use crate::metrics::RunMetrics;
-use crate::observe::{self, groups, ObserveConfig, Observer, TraceData};
-use crate::prefetch::{build_policy, PrefetchPolicy};
+use crate::observe::{groups, ObserveConfig, Observer, TraceData};
+use crate::prefetch::AdaptivePolicy;
 use crate::vm::{BarrierState, FramePool, PageEntry, PageState, ProcId, Vpn};
 use nw_apps::{Action, ActionStream, AppId};
 use nw_disk::{
@@ -205,14 +205,10 @@ pub struct Machine {
     pub(crate) m_degraded_ring_swaps: u64,
     pub(crate) m_dead_channels: u64,
     pub(crate) app_name: &'static str,
-    /// The machine-level prefetch policy (see [`crate::prefetch`]):
-    /// maps the config mode onto the controllers and, for the adaptive
-    /// mode, owns the per-node detectors and speculation accounting.
-    pub(crate) policy: Box<dyn PrefetchPolicy>,
-    /// Scratch buffers for the speculation hooks (predictions and
-    /// outstanding-hint snapshots), reused across faults.
-    pub(crate) scratch_pred: Vec<Vpn>,
-    pub(crate) scratch_hints: Vec<Vpn>,
+    /// Adaptive-prefetch speculation state (see [`crate::prefetch`]):
+    /// the per-node detectors and in-flight hint accounting. `Some`
+    /// exactly when `cfg.prefetch` is adaptive.
+    pub(crate) spec: Option<AdaptivePolicy>,
     /// Structured-event observer (`None` in normal runs; every hook is
     /// a single branch on this option — see [`crate::observe`]).
     pub(crate) obs: Option<Box<Observer>>,
@@ -284,10 +280,10 @@ impl Machine {
             })
             .collect();
 
-        let policy = build_policy(&cfg);
+        let spec = (cfg.prefetch == PrefetchMode::Adaptive).then(|| AdaptivePolicy::new(&cfg));
         let dcfg = DiskControllerConfig {
             cache_pages: cfg.disk_cache_pages,
-            policy: policy.disk_policy(),
+            policy: cfg.prefetch.disk_policy(cfg.disk_cache_pages),
             flush_delay: cfg.disk_flush_delay,
             spec_cache_pages: cfg.prefetch_window.max(2),
         };
@@ -341,7 +337,7 @@ impl Machine {
             cfg.faults.mesh_drop_rate,
             cfg.faults.mesh_corrupt_rate,
         );
-        let mut m = Machine {
+        let m = Machine {
             cfg,
             // Pre-size the far tier for the simultaneously outstanding
             // long-latency events (disk mechanics, watchdogs, staged
@@ -407,17 +403,10 @@ impl Machine {
             m_degraded_ring_swaps: 0,
             m_dead_channels: 0,
             app_name: build.name,
-            policy,
-            scratch_pred: Vec::new(),
-            scratch_hints: Vec::new(),
+            spec,
             obs: None,
             scratch_purge: Vec::with_capacity(LINES_PER_PAGE as usize),
         };
-        // A process-wide default (set by the trace CLI and the sweep
-        // invariance tests) attaches an observer to every new machine.
-        if let Some(ocfg) = observe::global() {
-            m.enable_observer(ocfg);
-        }
         Ok(m)
     }
 
@@ -452,12 +441,7 @@ impl Machine {
     /// `None` if none was attached.
     pub fn take_observation(&mut self) -> Option<TraceData> {
         let o = self.obs.take()?;
-        let machine = match self.cfg.kind {
-            MachineKind::Standard => "standard",
-            MachineKind::NwCache => "nwcache",
-            MachineKind::Dcd => "dcd",
-        };
-        Some(o.into_data(self.app_name.to_string(), machine.to_string()))
+        Some(o.into_data(self.app_name.to_string(), self.cfg.kind.label().to_string()))
     }
 
     /// Record an instant observation (no-op with no observer).
@@ -558,10 +542,12 @@ impl Machine {
 
     /// Speculative read hints currently in flight across all nodes
     /// (committed but not yet installed, consumed, or retracted).
-    /// Zero for non-speculating policies. Lets the crash-injection
+    /// Zero unless the mode is adaptive. Lets the crash-injection
     /// suite snapshot a machine while speculation is provably live.
     pub fn spec_outstanding(&self) -> usize {
-        (0..self.cfg.nodes).map(|n| self.policy.inflight(n)).sum()
+        self.spec
+            .as_ref()
+            .map_or(0, |s| (0..self.cfg.nodes).map(|n| s.inflight(n)).sum())
     }
 
     /// Shared data footprint in pages.
@@ -731,12 +717,8 @@ impl Machine {
         let l2_misses: u64 = self.procs.iter().map(|p| p.l2.misses()).sum();
         RunMetrics {
             app: self.app_name.to_string(),
-            machine: match self.cfg.kind {
-                MachineKind::Standard => "standard".into(),
-                MachineKind::NwCache => "nwcache".into(),
-                MachineKind::Dcd => "dcd".into(),
-            },
-            prefetch: self.policy.label().into(),
+            machine: self.cfg.kind.label().into(),
+            prefetch: self.cfg.prefetch.label().into(),
             exec_time: exec,
             breakdown: self.procs.iter().map(|p| p.breakdown).collect(),
             swap_out_time: self.m_swap_out_time.clone(),
@@ -776,12 +758,12 @@ impl Machine {
             degraded_ring_swaps: self.m_degraded_ring_swaps,
             disk_read_hits: self.disks.iter().map(|d| d.read_hits()).sum(),
             disk_read_misses: self.disks.iter().map(|d| d.read_misses()).sum(),
-            prefetch_spec_issued: self.policy.spec_issued(),
+            prefetch_spec_issued: self.spec.as_ref().map_or(0, |s| s.spec_issued()),
             prefetch_spec_hits: self.disks.iter().map(|d| d.spec_hits()).sum(),
             prefetch_spec_late: self.disks.iter().map(|d| d.spec_late()).sum(),
             prefetch_spec_wasted: self.disks.iter().map(|d| d.spec_wasted()).sum(),
             prefetch_spec_canceled: self.disks.iter().map(|d| d.spec_canceled()).sum(),
-            prefetch_inflight_peak: self.policy.inflight_peak(),
+            prefetch_inflight_peak: self.spec.as_ref().map_or(0, |s| s.inflight_peak()),
         }
     }
 

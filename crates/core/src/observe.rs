@@ -16,8 +16,7 @@
 //!   reads component state without touching it, and nothing here feeds
 //!   back into event scheduling. `RunMetrics` is bit-identical with
 //!   observation on or off — the `observability` integration suite
-//!   pins this differentially across clean and faulted cells, serial
-//!   and parallel.
+//!   pins this differentially across clean and faulted cells.
 //! * **Bounded memory.** The event buffer is a fixed-capacity ring
 //!   (oldest events overwritten, drop count kept); every sampled
 //!   series is a [`BoundedSeries`] that doubles its interval rather
@@ -29,7 +28,6 @@ use crate::metrics::{json_escape, json_f64};
 use nw_sim::stats::BoundedSeries;
 use nw_sim::trace::{TraceBuffer, TraceEvent};
 use nw_sim::Time;
-use std::sync::Mutex;
 
 /// Track groups: one per instrumented subsystem. Exported as Chrome
 /// trace "processes" (`pid = group + 1`).
@@ -357,30 +355,6 @@ impl TraceData {
                 && e.arg0 == vpn
         })
     }
-}
-
-// ---------------------------------------------------------------------------
-// Global default: lets the sweep harness (and anything else that builds
-// machines internally) observe runs without threading a config through
-// every call. `Machine::try_from_build` consults this once per build.
-
-static GLOBAL_OBSERVE: Mutex<Option<ObserveConfig>> = Mutex::new(None);
-
-/// Set (or clear, with `None`) the process-wide default observer
-/// configuration. Machines built while a config is set start with an
-/// observer attached; retrieve results with
-/// [`crate::Machine::take_observation`]. Affects only machines built
-/// *after* the call.
-pub fn set_global(cfg: Option<ObserveConfig>) {
-    *GLOBAL_OBSERVE.lock().unwrap_or_else(|e| e.into_inner()) = cfg;
-}
-
-/// The current process-wide default observer configuration, if any.
-pub fn global() -> Option<ObserveConfig> {
-    GLOBAL_OBSERVE
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -903,19 +877,5 @@ mod tests {
         assert!(json::parse("{\"a\":}").is_err());
         assert!(json::parse("[1,2").is_err());
         assert!(json::parse("[1,2] extra").is_err());
-    }
-
-    #[test]
-    fn global_switch_round_trips() {
-        // Serialized with other global-switch users via the state
-        // itself being process-wide: set, read back, clear.
-        let cfg = ObserveConfig {
-            trace_capacity: 8,
-            sample_interval: 10,
-        };
-        set_global(Some(cfg.clone()));
-        assert_eq!(global(), Some(cfg));
-        set_global(None);
-        assert_eq!(global(), None);
     }
 }

@@ -1,30 +1,25 @@
-//! Pluggable prefetch policies and the adaptive online pattern
-//! detector.
+//! The adaptive prefetch policy and its online pattern detector.
 //!
 //! The paper evaluates two prefetching *extremes* at the disk
 //! controller (§3.1): *optimal* (every read hits the controller
 //! cache) and *naive* (sequential span filling on a miss), expecting
 //! "realistic and sophisticated prefetching techniques to lie between
-//! these two extremes". This module turns the prefetch mode into a
-//! first-class policy object:
+//! these two extremes". The run's mode is plain data,
+//! [`PrefetchMode`](crate::config::PrefetchMode): optimal, naive and
+//! window are controller settings
+//! ([`PrefetchMode::disk_policy`](crate::config::PrefetchMode::disk_policy))
+//! with no machine-side state, pinned bit-identically by the
+//! conformance goldens in `tests/tests/prefetch.rs`.
 //!
-//! * [`PrefetchPolicy`] — the machine-facing trait. Each policy maps
-//!   to a controller-level [`nw_disk::PrefetchPolicy`] and may in
-//!   addition observe the per-node demand-miss stream and issue
-//!   speculative read hints through the machine's mesh + disk paths.
-//! * [`OptimalPolicy`] / [`NaivePolicy`] / [`WindowPolicy`] — the
-//!   pre-existing modes, refactored behind the trait. Their behaviour
-//!   is pinned bit-identically by the policy-conformance golden suite
-//!   (`tests/tests/prefetch.rs`): they drive the controller exactly
-//!   as the hard-wired modes did and issue no hints of their own.
-//! * [`AdaptivePolicy`] — the new middle ground. A per-node
-//!   [`Detector`] classifies the recent miss stream as sequential,
-//!   strided, temporal, or random over a sliding window and predicts
-//!   the next few pages. The machine turns accepted predictions into
-//!   bounded, cancellable speculative reads: each hint crosses the
-//!   mesh as a control message, queues at the target controller, and
-//!   is serviced only when the disk arm is idle
-//!   ([`nw_disk::DiskController::spec_hint`]).
+//! This module holds the middle ground, [`AdaptivePolicy`], which the
+//! machine builds only for the adaptive mode. A per-node [`Detector`]
+//! classifies the recent miss stream as sequential, strided,
+//! temporal, or random over a sliding window and predicts the next
+//! few pages. The machine turns accepted predictions into bounded,
+//! cancellable speculative reads: each hint crosses the mesh as a
+//! control message, queues at the target controller, and is serviced
+//! only when the disk arm is idle
+//! ([`nw_disk::DiskController::spec_hint`]).
 //!
 //! Determinism: classification is a pure function of the observed
 //! stream; the per-node [`Pcg32`] (stream `0xADA0 + node`, seeded
@@ -32,7 +27,7 @@
 //! equally-frequent candidates under the temporal pattern, so a run
 //! remains a pure function of `(MachineConfig, workload)`.
 
-use crate::config::{MachineConfig, PrefetchMode};
+use crate::config::MachineConfig;
 use crate::vm::Vpn;
 use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::Pcg32;
@@ -211,162 +206,14 @@ impl Detector {
     }
 }
 
-/// A machine-level prefetch policy: how the disk controllers prefetch
-/// and, optionally, an online speculation engine fed by the per-node
-/// demand-miss stream.
-///
-/// The non-speculating policies implement only the first half; every
-/// speculation hook defaults to a no-op so the demand paths of the
-/// refactored optimal/naive/window modes stay bit-identical to the
-/// pre-refactor machine (pinned by `tests/tests/prefetch.rs`).
-pub trait PrefetchPolicy: std::fmt::Debug + Send {
-    /// Label reported in `RunSummary::prefetch`.
-    fn label(&self) -> &'static str;
-
-    /// The controller-level policy the disks run with.
-    fn disk_policy(&self) -> nw_disk::PrefetchPolicy;
-
-    /// Whether a ring (NWCache) fault hit still charges the disk arm a
-    /// background sequential transfer — the idealized prefetcher
-    /// streaming a page the ring hit could not abort in time. True
-    /// only for the optimal policy.
-    fn background_on_ring_hit(&self) -> bool {
-        false
-    }
-
-    /// Whether the policy issues speculative hints at all; when false
-    /// the machine skips every speculation hook (and their RNG rolls).
-    fn speculates(&self) -> bool {
-        false
-    }
-
-    /// A demand fault at `node` missed to disk for `vpn`.
-    fn observe_fault(&mut self, _node: u32, _vpn: Vpn) {}
-
-    /// Fill `out` with the pages `node` is predicted to miss next.
-    fn predict(&mut self, _node: u32, out: &mut Vec<Vpn>) {
-        out.clear();
-    }
-
-    /// The machine accepted a prediction and is issuing the hint.
-    fn commit(&mut self, _node: u32, _vpn: Vpn) {}
-
-    /// A hint ended without installing (mesh drop, duplicate,
-    /// cancellation, or consumption by the demand read it raced).
-    fn on_resolved(&mut self, _vpn: Vpn) {}
-
-    /// A hinted read completed and entered a controller's side cache.
-    fn on_installed(&mut self, _vpn: Vpn) {}
-
-    /// Whether a hint for `vpn` is currently in flight.
-    fn is_outstanding(&self, _vpn: Vpn) -> bool {
-        false
-    }
-
-    /// Hints currently in flight for `node`, ascending by vpn.
-    fn outstanding_for(&self, _node: u32, out: &mut Vec<Vpn>) {
-        out.clear();
-    }
-
-    /// In-flight hints for `node` right now.
-    fn inflight(&self, _node: u32) -> usize {
-        0
-    }
-
-    /// Per-node cap on in-flight speculation.
-    fn cap(&self) -> usize {
-        0
-    }
-
-    /// Total hints committed.
-    fn spec_issued(&self) -> u64 {
-        0
-    }
-
-    /// Highest per-node in-flight count ever observed.
-    fn inflight_peak(&self) -> u64 {
-        0
-    }
-
-    /// Whether the policy carries checkpointable state (gates the
-    /// PREFETCH checkpoint section, so stateless policies keep the
-    /// original section layout).
-    fn has_ckpt_state(&self) -> bool {
-        false
-    }
-
-    /// Checkpoint detector + speculation state, onto a policy built
-    /// from the same config.
-    fn ckpt(&mut self, _c: &mut Ckpt) -> Result<(), CkptError> {
-        Ok(())
-    }
-}
-
-/// Build the policy object for `cfg`.
-pub fn build_policy(cfg: &MachineConfig) -> Box<dyn PrefetchPolicy> {
-    match cfg.prefetch {
-        PrefetchMode::Optimal => Box::new(OptimalPolicy),
-        PrefetchMode::Naive => Box::new(NaivePolicy),
-        PrefetchMode::Window => Box::new(WindowPolicy {
-            depth: cfg.disk_cache_pages,
-        }),
-        PrefetchMode::Adaptive => Box::new(AdaptivePolicy::new(cfg)),
-    }
-}
-
-/// Idealized prefetching: every controller read hits; ring hits still
-/// charge the arm a background transfer.
-#[derive(Debug)]
-pub struct OptimalPolicy;
-
-impl PrefetchPolicy for OptimalPolicy {
-    fn label(&self) -> &'static str {
-        "optimal"
-    }
-
-    fn disk_policy(&self) -> nw_disk::PrefetchPolicy {
-        nw_disk::PrefetchPolicy::Optimal
-    }
-
-    fn background_on_ring_hit(&self) -> bool {
-        true
-    }
-}
-
-/// Controller-local sequential span filling on a miss.
-#[derive(Debug)]
-pub struct NaivePolicy;
-
-impl PrefetchPolicy for NaivePolicy {
-    fn label(&self) -> &'static str {
-        "naive"
-    }
-
-    fn disk_policy(&self) -> nw_disk::PrefetchPolicy {
-        nw_disk::PrefetchPolicy::Naive
-    }
-}
-
-/// Controller-local windowed stream prefetching.
-#[derive(Debug)]
-pub struct WindowPolicy {
-    /// Pages of lookahead the controller maintains.
-    pub depth: usize,
-}
-
-impl PrefetchPolicy for WindowPolicy {
-    fn label(&self) -> &'static str {
-        "window"
-    }
-
-    fn disk_policy(&self) -> nw_disk::PrefetchPolicy {
-        nw_disk::PrefetchPolicy::Window { depth: self.depth }
-    }
-}
-
 /// The adaptive policy: per-node detectors plus bounded in-flight
 /// speculation accounting. Controllers run demand-only; every
 /// speculative read is an explicit, cancellable hint.
+///
+/// The machine builds one only for
+/// [`PrefetchMode::Adaptive`](crate::config::PrefetchMode::Adaptive);
+/// the other modes are plain controller settings with no machine-side
+/// state.
 #[derive(Debug)]
 pub struct AdaptivePolicy {
     detectors: Vec<Detector>,
@@ -378,6 +225,11 @@ pub struct AdaptivePolicy {
     cap: usize,
     issued: u64,
     peak: u64,
+    /// Scratch buffers for one speculation round (predictions and
+    /// outstanding-hint snapshots), reused across faults; never
+    /// checkpointed.
+    pub(crate) preds: Vec<Vpn>,
+    pub(crate) stale: Vec<Vpn>,
 }
 
 impl AdaptivePolicy {
@@ -394,40 +246,23 @@ impl AdaptivePolicy {
             cap: speculation_cap(window),
             issued: 0,
             peak: 0,
+            preds: Vec::new(),
+            stale: Vec::new(),
         }
     }
 
-    fn release(&mut self, vpn: Vpn) {
-        if let Some(node) = self.outstanding.remove(&vpn) {
-            let c = &mut self.inflight[node as usize];
-            *c = c.saturating_sub(1);
-        }
-    }
-}
-
-impl PrefetchPolicy for AdaptivePolicy {
-    fn label(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn disk_policy(&self) -> nw_disk::PrefetchPolicy {
-        nw_disk::PrefetchPolicy::Demand
-    }
-
-    fn speculates(&self) -> bool {
-        true
-    }
-
-    fn observe_fault(&mut self, node: u32, vpn: Vpn) {
+    /// A demand fault at `node` missed to disk for `vpn`.
+    pub fn observe_fault(&mut self, node: u32, vpn: Vpn) {
         self.detectors[node as usize].observe(vpn);
     }
 
-    fn predict(&mut self, node: u32, out: &mut Vec<Vpn>) {
-        let want = self.cap;
-        self.detectors[node as usize].predict(want, out);
+    /// Fill `out` with the pages `node` is predicted to miss next.
+    pub fn predict(&mut self, node: u32, out: &mut Vec<Vpn>) {
+        self.detectors[node as usize].predict(self.cap, out);
     }
 
-    fn commit(&mut self, node: u32, vpn: Vpn) {
+    /// The machine accepted a prediction and is issuing the hint.
+    pub fn commit(&mut self, node: u32, vpn: Vpn) {
         debug_assert!(!self.outstanding.contains_key(&vpn));
         self.outstanding.insert(vpn, node);
         let c = &mut self.inflight[node as usize];
@@ -437,19 +272,24 @@ impl PrefetchPolicy for AdaptivePolicy {
         self.peak = self.peak.max(*c as u64);
     }
 
-    fn on_resolved(&mut self, vpn: Vpn) {
-        self.release(vpn);
+    /// The hint for `vpn` ended: installed in a controller's side
+    /// cache, or resolved without installing (mesh drop, duplicate,
+    /// cancellation, or consumption by the demand read it raced).
+    /// A no-op for a page with no hint in flight.
+    pub fn release(&mut self, vpn: Vpn) {
+        if let Some(node) = self.outstanding.remove(&vpn) {
+            let c = &mut self.inflight[node as usize];
+            *c = c.saturating_sub(1);
+        }
     }
 
-    fn on_installed(&mut self, vpn: Vpn) {
-        self.release(vpn);
-    }
-
-    fn is_outstanding(&self, vpn: Vpn) -> bool {
+    /// Whether a hint for `vpn` is currently in flight.
+    pub fn is_outstanding(&self, vpn: Vpn) -> bool {
         self.outstanding.contains_key(&vpn)
     }
 
-    fn outstanding_for(&self, node: u32, out: &mut Vec<Vpn>) {
+    /// Hints currently in flight for `node`, ascending by vpn.
+    pub fn outstanding_for(&self, node: u32, out: &mut Vec<Vpn>) {
         out.clear();
         out.extend(
             self.outstanding
@@ -459,27 +299,29 @@ impl PrefetchPolicy for AdaptivePolicy {
         );
     }
 
-    fn inflight(&self, node: u32) -> usize {
+    /// In-flight hints for `node` right now.
+    pub fn inflight(&self, node: u32) -> usize {
         self.inflight[node as usize] as usize
     }
 
-    fn cap(&self) -> usize {
+    /// Per-node cap on in-flight speculation.
+    pub fn cap(&self) -> usize {
         self.cap
     }
 
-    fn spec_issued(&self) -> u64 {
+    /// Total hints committed.
+    pub fn spec_issued(&self) -> u64 {
         self.issued
     }
 
-    fn inflight_peak(&self) -> u64 {
+    /// Highest per-node in-flight count ever observed.
+    pub fn inflight_peak(&self) -> u64 {
         self.peak
     }
 
-    fn has_ckpt_state(&self) -> bool {
-        true
-    }
-
-    fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+    /// Checkpoint detector + speculation state, onto a policy built
+    /// from the same config.
+    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
         c.each(&mut self.detectors, "detectors", |c, d| d.ckpt(c))?;
         let mut hints: Vec<(Vpn, u32)> = self.outstanding.iter().map(|(&v, &n)| (v, n)).collect();
         c.list(&mut hints, usize::MAX, 2, "outstanding hints", |c, (vpn, node)| {
@@ -507,6 +349,7 @@ impl PrefetchPolicy for AdaptivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PrefetchMode;
     use nw_sim::ckpt::{CkptReader, CkptWriter};
 
     fn det(window: usize) -> Detector {
@@ -672,8 +515,11 @@ mod tests {
         assert_eq!(p.inflight(0), 4);
         assert_eq!(p.inflight_peak(), 4);
         assert!(p.is_outstanding(11));
-        p.on_resolved(11);
-        p.on_installed(10);
+        p.release(11);
+        p.release(10);
+        // Releasing a page with no hint in flight is a no-op.
+        p.release(10);
+        p.release(99);
         assert_eq!(p.inflight(0), 2);
         let mut out = Vec::new();
         p.outstanding_for(0, &mut out);
@@ -760,23 +606,5 @@ mod tests {
         // Accepted, the window would never shrink back: `observe`
         // slides it only when it is exactly full.
         rejected(restore(&mut AdaptivePolicy::new(&cfg), &save(&mut p)), "capacity");
-    }
-
-    #[test]
-    fn build_policy_maps_modes() {
-        use crate::config::MachineKind::Standard;
-        for (mode, label, spec) in [
-            (PrefetchMode::Optimal, "optimal", false),
-            (PrefetchMode::Naive, "naive", false),
-            (PrefetchMode::Window, "window", false),
-            (PrefetchMode::Adaptive, "adaptive", true),
-        ] {
-            let cfg = MachineConfig::paper_default(Standard, mode);
-            let p = build_policy(&cfg);
-            assert_eq!(p.label(), label);
-            assert_eq!(p.speculates(), spec);
-            assert_eq!(p.has_ckpt_state(), spec);
-            assert_eq!(p.background_on_ring_hit(), mode == PrefetchMode::Optimal);
-        }
     }
 }

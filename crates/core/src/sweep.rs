@@ -16,8 +16,8 @@
 //!   unaffected;
 //! * **stable reporting** — [`SweepReport::to_json`] emits a
 //!   fixed-schema, fixed-field-order JSON document
-//!   (`"nwcache-sweep-v1"`), so `BENCH_*.json` perf trajectories can
-//!   be diffed meaningfully across PRs.
+//!   (`"nwcache-sweep-v1"`), so exports from two builds can be
+//!   diffed meaningfully.
 //!
 //! The worker count is a process-wide knob ([`set_jobs`]) so the
 //! `--jobs N` CLI flag reaches every experiment helper without
@@ -103,7 +103,7 @@ pub struct SweepRow {
     pub app: String,
     /// Machine kind label ("standard" / "nwcache" / "dcd").
     pub machine: String,
-    /// Prefetch mode label ("optimal" / "naive" / "window").
+    /// Prefetch mode label ([`PrefetchMode::label`]).
     pub prefetch: String,
     /// The run's summary, or the error that ended it.
     pub result: Result<RunSummary, String>,
@@ -112,9 +112,9 @@ pub struct SweepRow {
 /// A complete sweep with its provenance: what was run, with how much
 /// parallelism, how long it took, and every per-run outcome.
 ///
-/// The JSON rendering is the `BENCH_*.json` schema: field order is
-/// fixed and documented by the golden snapshot test, so diffs across
-/// PRs are meaningful.
+/// The JSON rendering is the `nwcache-sweep-v1` schema: field order
+/// is fixed and documented by the golden snapshot test, so diffs
+/// between builds are meaningful.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Application/machine scale factor the sweep ran at.
@@ -127,23 +127,6 @@ pub struct SweepReport {
     pub wall_ms: u64,
     /// Per-run outcomes, in matrix order.
     pub rows: Vec<SweepRow>,
-}
-
-pub(crate) fn kind_label(kind: MachineKind) -> &'static str {
-    match kind {
-        MachineKind::Standard => "standard",
-        MachineKind::NwCache => "nwcache",
-        MachineKind::Dcd => "dcd",
-    }
-}
-
-fn prefetch_label(prefetch: PrefetchMode) -> &'static str {
-    match prefetch {
-        PrefetchMode::Optimal => "optimal",
-        PrefetchMode::Naive => "naive",
-        PrefetchMode::Window => "window",
-        PrefetchMode::Adaptive => "adaptive",
-    }
 }
 
 impl SweepReport {
@@ -161,7 +144,7 @@ impl SweepReport {
             .into_iter()
             .map(|(cfg, sel)| {
                 let sel: AppSel = sel.into();
-                let (machine, prefetch) = (kind_label(cfg.kind), prefetch_label(cfg.prefetch));
+                let (machine, prefetch) = (cfg.kind.label(), cfg.prefetch.label());
                 ((sel.name().to_string(), machine, prefetch), (cfg, sel))
             })
             .unzip();

@@ -482,11 +482,9 @@ fn run_job(
     }
     let mut cfgs = Vec::with_capacity(spec.machines.len());
     for label in &spec.machines {
-        let Some(kind) = MachineKind::parse(label) else {
-            return fail(
-                ExitCode::Validation.code() as u64,
-                format!("unknown machine '{label}' (standard|nwcache|dcd)"),
-            );
+        let kind = match MachineKind::parse(label) {
+            Ok(kind) => kind,
+            Err(e) => return fail(ExitCode::Validation.code() as u64, e),
         };
         let params = RunParams {
             machine: kind,

@@ -13,8 +13,8 @@
 //! pays `O(log n)` per operation for those even though the time axis
 //! is almost sorted already. The queue therefore keeps two tiers:
 //!
-//! * a **calendar wheel** of [`WHEEL_SLOTS`] buckets, each
-//!   [`BUCKET_WIDTH`] pcycles wide, covering the next
+//! * a **calendar wheel** of `WHEEL_SLOTS` (1,024) buckets, each
+//!   `BUCKET_WIDTH` (64) pcycles wide, covering the next
 //!   `WHEEL_SLOTS * BUCKET_WIDTH` pcycles — insertion is `O(1)`
 //!   (push onto the target bucket), and delivery walks the wheel
 //!   forward, taking the `(time, seq)`-minimum of the small bucket

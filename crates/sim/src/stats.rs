@@ -96,11 +96,12 @@ impl Tally {
         c.opt(&mut self.max, 0, Ckpt::u64)
     }
 
-    /// Merge another tally into this one.
+    /// Merge another tally into this one. The sums saturate, as in
+    /// [`Tally::add`].
     pub fn merge(&mut self, other: &Tally) {
         self.n += other.n;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.sum_sq = self.sum_sq.saturating_add(other.sum_sq);
         self.min = match (self.min, other.min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -365,43 +366,6 @@ impl BoundedSeries {
     }
 }
 
-/// A set of named counters for event/traffic accounting.
-#[derive(Debug, Clone, Default)]
-pub struct Counters {
-    entries: Vec<(&'static str, u64)>,
-}
-
-impl Counters {
-    /// An empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `delta` to counter `name`, creating it at zero if new.
-    pub fn bump(&mut self, name: &'static str, delta: u64) {
-        for e in &mut self.entries {
-            if e.0 == name {
-                e.1 += delta;
-                return;
-            }
-        }
-        self.entries.push((name, delta));
-    }
-
-    /// Current value of counter `name` (0 if never bumped).
-    pub fn get(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .find(|e| e.0 == name)
-            .map_or(0, |e| e.1)
-    }
-
-    /// Iterate over `(name, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.entries.iter().copied()
-    }
-}
-
 /// Per-category cycle accounting for one processor.
 ///
 /// Mirrors the paper's Figure 3/4 decomposition: `NoFree`, `Transit`,
@@ -503,6 +467,24 @@ mod tests {
         let mut empty = Tally::new();
         empty.merge(&a);
         assert_eq!(empty.count(), 3);
+    }
+
+    #[test]
+    fn tally_merge_saturates_like_add() {
+        // Two u64::MAX samples already saturate `sum_sq`; merging two
+        // such tallies must saturate too, not overflow.
+        let mut a = Tally::new();
+        a.add(u64::MAX);
+        a.add(u64::MAX);
+        let b = a.clone();
+        a.merge(&b);
+        let mut added = b.clone();
+        added.add(u64::MAX);
+        added.add(u64::MAX);
+        assert_eq!(a, added);
+        assert_eq!(a.count(), 4);
+        assert_eq!(a.sum(), 4 * u64::MAX as u128);
+        assert_eq!(a.max(), Some(u64::MAX));
     }
 
     #[test]
@@ -675,18 +657,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn time_series_zero_interval_rejected() {
         TimeSeries::new(0);
-    }
-
-    #[test]
-    fn counters_bump_and_get() {
-        let mut c = Counters::new();
-        c.bump("faults", 1);
-        c.bump("faults", 2);
-        c.bump("swaps", 5);
-        assert_eq!(c.get("faults"), 3);
-        assert_eq!(c.get("swaps"), 5);
-        assert_eq!(c.get("missing"), 0);
-        assert_eq!(c.iter().count(), 2);
     }
 
     #[test]

@@ -1,22 +1,15 @@
 //! Behavior-invariance contract for the observability layer: running
 //! with tracing/sampling attached must produce bit-identical
-//! `RunMetrics` (and sweep rows) to running without it, on clean and
-//! faulted cells, serially and fanned across workers — and the traces
-//! themselves must be valid, subsystem-complete Chrome trace JSON
-//! held in bounded memory.
+//! `RunMetrics` to running without it, on clean and faulted cells —
+//! and the traces themselves must be valid, subsystem-complete Chrome
+//! trace JSON held in bounded memory.
 
 use nw_apps::AppId;
 use nwcache::config::{MachineConfig, MachineKind, PrefetchMode};
 use nwcache::observe::{self, ObserveConfig};
-use nwcache::sweep::run_grid;
-use nwcache::{Machine, SweepReport};
-use std::sync::Mutex;
+use nwcache::Machine;
 
 const SCALE: f64 = 0.05;
-
-/// Tests that flip the process-wide observer default must not
-/// interleave; everything touching `observe::set_global` locks this.
-static GLOBAL_OBSERVE_LOCK: Mutex<()> = Mutex::new(());
 
 fn cfg(kind: MachineKind) -> MachineConfig {
     MachineConfig::scaled_paper(kind, PrefetchMode::Naive, SCALE)
@@ -76,33 +69,6 @@ fn tracing_is_behavior_invariant_at_odd_sample_intervals() {
     assert_eq!(bare, observed);
     let data = m.take_observation().unwrap();
     assert!(data.dropped > 0, "tiny capacity should have wrapped");
-}
-
-#[test]
-fn sweep_rows_identical_with_global_observer_serial_and_parallel() {
-    let _guard = GLOBAL_OBSERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let grid = || {
-        vec![
-            (cfg(MachineKind::Standard), AppId::Sor),
-            (cfg(MachineKind::NwCache), AppId::Sor),
-            (faulted_cfg(), AppId::Sor),
-        ]
-    };
-    observe::set_global(None);
-    let bare_serial = run_grid(1, grid());
-    let bare_parallel = run_grid(4, grid());
-    let report_bare = SweepReport::collect(SCALE, 1, grid());
-    observe::set_global(Some(ObserveConfig::default()));
-    let obs_serial = run_grid(1, grid());
-    let obs_parallel = run_grid(4, grid());
-    let report_obs = SweepReport::collect(SCALE, 1, grid());
-    observe::set_global(None);
-    assert_eq!(bare_serial, obs_serial, "serial sweep moved under tracing");
-    assert_eq!(bare_parallel, obs_parallel, "parallel sweep moved under tracing");
-    assert_eq!(bare_serial, bare_parallel);
-    // The exported sweep rows (the `nwcache-sweep-v1` payload minus
-    // the wall-clock header) are bit-identical too.
-    assert_eq!(report_bare.rows, report_obs.rows, "sweep JSON rows moved");
 }
 
 #[test]

@@ -1,14 +1,17 @@
-//! Policy-conformance suite for the pluggable prefetch layer.
+//! Conformance suite for the four prefetch modes.
 //!
-//! The refactor contract: turning the optimal/naive prefetch modes
-//! into `PrefetchPolicy` implementations must be invisible — the
-//! golden `RunSummary` snapshots below were captured BEFORE the
-//! refactor, so any timing or counter drift in the refactored
-//! policies fails the suite. The adaptive policy is pinned by its own
-//! snapshots plus behavioural bounds: on a pure-sequential scenario
-//! it must recover at least 90% of the optimal hit rate and close at
-//! least half of the optimal-vs-naive execution-time gap, while never
-//! exceeding its in-flight speculation cap.
+//! Optimal, naive and window are controller settings with no
+//! machine-side state (`PrefetchMode::disk_policy`); adaptive adds the
+//! machine's speculation engine (`nwcache::prefetch::AdaptivePolicy`).
+//! Every mode is pinned by golden `RunSummary` snapshots of one clean
+//! and one fault-injected cell, so any timing or counter drift fails
+//! the suite; the optimal and naive snapshots date from before the
+//! modes were first refactored. Adaptive is further pinned by its
+//! speculation counters (which the snapshots leave out) and by
+//! behavioural bounds: on a pure-sequential scenario it must recover
+//! at least 90% of the optimal hit rate and close at least half of
+//! the optimal-vs-naive execution-time gap, while never exceeding its
+//! in-flight speculation cap.
 //!
 //! If a FUTURE PR intentionally changes the timing model, regenerate
 //! the constants with:
@@ -51,7 +54,7 @@ fn faulted(prefetch: PrefetchMode) -> MachineConfig {
     cfg
 }
 
-// ---- pre-refactor conformance goldens --------------------------------------
+// ---- controller-only modes: pinned snapshots --------------------------------
 
 const GOLDEN_OPTIMAL_CLEAN: &str = include_str!("golden/clean_prefetch_optimal_01.json");
 const GOLDEN_OPTIMAL_FAULTED: &str = include_str!("golden/faulted_prefetch_optimal_01.json");
@@ -241,7 +244,7 @@ fn adaptive_speculation_never_exceeds_inflight_cap() {
     }
 }
 
-/// The non-speculating policies must not touch the speculation
+/// The controller-only modes must not touch the speculation
 /// machinery at all — their counters stay zero (part of the
 /// bit-identity contract, but cheaper to diagnose from counters).
 #[test]

@@ -1,5 +1,5 @@
-//! Golden snapshot of the `nwcache-sweep-v1` report schema. The
-//! `BENCH_*.json` trajectory files are diffed across PRs, so field
+//! Golden snapshot of the `nwcache-sweep-v1` report schema. Exports
+//! from different builds are diffed against each other, so field
 //! order and formatting must never drift by accident. An intentional
 //! schema change must bump the `schema` string and update this
 //! snapshot in the same commit.
