@@ -30,7 +30,7 @@
 //!
 //! `--topo SPEC` (every verb that builds a machine) swaps the paper's
 //! 8-node machine for a generated topology, e.g.
-//! `mesh=8x8,io=corners,rings=2,shard=region,dirshards=4` — see
+//! `mesh=8x8,io=spread:4,rings=2,dirshards=4` — see
 //! DESIGN.md §17 for the grammar.
 //!
 //! `--jobs N` bounds the sweep worker threads for multi-run commands
@@ -487,9 +487,7 @@ fn main() {
 }
 
 fn dispatch(p: &Parsed) -> Result<(), Usage> {
-    if let Some(n) = p.value("--jobs")? {
-        nwcache::sweep::set_jobs(n);
-    }
+    let jobs = p.value("--jobs")?.unwrap_or(0);
     match p.verb.name {
         "run" => run_cmd(p)?,
         "resume" => {
@@ -534,7 +532,7 @@ fn dispatch(p: &Parsed) -> Result<(), Usage> {
             }
         }
         "trace" => trace_cmd(p)?,
-        "compare" => compare_cmd(p)?,
+        "compare" => compare_cmd(p, jobs)?,
         "apps" => {
             println!("{:<8} description", "name");
             for app in AppId::ALL {
@@ -609,8 +607,8 @@ fn trace_cmd(p: &Parsed) -> Result<(), Usage> {
 }
 
 /// The three machines on one workload, each lowered through
-/// [`RunParams::to_config`] like `run`.
-fn compare_cmd(p: &Parsed) -> Result<(), Usage> {
+/// [`RunParams::to_config`] like `run`, on up to `jobs` workers.
+fn compare_cmd(p: &Parsed, jobs: usize) -> Result<(), Usage> {
     let sel = app_of(p)?;
     let params = run_params(p)?;
     let grid = [MachineKind::Standard, MachineKind::Dcd, MachineKind::NwCache]
@@ -620,7 +618,7 @@ fn compare_cmd(p: &Parsed) -> Result<(), Usage> {
             Ok((lower(p, &params)?, sel.clone()))
         })
         .collect::<Result<Vec<_>, Usage>>()?;
-    let results: Vec<_> = nwcache::sweep::run_grid(nwcache::sweep::jobs(), grid)
+    let results: Vec<_> = nwcache::sweep::run_grid(jobs, grid)
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| die_err(&e)))
         .collect();

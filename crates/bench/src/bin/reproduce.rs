@@ -90,9 +90,7 @@ fn main() {
         Ok(Some(s)) if scale_in_range(s) => s,
         _ => p.usage("--scale needs a number in (0, 1]").exit(),
     };
-    if let Some(n) = p.value("--jobs").unwrap_or_else(|u| u.exit()) {
-        nwcache::sweep::set_jobs(n);
-    }
+    let jobs = p.value("--jobs").unwrap_or_else(|u| u.exit()).unwrap_or(0);
     let mut targets: Vec<&str> = p.args().iter().map(String::as_str).collect();
     if p.has("--faults") {
         targets.push("faults");
@@ -116,7 +114,7 @@ fn main() {
     };
 
     // One memo for every target: each distinct cell runs once.
-    let mut lab = exp::Lab::default();
+    let mut lab = exp::Lab::with_jobs(jobs);
     // Tables 3-6: swap-out time and write combining under each policy.
     type Rows = fn(&mut exp::Lab, PrefetchMode, f64) -> Vec<exp::PairedRow>;
     let paired: [(&str, Rows, PrefetchMode, &str, f64); 4] = [
@@ -263,6 +261,7 @@ fn main() {
             &[mb, 2 * mb, 5 * mb / 2, 3 * mb, 4 * mb, 6 * mb],
             PrefetchMode::Naive,
             scale,
+            jobs,
         ) {
             println!(
                 "{:<14.2} {:>18.2} {:>9.1}%",
@@ -416,7 +415,7 @@ fn main() {
     if let Some(path) = p.get("--json") {
         // Run the full paper matrix through the parallel sweep engine
         // and export it as a stable-schema SweepReport.
-        let report = nwcache::SweepReport::paper(scale, nwcache::sweep::jobs());
+        let report = nwcache::SweepReport::paper(scale, jobs);
         if let Err(e) = write_atomic(std::path::Path::new(path), report.to_json().as_bytes()) {
             eprintln!("reproduce: cannot write {path}: {e}");
             std::process::exit(2);

@@ -118,7 +118,7 @@ fn record_then_replay_matches_direct_run() {
 #[test]
 fn topo_flag_builds_generated_machines() {
     let out = nwsim()
-        .args(["config", "--topo", "mesh=4x4,io=corners,rings=2,dirshards=4"])
+        .args(["config", "--topo", "mesh=4x4,io=spread:4,rings=2,dirshards=4"])
         .output()
         .expect("spawn nwsim");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -127,13 +127,15 @@ fn topo_flag_builds_generated_machines() {
         assert!(stdout.contains(want), "missing '{want}' in: {stdout}");
     }
 
-    let bad = nwsim()
-        .args(["config", "--topo", "mesh=0x4"])
-        .output()
-        .expect("spawn nwsim");
-    assert_eq!(bad.status.code(), Some(2), "mesh=0x4 must be rejected");
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert!(stderr.contains("bad --topo"), "{stderr}");
+    for (spec, reason) in [
+        ("mesh=0x4", "has no nodes"),
+        ("mesh=8x8,io=corners", "unknown io placement 'corners' (only spread is supported)"),
+    ] {
+        let bad = nwsim().args(["config", "--topo", spec]).output().expect("spawn nwsim");
+        assert_eq!(bad.status.code(), Some(2), "{spec} must be rejected");
+        let stderr = String::from_utf8_lossy(&bad.stderr);
+        assert!(stderr.contains("bad --topo") && stderr.contains(reason), "{spec}: {stderr}");
+    }
 }
 
 /// One test per documented exit code (DESIGN.md §18): scripts and the

@@ -35,9 +35,7 @@
 //! needs that trace file present at its recorded path.
 
 use crate::error::SimError;
-use crate::config::{
-    FaultPlan, IoPlacement, MachineConfig, MachineKind, PrefetchMode, ReplacementPolicy, RingShard,
-};
+use crate::config::{FaultPlan, MachineConfig, MachineKind, PrefetchMode, ReplacementPolicy};
 use crate::machine::Machine;
 use crate::workload::AppSel;
 use nw_sim::atomic_write::write_atomic;
@@ -134,8 +132,8 @@ fn config(c: &mut Ckpt, cfg: &mut MachineConfig) -> Result<(), CkptError> {
     let MachineConfig {
         kind, prefetch, prefetch_window, nodes, io_nodes, page_bytes, tlb_miss_latency,
         tlb_shootdown_latency, interrupt_latency, memory_per_node, min_free_frames, replacement,
-        mesh_width, mesh_height, io_placement, ring_channels, ring_slots_per_channel,
-        ring_round_trip, ring_count, ring_shard, dir_shards, disk_cache_pages, disk_flush_delay,
+        mesh_width, mesh_height, ring_channels, ring_slots_per_channel, ring_round_trip,
+        ring_count, dir_shards, disk_cache_pages, disk_flush_delay,
         tlb_entries, l1_latency, l2_latency, mem_latency, dir_latency, wb_entries, ctl_msg_bytes,
         quantum, app_scale, seed, faults,
     } = cfg;
@@ -182,20 +180,17 @@ fn config(c: &mut Ckpt, cfg: &mut MachineConfig) -> Result<(), CkptError> {
     let topology = if c.loading() {
         c.remaining() > 0
     } else {
-        *mesh_width != 0
-            || *mesh_height != 0
-            || *io_placement != IoPlacement::Spread
-            || *ring_count != 1
-            || *ring_shard != RingShard::Page
-            || *dir_shards != 1
+        *mesh_width != 0 || *mesh_height != 0 || *ring_count != 1 || *dir_shards != 1
     };
     if topology {
         c.u32(mesh_width)?;
         c.u32(mesh_height)?;
-        let places = [IoPlacement::Spread, IoPlacement::Corners, IoPlacement::Row];
-        c.choice(io_placement, &places, "io-placement")?;
+        // The I/O placement and ring sharding tags: only spread (0)
+        // and page (0) remain, so a checkpoint of a machine built with
+        // another placement or sharding is refused.
+        c.choice(&mut (), &[()], "io-placement")?;
         c.usize(ring_count)?;
-        c.choice(ring_shard, &[RingShard::Page, RingShard::Region], "ring-shard")?;
+        c.choice(&mut (), &[()], "ring-shard")?;
         c.usize(dir_shards)?;
     }
     Ok(())

@@ -57,60 +57,6 @@ pub enum ReplacementPolicy {
     Clock,
 }
 
-/// Where the I/O-enabled nodes (each hosting one disk + controller)
-/// sit on the mesh. The paper's 8-node machine spreads them evenly
-/// (nodes 0, 2, 4, 6); generated topologies can also pin them to the
-/// mesh corners or pack them along the bottom row to study how
-/// placement skews mesh contention at scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoPlacement {
-    /// Evenly spread: disk `d` lives on node `d * (nodes/io_nodes)`
-    /// (the paper's layout; the legacy `disk_home` rule).
-    #[default]
-    Spread,
-    /// The four mesh corners (requires exactly 4 I/O nodes and a mesh
-    /// at least 2×2): worst-case average mesh distance.
-    Corners,
-    /// Packed along the bottom row: disk `d` on node
-    /// `d * (width/io_nodes)` — models an edge I/O bay.
-    Row,
-}
-
-impl IoPlacement {
-    /// Grammar label (`io=spread|corners|row`).
-    pub fn label(self) -> &'static str {
-        match self {
-            IoPlacement::Spread => "spread",
-            IoPlacement::Corners => "corners",
-            IoPlacement::Row => "row",
-        }
-    }
-}
-
-/// How pages are sharded across the rings of a multi-ring optical
-/// fabric (`ring_count > 1`). Irrelevant for the paper's single ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RingShard {
-    /// Ring = `vpn % rings`: adjacent pages alternate rings, spreading
-    /// any hot region across every ring.
-    #[default]
-    Page,
-    /// Ring = `(vpn / 32) % rings`: 32-page regions (matching the disk
-    /// striping unit) stay on one ring, so a sequential burst keeps
-    /// one transmitter busy while other regions use the other rings.
-    Region,
-}
-
-impl RingShard {
-    /// Grammar label (`shard=page|region`).
-    pub fn label(self) -> &'static str {
-        match self {
-            RingShard::Page => "page",
-            RingShard::Region => "region",
-        }
-    }
-}
-
 /// Deterministic fault-injection schedule. The default plan is
 /// *inactive*: no fault machinery draws random numbers or schedules
 /// events, so clean runs stay bit-identical to a build without the
@@ -279,8 +225,6 @@ pub struct MachineConfig {
     pub mesh_width: u32,
     /// Mesh height in nodes (see [`MachineConfig::mesh_width`]).
     pub mesh_height: u32,
-    /// Where the I/O nodes sit on the mesh (paper: evenly spread).
-    pub io_placement: IoPlacement,
 
     /// WDM cache channels (Table 1: 8; one per node). With
     /// `ring_count > 1` this is the per-ring channel count; every node
@@ -291,13 +235,10 @@ pub struct MachineConfig {
     /// Ring round-trip latency (Table 1: 52 usecs).
     pub ring_round_trip: Time,
     /// Independent optical rings in the fabric (paper: 1). Each ring
-    /// carries the full per-node channel set; pages are sharded across
-    /// rings by [`MachineConfig::ring_shard`], and each node's single
-    /// tunable transmitter arbitrates between rings.
+    /// carries the full per-node channel set; page `vpn` rides ring
+    /// `vpn % ring_count`, and each node's single tunable transmitter
+    /// arbitrates between rings.
     pub ring_count: usize,
-    /// Page-to-ring sharding policy (only meaningful when
-    /// `ring_count > 1`).
-    pub ring_shard: RingShard,
 
     /// Directory shards (paper-equivalent: 1; at most one per node),
     /// the `dirshards=` word. Kept in the config and `nwckpt-v1`, but
@@ -372,12 +313,10 @@ impl MachineConfig {
             replacement: ReplacementPolicy::Lru,
             mesh_width: 0,
             mesh_height: 0,
-            io_placement: IoPlacement::Spread,
             ring_channels: 8,
             ring_slots_per_channel: 16,
             ring_round_trip: usecs(52),
             ring_count: 1,
-            ring_shard: RingShard::Page,
             dir_shards: 1,
             disk_cache_pages: 4,
             disk_flush_delay: 50_000,
@@ -435,11 +374,12 @@ impl MachineConfig {
         }
     }
 
-    /// The node hosting disk `d` under the configured
-    /// [`IoPlacement`]. An out-of-range disk index is a structured
-    /// error, not a silently bogus home node: the old `debug_assert!`
-    /// guard vanished in release builds and let
-    /// `d * (nodes/io_nodes)` land on a non-I/O node.
+    /// The node hosting disk `d`: the I/O nodes are spread evenly,
+    /// disk `d` on node `d * (nodes / io_nodes)` (the paper's 0, 2, 4,
+    /// 6). An out-of-range disk index is a structured error, not a
+    /// silently bogus home node: the old `debug_assert!` guard
+    /// vanished in release builds and let `d * (nodes/io_nodes)` land
+    /// on a non-I/O node.
     pub fn try_io_node_of_disk(&self, d: u32) -> Result<u32, SimError> {
         if d >= self.io_nodes {
             return Err(SimError::BadConfig(format!(
@@ -447,21 +387,7 @@ impl MachineConfig {
                 self.io_nodes
             )));
         }
-        let (w, h) = self.mesh_dims();
-        Ok(match self.io_placement {
-            IoPlacement::Spread => d * (self.nodes / self.io_nodes),
-            IoPlacement::Corners => [0, w - 1, (h - 1) * w, h * w - 1][d as usize],
-            IoPlacement::Row => d * (w / self.io_nodes),
-        })
-    }
-
-    /// Infallible [`MachineConfig::try_io_node_of_disk`] for hot paths
-    /// that only ever see validated disk indices. Panics (in every
-    /// build profile) on an out-of-range index instead of computing a
-    /// bogus home.
-    pub fn io_node_of_disk(&self, d: u32) -> u32 {
-        self.try_io_node_of_disk(d)
-            .expect("disk index validated at config time")
+        Ok(d * (self.nodes / self.io_nodes))
     }
 
     /// Whether the NWCache hardware is present.
@@ -493,29 +419,6 @@ impl MachineConfig {
                 w as u64 * h as u64,
                 self.nodes
             ));
-        }
-        match self.io_placement {
-            IoPlacement::Spread => {}
-            IoPlacement::Corners => {
-                if self.io_nodes != 4 {
-                    return Err(format!(
-                        "io=corners needs exactly 4 I/O nodes, got {}",
-                        self.io_nodes
-                    ));
-                }
-                if w < 2 || h < 2 {
-                    return Err(format!("io=corners needs a mesh of at least 2x2, got {w}x{h}"));
-                }
-            }
-            IoPlacement::Row => {
-                if self.io_nodes > w || !w.is_multiple_of(self.io_nodes) {
-                    return Err(format!(
-                        "io=row needs the mesh width ({w}) to be a multiple of the \
-                         I/O node count ({})",
-                        self.io_nodes
-                    ));
-                }
-            }
         }
         if self.has_ring() && self.ring_channels < self.nodes as usize {
             return Err("each node needs its own cache channel".into());
@@ -820,10 +723,10 @@ mod tests {
     #[test]
     fn io_nodes_are_spread() {
         let c = MachineConfig::paper_default(MachineKind::Standard, PrefetchMode::Naive);
-        assert_eq!(c.io_node_of_disk(0), 0);
-        assert_eq!(c.io_node_of_disk(1), 2);
-        assert_eq!(c.io_node_of_disk(2), 4);
-        assert_eq!(c.io_node_of_disk(3), 6);
+        assert_eq!(
+            (0..4).map(|d| c.try_io_node_of_disk(d).unwrap()).collect::<Vec<_>>(),
+            vec![0, 2, 4, 6]
+        );
     }
 
     #[test]
@@ -853,25 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn corner_and_row_placements_map_to_the_mesh() {
-        let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-        c.mesh_width = 4;
-        c.mesh_height = 2;
-        c.io_placement = IoPlacement::Corners;
-        assert!(c.validate().is_ok());
-        assert_eq!(
-            (0..4).map(|d| c.io_node_of_disk(d)).collect::<Vec<_>>(),
-            vec![0, 3, 4, 7]
-        );
-        c.io_placement = IoPlacement::Row;
-        assert!(c.validate().is_ok());
-        assert_eq!(
-            (0..4).map(|d| c.io_node_of_disk(d)).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-    }
-
-    #[test]
     fn topology_validation_rejects_bad_shapes() {
         // Mesh area must equal the node count.
         let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
@@ -881,23 +765,6 @@ mod tests {
         // Width and height must be set together.
         let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
         c.mesh_width = 8;
-        assert!(c.validate().is_err());
-        // Corners placement needs exactly 4 I/O nodes...
-        let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-        c.io_nodes = 2;
-        c.io_placement = IoPlacement::Corners;
-        assert!(c.validate().is_err());
-        // ...and a 2D mesh (1xN has coincident corners).
-        let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-        c.mesh_width = 8;
-        c.mesh_height = 1;
-        c.io_placement = IoPlacement::Corners;
-        assert!(c.validate().is_err());
-        // Row placement needs width % io_nodes == 0.
-        let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-        c.mesh_width = 2;
-        c.mesh_height = 4;
-        c.io_placement = IoPlacement::Row;
         assert!(c.validate().is_err());
         // Zero rings are invalid.
         let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);

@@ -66,13 +66,21 @@ pub struct Lab {
     memo: HashMap<Key, Result<RunMetrics, SimError>>,
     /// Cells simulated so far.
     simulated: usize,
+    /// Sweep worker threads (0 = one per core).
+    jobs: usize,
 }
 
 impl Lab {
+    /// An empty `Lab` that runs its cells on up to `jobs` worker
+    /// threads (0 = one per core, as [`Lab::default`] does).
+    pub fn with_jobs(jobs: usize) -> Lab {
+        Lab { jobs, ..Lab::default() }
+    }
+
     /// The outcome of every cell, in cell order. The cells not in the
-    /// memo yet run in one [`crate::sweep::run_grid`] call on
-    /// [`crate::sweep::jobs`] workers; a cell that appears twice in
-    /// `cells` runs once.
+    /// memo yet run in one [`crate::sweep::run_grid`] call on the
+    /// `Lab`'s workers; a cell that appears twice in `cells` runs
+    /// once.
     pub fn try_run<S: Into<AppSel>>(
         &mut self,
         cells: Vec<(MachineConfig, S)>,
@@ -91,7 +99,7 @@ impl Lab {
             .map(|(key, cell)| (key.clone(), cell.clone()))
             .unzip();
         self.simulated += misses.len();
-        let outcomes = crate::sweep::run_grid(crate::sweep::jobs(), misses);
+        let outcomes = crate::sweep::run_grid(self.jobs, misses);
         self.memo.extend(keys.into_iter().zip(outcomes));
         cells.iter().map(|(key, _)| self.memo[key].clone()).collect()
     }
@@ -339,11 +347,13 @@ pub fn ionode_sweep(
 /// memory + ring capacity (relative to the paper machine's) so each
 /// keeps its ratio to it.
 /// Returns `(data_bytes, data / (memory + ring), hit_rate %)` per
-/// footprint, with `data_bytes` the simulated size.
+/// footprint, with `data_bytes` the simulated size. The footprints run
+/// on up to `jobs` worker threads (0 = one per core).
 pub fn reuse_distance_sweep(
     footprints_bytes: &[u64],
     prefetch: PrefetchMode,
     scale: f64,
+    jobs: usize,
 ) -> Vec<(u64, f64, f64)> {
     use nw_apps::synth::{build as synth_build, SynthConfig};
     let base = MachineConfig::scaled_paper(MachineKind::NwCache, prefetch, scale);
@@ -364,7 +374,7 @@ pub fn reuse_distance_sweep(
         .collect();
     footprints
         .iter()
-        .zip(nw_sim::pool::run(crate::sweep::jobs(), tasks))
+        .zip(nw_sim::pool::run(jobs, tasks))
         .map(|(&bytes, r)| (bytes, bytes as f64 / capacity, r.expect("run").ring_hit_rate()))
         .collect()
 }
@@ -887,7 +897,7 @@ mod tests {
         assert!(cfg().memory_per_node < full.memory_per_node);
         // The reuse footprint shrinks and keeps its capacity ratio.
         let mb = 1 << 20;
-        let [(bytes, ratio, _)] = reuse_distance_sweep(&[mb], PrefetchMode::Naive, 0.05)[..] else {
+        let [(bytes, ratio, _)] = reuse_distance_sweep(&[mb], PrefetchMode::Naive, 0.05, 0)[..] else {
             panic!("one footprint, one row");
         };
         assert!(bytes < mb / 4, "{bytes}");

@@ -168,7 +168,6 @@ impl Machine {
                 }
             }
         }
-        let io = self.disk_homes[disk as usize];
         let block = self.fs.block_of(vpn);
         let outcome = self.disks[disk as usize].read_page(t, vpn, block);
         // A demand read consumes any speculative work on the same page
@@ -199,7 +198,6 @@ impl Machine {
             self.pt[vpn as usize].state,
             PageState::InTransit { .. }
         ));
-        let _ = io;
         // Bus/mesh bandwidth is claimed when the data is actually
         // ready, not reserved into the future — otherwise cache hits
         // would queue behind the future reservations of earlier misses.

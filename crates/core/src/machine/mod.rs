@@ -25,7 +25,7 @@ mod tests;
 
 pub use events::Event;
 
-use crate::config::{MachineConfig, MachineKind, PrefetchMode, RingShard};
+use crate::config::{MachineConfig, MachineKind, PrefetchMode};
 use crate::error::SimError;
 use crate::metrics::RunMetrics;
 use crate::observe::{groups, ObserveConfig, Observer, TraceData};
@@ -899,15 +899,11 @@ impl Machine {
         nw_memhier::page_of_line(line)
     }
 
-    /// The optical ring `vpn`'s swap-outs ride: pages (or 32-page
-    /// regions, matching the parallel-FS disk striping) are sharded
+    /// The optical ring `vpn`'s swap-outs ride: pages are sharded
     /// round-robin over the fabric. Always ring 0 on the single-ring
     /// paper machine.
     pub(crate) fn ring_of_page(&self, vpn: Vpn) -> usize {
-        match self.cfg.ring_shard {
-            RingShard::Page => (vpn % self.cfg.ring_count as u64) as usize,
-            RingShard::Region => ((vpn / 32) % self.cfg.ring_count as u64) as usize,
-        }
+        (vpn % self.cfg.ring_count as u64) as usize
     }
 
     /// Global cache-channel id for `node`'s channel on `vpn`'s ring

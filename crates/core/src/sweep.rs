@@ -18,10 +18,6 @@
 //!   fixed-schema, fixed-field-order JSON document
 //!   (`"nwcache-sweep-v1"`), so exports from two builds can be
 //!   diffed meaningfully.
-//!
-//! The worker count is a process-wide knob ([`set_jobs`]) so the
-//! `--jobs N` CLI flag reaches every experiment helper without
-//! threading a parameter through each signature.
 
 use crate::config::{MachineConfig, MachineKind, PrefetchMode};
 use crate::error::SimError;
@@ -29,28 +25,10 @@ use crate::metrics::{RunMetrics, RunSummary};
 use crate::workload::AppSel;
 use nw_apps::AppId;
 use nw_sim::pool;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide worker count: 0 = auto (one per core).
-static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-wide sweep worker count (`0` = one per core).
-/// Reached by `reproduce --jobs N` / `nwsim --jobs N`.
-pub fn set_jobs(n: usize) {
-    JOBS.store(n, Ordering::Relaxed);
-}
-
-/// The effective worker count sweeps run with: the value passed to
-/// [`set_jobs`], or the machine's available parallelism by default.
-pub fn jobs() -> usize {
-    match JOBS.load(Ordering::Relaxed) {
-        0 => pool::default_jobs(),
-        n => n,
-    }
-}
 
 /// Run a grid of `(config, workload)` simulations on up to `jobs`
-/// worker threads and return one `Result` per cell, in grid order.
+/// worker threads (0 = one per core) and return one `Result` per
+/// cell, in grid order.
 /// Table apps, generated scenarios and trace replays mix freely in
 /// one grid; replayed traces sit behind an `Arc`, so a grid of N
 /// cells over one trace decodes it once, not N times.
@@ -226,16 +204,6 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn jobs_knob_round_trips() {
-        let before = JOBS.load(Ordering::Relaxed);
-        set_jobs(3);
-        assert_eq!(jobs(), 3);
-        set_jobs(0);
-        assert!(jobs() >= 1); // auto
-        JOBS.store(before, Ordering::Relaxed);
-    }
 
     #[test]
     fn paper_matrix_shape_and_order() {

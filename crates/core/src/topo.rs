@@ -5,20 +5,22 @@
 //! *what it runs on*. A spec is a comma-separated key list,
 //!
 //! ```text
-//! mesh=8x8,io=corners,rings=4,shard=region,dirshards=8
+//! mesh=8x8,io=spread:8,rings=4,dirshards=8
 //! ```
 //!
 //! with keys:
 //!
 //! * `mesh=WxH` (required) — mesh dimensions; `W*H` is the node count,
 //!   at most 1024 nodes.
-//! * `io=spread|corners|row[:COUNT]` (default `spread`) — I/O-node
-//!   placement policy and count. The default count is the largest
-//!   divisor of the node count that is at most half of it (the paper's
-//!   2:1 node:disk ratio when the node count is even); `corners`
-//!   forces 4.
+//! * `io=spread[:COUNT]` (default `spread`) — I/O-node count. The I/O
+//!   nodes are always spread evenly, disk `d` on node
+//!   `d * (nodes / COUNT)`. The default count is the largest divisor of
+//!   the node count that is at most half of it (the paper's 2:1
+//!   node:disk ratio when the node count is even).
 //! * `rings=K` (default 1) — optical rings in the fabric.
-//! * `shard=page|region` (default `page`) — page-to-ring sharding.
+//! * `shard=page` (default) — page `vpn` rides ring `vpn % K`, the
+//!   only sharding there is; accepted because [`TopoSpec::to_spec`]
+//!   prints it.
 //! * `dirshards=N` (default 1) — directory shards, at most one per
 //!   node; validated and recorded in checkpoints, but storage is no
 //!   longer split (one page-indexed directory makes every lookup a
@@ -30,7 +32,7 @@
 //! rejected before a machine is built. `mesh=4x2` with all defaults is
 //! exactly the paper machine's shape.
 
-use crate::config::{IoPlacement, MachineConfig, MachineKind, PrefetchMode, RingShard};
+use crate::config::{MachineConfig, MachineKind, PrefetchMode};
 
 /// A parsed machine-topology spec (see the module docs for the
 /// grammar).
@@ -40,14 +42,10 @@ pub struct TopoSpec {
     pub width: u32,
     /// Mesh height in nodes.
     pub height: u32,
-    /// I/O-node placement policy.
-    pub io: IoPlacement,
     /// Number of I/O nodes (each hosting one disk + controller).
     pub io_nodes: u32,
     /// Optical rings in the fabric.
     pub rings: usize,
-    /// Page-to-ring sharding policy.
-    pub shard: RingShard,
     /// Directory shards per node.
     pub dir_shards: usize,
 }
@@ -61,17 +59,18 @@ fn default_io_nodes(n: u32) -> u32 {
 
 impl TopoSpec {
     /// Parse a topology spec string. Syntax errors (unknown keys, bad
-    /// numbers, missing `mesh=`) are reported here; semantic errors
-    /// (corner placement on a 1×N mesh, ...) by [`TopoSpec::validate`].
+    /// numbers, missing `mesh=`, placement or sharding words other than
+    /// `spread` and `page`) are reported here; semantic errors (a mesh
+    /// over the node cap, ...) by [`TopoSpec::validate`].
     pub fn parse(spec: &str) -> Result<TopoSpec, String> {
         let spec = spec.trim();
         if spec.is_empty() {
             return Err("empty topology spec".into());
         }
         let mut dims: Option<(u32, u32)> = None;
-        let mut io: Option<(IoPlacement, Option<u32>)> = None;
+        let mut io: Option<Option<u32>> = None;
         let mut rings: Option<usize> = None;
-        let mut shard: Option<RingShard> = None;
+        let mut shard = false;
         let mut dir_shards: Option<usize> = None;
         for tok in spec.split(',') {
             let tok = tok.trim();
@@ -96,23 +95,16 @@ impl TopoSpec {
                         return Err(dup("io"));
                     }
                     let (policy, count) = match val.split_once(':') {
-                        Some((p, c)) => (
-                            p,
-                            Some(c.parse().map_err(|_| format!("bad io count '{c}'"))?),
-                        ),
+                        Some((p, c)) => (p, Some(c)),
                         None => (val, None),
                     };
-                    let policy = match policy {
-                        "spread" => IoPlacement::Spread,
-                        "corners" => IoPlacement::Corners,
-                        "row" => IoPlacement::Row,
-                        other => {
-                            return Err(format!(
-                                "unknown io placement '{other}' (want spread, corners, or row)"
-                            ))
-                        }
-                    };
-                    io = Some((policy, count));
+                    if policy != "spread" {
+                        return Err(format!(
+                            "unknown io placement '{policy}' (only spread is supported)"
+                        ));
+                    }
+                    let count = count.map(|c| c.parse().map_err(|_| format!("bad io count '{c}'")));
+                    io = Some(count.transpose()?);
                 }
                 "rings" => {
                     if rings.is_some() {
@@ -121,18 +113,15 @@ impl TopoSpec {
                     rings = Some(val.parse().map_err(|_| format!("bad ring count '{val}'"))?);
                 }
                 "shard" => {
-                    if shard.is_some() {
+                    if shard {
                         return Err(dup("shard"));
                     }
-                    shard = Some(match val {
-                        "page" => RingShard::Page,
-                        "region" => RingShard::Region,
-                        other => {
-                            return Err(format!(
-                                "unknown shard policy '{other}' (want page or region)"
-                            ))
-                        }
-                    });
+                    if val != "page" {
+                        return Err(format!(
+                            "unknown shard policy '{val}' (only page is supported)"
+                        ));
+                    }
+                    shard = true;
                 }
                 "dirshards" => {
                     if dir_shards.is_some() {
@@ -153,18 +142,11 @@ impl TopoSpec {
         }
         let (width, height) = dims.ok_or("topology spec needs mesh=WxH")?;
         let nodes = width.saturating_mul(height);
-        let (io, io_count) = io.unwrap_or((IoPlacement::Spread, None));
-        let io_nodes = io_count.unwrap_or(match io {
-            IoPlacement::Corners => 4,
-            _ => default_io_nodes(nodes),
-        });
         Ok(TopoSpec {
             width,
             height,
-            io,
-            io_nodes,
+            io_nodes: io.flatten().unwrap_or_else(|| default_io_nodes(nodes)),
             rings: rings.unwrap_or(1),
-            shard: shard.unwrap_or(RingShard::Page),
             dir_shards: dir_shards.unwrap_or(1),
         })
     }
@@ -177,19 +159,13 @@ impl TopoSpec {
     /// Canonical spec string (parses back to `self`).
     pub fn to_spec(&self) -> String {
         format!(
-            "mesh={}x{},io={}:{},rings={},shard={},dirshards={}",
-            self.width,
-            self.height,
-            self.io.label(),
-            self.io_nodes,
-            self.rings,
-            self.shard.label(),
-            self.dir_shards
+            "mesh={}x{},io=spread:{},rings={},shard=page,dirshards={}",
+            self.width, self.height, self.io_nodes, self.rings, self.dir_shards
         )
     }
 
     /// Semantic validation, by way of the full machine-config rules
-    /// (mesh area vs node cap, placement feasibility, shard counts).
+    /// (mesh area vs node cap, I/O-node and shard counts).
     pub fn validate(&self) -> Result<(), String> {
         if self.width == 0 || self.height == 0 {
             return Err(format!("mesh {}x{} has no nodes", self.width, self.height));
@@ -214,10 +190,8 @@ impl TopoSpec {
         cfg.io_nodes = self.io_nodes;
         cfg.mesh_width = self.width;
         cfg.mesh_height = self.height;
-        cfg.io_placement = self.io;
         cfg.ring_channels = cfg.nodes as usize;
         cfg.ring_count = self.rings;
-        cfg.ring_shard = self.shard;
         cfg.dir_shards = self.dir_shards;
         cfg
     }
@@ -232,10 +206,8 @@ mod tests {
         let t = TopoSpec::parse("mesh=4x2").unwrap();
         assert_eq!(t.width, 4);
         assert_eq!(t.height, 2);
-        assert_eq!(t.io, IoPlacement::Spread);
         assert_eq!(t.io_nodes, 4);
         assert_eq!(t.rings, 1);
-        assert_eq!(t.shard, RingShard::Page);
         assert_eq!(t.dir_shards, 1);
         assert!(t.validate().is_ok());
         let cfg = t.to_config(MachineKind::NwCache, PrefetchMode::Naive, 1.0);
@@ -247,9 +219,10 @@ mod tests {
 
     #[test]
     fn full_spec_round_trips() {
-        let t = TopoSpec::parse("mesh=16x16,io=corners,rings=4,shard=region,dirshards=8").unwrap();
+        let t = TopoSpec::parse("mesh=16x16,io=spread:4,rings=4,shard=page,dirshards=8").unwrap();
         assert_eq!(t.nodes(), 256);
         assert_eq!(t.io_nodes, 4);
+        assert_eq!(t.to_spec(), "mesh=16x16,io=spread:4,rings=4,shard=page,dirshards=8");
         assert!(t.validate().is_ok());
         let again = TopoSpec::parse(&t.to_spec()).unwrap();
         assert_eq!(t, again);
@@ -257,14 +230,18 @@ mod tests {
 
     #[test]
     fn io_count_override_and_row_placement() {
-        let t = TopoSpec::parse("mesh=8x8,io=row:8").unwrap();
+        let t = TopoSpec::parse("mesh=8x8,io=spread:8").unwrap();
         assert_eq!(t.io_nodes, 8);
         assert!(t.validate().is_ok());
         let cfg = t.to_config(MachineKind::NwCache, PrefetchMode::Naive, 1.0);
         assert_eq!(
-            (0..8).map(|d| cfg.io_node_of_disk(d)).collect::<Vec<_>>(),
-            (0..8).collect::<Vec<_>>()
+            (0..8).map(|d| cfg.try_io_node_of_disk(d).unwrap()).collect::<Vec<_>>(),
+            (0..8).map(|d| d * 8).collect::<Vec<_>>()
         );
+        // The removed edge-row placement is a parse error naming what
+        // remains.
+        let err = TopoSpec::parse("mesh=8x8,io=row:8").unwrap_err();
+        assert!(err.contains("only spread"), "{err}");
     }
 
     #[test]
@@ -291,6 +268,11 @@ mod tests {
             "io=spread",                    // missing mesh
             "mesh=4x2,mesh=2x4",            // duplicate
             "mesh=4x2,io=ring",             // unknown placement
+            "mesh=8x8,io=corners",          // removed placement
+            "mesh=8x8,io=row",              // removed placement
+            "mesh=8x8,io=corners:4",        // removed placement
+            "mesh=8x8,rings=2,shard=region", // removed sharding
+            "mesh=4x2,shard=page,shard=page", // duplicate
             "mesh=4x2,io=spread:x",         // bad count
             "mesh=4x2,rings=zero",          // bad number
             "mesh=4x2,shard=hash",          // unknown policy
@@ -307,9 +289,6 @@ mod tests {
         for bad in [
             "mesh=0x4",               // no nodes
             "mesh=64x64",             // 4096 > 1024-node cap
-            "mesh=1x8,io=corners",    // corners need a 2D mesh
-            "mesh=4x2,io=corners:2",  // corners need exactly 4
-            "mesh=2x4,io=row:4",      // width not a multiple of count
             "mesh=4x2,io=spread:3",   // nodes % io_nodes != 0
             "mesh=4x2,io=spread:16",  // more I/O nodes than nodes
             "mesh=4x2,rings=0",       // zero rings

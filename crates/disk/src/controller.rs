@@ -96,6 +96,20 @@ enum SlotState {
     Reserved { node: u32 },
 }
 
+/// Which Clean slot a claim may evict when no Empty slot is free.
+#[derive(Debug, Clone, Copy)]
+enum CleanRule {
+    /// Any Clean slot, even one whose fill is still in flight: a write
+    /// evicts prefetched data.
+    Any,
+    /// A Clean slot whose fill has completed: prefetches and NACKed
+    /// requesters never displace in-flight, dirty or reserved slots.
+    Ready,
+    /// A completed Clean slot at or before the given page: a stream
+    /// extension reuses pages it has already read past.
+    Consumed(Page),
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     state: SlotState,
@@ -315,10 +329,10 @@ impl DiskController {
         })
     }
 
-    /// A slot an incoming *write* may take at `now`: Empty first, then
-    /// the LRU Clean slot (write preference evicts prefetched data,
-    /// even in-flight fills).
-    fn claim_slot_for_write(&mut self, now: Time) -> Option<usize> {
+    /// A slot a claim may take at `now`: the first Empty slot free by
+    /// then, else the least-recently-used Clean slot `rule` allows
+    /// (the lowest index on a tie).
+    fn claim_slot(&self, now: Time, rule: CleanRule) -> Option<usize> {
         if let Some(i) = self
             .slots
             .iter()
@@ -329,48 +343,33 @@ impl DiskController {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| matches!(s.state, SlotState::Clean { .. }))
-            .min_by_key(|(_, s)| s.last_use)
-            .map(|(i, _)| i)
-    }
-
-    /// A slot a *prefetch* may take at `now`: Empty or LRU Clean only —
-    /// prefetches never displace dirty or reserved slots.
-    fn claim_slot_for_prefetch(&mut self, now: Time) -> Option<usize> {
-        if let Some(i) = self
-            .slots
-            .iter()
-            .position(|s| s.state == SlotState::Empty && s.available_at <= now)
-        {
-            return Some(i);
-        }
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s.state, SlotState::Clean { .. }) && s.available_at <= now)
-            .min_by_key(|(_, s)| s.last_use)
-            .map(|(i, _)| i)
-    }
-
-    /// A slot a *stream extension* may take at `now`: Empty, or a
-    /// Clean page at or before `consumed` (already read past).
-    fn claim_slot_for_stream(&mut self, now: Time, consumed: Page) -> Option<usize> {
-        if let Some(i) = self
-            .slots
-            .iter()
-            .position(|s| s.state == SlotState::Empty && s.available_at <= now)
-        {
-            return Some(i);
-        }
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                matches!(s.state, SlotState::Clean { page } if page <= consumed)
-                    && s.available_at <= now
+            .filter(|(_, s)| match (s.state, rule) {
+                (SlotState::Clean { .. }, CleanRule::Any) => true,
+                (SlotState::Clean { .. }, CleanRule::Ready) => s.available_at <= now,
+                (SlotState::Clean { page }, CleanRule::Consumed(consumed)) => {
+                    page <= consumed && s.available_at <= now
+                }
+                _ => false,
             })
             .min_by_key(|(_, s)| s.last_use)
             .map(|(i, _)| i)
+    }
+
+    /// Release flushed slot `i` at `at`: reserve it for the head of
+    /// the NACK FIFO, whose `OK` goes on `oks`, or free it.
+    fn release_flushed(&mut self, i: usize, at: Time, oks: &mut Vec<(u32, Page)>) {
+        let state = match self.nack_fifo.pop_front() {
+            Some((node, page)) => {
+                oks.push((node, page));
+                SlotState::Reserved { node }
+            }
+            None => SlotState::Empty,
+        };
+        self.slots[i] = Slot {
+            state,
+            available_at: at,
+            last_use: self.slots[i].last_use,
+        };
     }
 
     /// Handle a page-read request arriving at `now`.
@@ -456,7 +455,7 @@ impl DiskController {
                 .read(now, page)
                 .expect("contains implies readable");
             self.read_service.add(done - now);
-            if let Some(i) = self.claim_slot_for_prefetch(now) {
+            if let Some(i) = self.claim_slot(now, CleanRule::Ready) {
                 let use_clock = self.tick();
                 self.slots[i] = Slot {
                     state: SlotState::Clean { page },
@@ -471,7 +470,7 @@ impl DiskController {
         self.read_service.add(grant.end - now);
         let ready_at = grant.end;
         // Install the demand page.
-        if let Some(i) = self.claim_slot_for_prefetch(now) {
+        if let Some(i) = self.claim_slot(now, CleanRule::Ready) {
             let use_clock = self.tick();
             self.slots[i] = Slot {
                 state: SlotState::Clean { page },
@@ -496,7 +495,7 @@ impl DiskController {
                 next_block += 1;
                 continue;
             }
-            let Some(i) = self.claim_slot_for_prefetch(now) else {
+            let Some(i) = self.claim_slot(now, CleanRule::Ready) else {
                 break;
             };
             // Sequential continuation: transfer time only.
@@ -535,7 +534,7 @@ impl DiskController {
             }
             // Only displace empty slots or pages the reader has already
             // consumed (<= the current hit) — never the unread lookahead.
-            let Some(i) = self.claim_slot_for_stream(now, page) else {
+            let Some(i) = self.claim_slot(now, CleanRule::Consumed(page)) else {
                 break;
             };
             let service = self.mech.access(next_block, 1);
@@ -598,7 +597,7 @@ impl DiskController {
             .slots
             .iter()
             .position(|s| s.state == SlotState::Reserved { node: from_node });
-        let slot = reserved.or_else(|| self.claim_slot_for_write(now));
+        let slot = reserved.or_else(|| self.claim_slot(now, CleanRule::Any));
         match slot {
             Some(i) => {
                 self.dirty_seq += 1;
@@ -679,17 +678,7 @@ impl DiskController {
         // Transition slots: freed at grant.end, reserved for waiters.
         let mut oks = Vec::new();
         for &(i, _, _, _) in run {
-            let state = if let Some((node, page)) = self.nack_fifo.pop_front() {
-                oks.push((node, page));
-                SlotState::Reserved { node }
-            } else {
-                SlotState::Empty
-            };
-            self.slots[i] = Slot {
-                state,
-                available_at: grant.end,
-                last_use: self.slots[i].last_use,
-            };
+            self.release_flushed(i, grant.end, &mut oks);
         }
         Some(FlushResult {
             start: grant.start,
@@ -861,21 +850,7 @@ impl DiskController {
     pub fn claim_for_waiters(&mut self, now: Time) -> Vec<(u32, Page)> {
         let mut oks = Vec::new();
         while !self.nack_fifo.is_empty() {
-            let slot = self
-                .slots
-                .iter()
-                .position(|s| s.state == SlotState::Empty && s.available_at <= now)
-                .or_else(|| {
-                    self.slots
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| {
-                            matches!(s.state, SlotState::Clean { .. }) && s.available_at <= now
-                        })
-                        .min_by_key(|(_, s)| s.last_use)
-                        .map(|(i, _)| i)
-                });
-            let Some(i) = slot else { break };
+            let Some(i) = self.claim_slot(now, CleanRule::Ready) else { break };
             let (node, page) = self.nack_fifo.pop_front().expect("non-empty");
             self.slots[i] = Slot {
                 state: SlotState::Reserved { node },
@@ -887,15 +862,11 @@ impl DiskController {
         oks
     }
 
-    /// Whether an incoming write at `now` would be ACKed: the page is
-    /// already cached, or a slot is claimable. Used by the NWCache
-    /// interface, which checks for room before draining a channel.
+    /// Whether an incoming write at `now` could claim a slot under the
+    /// write rule of `claim_slot`. Used by the NWCache interface, which
+    /// checks for room before draining a channel.
     pub fn has_write_room(&self, now: Time) -> bool {
-        self.slots.iter().any(|s| match s.state {
-            SlotState::Empty => s.available_at <= now,
-            SlotState::Clean { .. } => true,
-            _ => false,
-        })
+        self.claim_slot(now, CleanRule::Any).is_some()
     }
 
     /// DCD flush: every dirty page goes to the log disk in one
@@ -922,17 +893,7 @@ impl DiskController {
         self.combining.add(pages.len() as u64);
         let mut oks = Vec::new();
         for &(i, _) in &dirty {
-            let state = if let Some((node, page)) = self.nack_fifo.pop_front() {
-                oks.push((node, page));
-                SlotState::Reserved { node }
-            } else {
-                SlotState::Empty
-            };
-            self.slots[i] = Slot {
-                state,
-                available_at: done_at,
-                last_use: self.slots[i].last_use,
-            };
+            self.release_flushed(i, done_at, &mut oks);
         }
         Some(FlushResult {
             start: now,

@@ -1,5 +1,5 @@
-//! Multi-ring optical fabric: several independent delay-line rings
-//! behind one channel namespace.
+//! The optical fabric: every cache channel of every ring in one flat
+//! array.
 //!
 //! The paper's machine has a single ring with one cache channel per
 //! node. Scaling past it, the fabric stacks `rings` identical rings;
@@ -7,207 +7,210 @@
 //! across rings by the caller (the VM layer picks the ring from the
 //! page number, so a page's slot is always findable without a search).
 //!
-//! **Channel namespace.** Everything machine-facing is indexed by a
-//! *global channel id* `gc = ring * channels_per_ring + node`. With a
-//! single ring `gc == node`, so the fabric is a drop-in replacement
-//! for [`OpticalRing`] — same method names, same behaviour, and (by
-//! the checkpoint format below) the same serialized bytes.
+//! **Channel namespace.** Everything is indexed by a *global channel
+//! id* `gc = ring * channels + node`, which is also the channel's index
+//! in the array. With a single ring `gc == node`.
 //!
-//! **Arbitration.** Each node still has a single tunable transmitter:
-//! it can insert on any ring, but on only one at a time. With
-//! `rings > 1`, inserts first serialize on the node's transmitter
-//! arbiter and then occupy the target ring's channel transmitter for
-//! the transfer duration; the per-(ring, node) channel `tx` inside
-//! each ring never conflicts beyond that because every insert reaches
-//! it through the arbiter. With one ring the arbiter layer is skipped
-//! entirely (the channel `tx` *is* the node transmitter), keeping the
-//! paper machine bit-identical.
+//! **Arbitration.** Each node has a single tunable transmitter: it can
+//! insert on any ring, but on only one at a time. With `rings > 1`,
+//! inserts first serialize on the node's transmitter arbiter and then
+//! occupy the target channel's transmitter for the transfer duration;
+//! the channel `tx` never conflicts beyond that because every insert
+//! reaches it through the arbiter. With one ring there are no arbiters
+//! (the channel `tx` *is* the node transmitter), keeping the paper
+//! machine bit-identical.
 //!
-//! **Checkpoint format.** Rings are saved back to back in ring order;
-//! the per-node arbiters follow only when `rings > 1`. A single-ring
-//! fabric therefore serializes to exactly the bytes [`OpticalRing::
-//! ckpt`] always produced, which is what keeps pre-fabric
-//! checkpoints restorable.
+//! **Checkpoint format.** Each ring's channels are saved as one
+//! length-prefixed run, in ring order; the per-node arbiters follow
+//! only when `rings > 1`. A single-ring fabric therefore writes the
+//! bytes the machine's pre-fabric ring always wrote.
 
-use crate::ring::{RingConfig, RingError};
-use crate::{OpticalRing, Page};
+use crate::ring::{Channel, RingConfig, RingError};
+use crate::Page;
 use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::{Resource, Time};
 
-/// A stack of identical optical rings addressed by global channel id.
+/// Every channel of a stack of identical optical rings, addressed by
+/// global channel id.
 #[derive(Debug)]
 pub struct RingFabric {
-    rings: Vec<OpticalRing>,
+    cfg: RingConfig,
+    /// `rings * cfg.channels` channels, indexed by global channel id.
+    channels: Vec<Channel>,
     /// Per-node transmitter arbiters; empty when `rings == 1` (the
-    /// single ring's channel transmitters already serialize per node).
+    /// channel transmitters already serialize per node).
     arbiters: Vec<Resource>,
-    channels_per_ring: usize,
 }
 
 impl RingFabric {
     /// A fabric of `rings` empty rings, each with `cfg`'s geometry.
     pub fn new(cfg: RingConfig, rings: usize) -> Self {
         assert!(rings > 0, "fabric needs at least one ring");
+        assert!(cfg.channels > 0 && cfg.slots_per_channel > 0);
         RingFabric {
-            rings: (0..rings).map(|_| OpticalRing::new(cfg)).collect(),
+            channels: (0..rings * cfg.channels)
+                .map(|_| Channel::new(cfg.slots_per_channel))
+                .collect(),
             arbiters: if rings > 1 {
                 (0..cfg.channels).map(|_| Resource::new("ring-arb")).collect()
             } else {
                 Vec::new()
             },
-            channels_per_ring: cfg.channels,
+            cfg,
         }
     }
 
     /// Number of rings in the fabric.
     pub fn ring_count(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Channels per ring (= nodes).
-    pub fn channels_per_ring(&self) -> usize {
-        self.channels_per_ring
+        self.channels.len() / self.cfg.channels
     }
 
     /// Total channels across the fabric (global channel ids are
     /// `0..channels()`).
     pub fn channels(&self) -> usize {
-        self.rings.len() * self.channels_per_ring
+        self.channels.len()
     }
 
-    /// The ring configuration (identical across rings).
-    pub fn config(&self) -> &RingConfig {
-        self.rings[0].config()
-    }
-
-    #[inline]
-    fn split(&self, gc: usize) -> (usize, usize) {
-        debug_assert!(gc < self.channels(), "global channel {gc} out of range");
-        (gc / self.channels_per_ring, gc % self.channels_per_ring)
-    }
-
-    /// Whether global channel `gc` can accept another page.
+    /// Whether global channel `gc` can accept another page. A dead
+    /// channel never has room.
     pub fn has_room(&self, gc: usize) -> bool {
-        let (r, ch) = self.split(gc);
-        self.rings[r].has_room(ch)
+        let chan = &self.channels[gc];
+        !chan.dead && chan.pages.len() < self.cfg.slots_per_channel
     }
 
     /// Whether global channel `gc` has failed.
     pub fn is_dead(&self, gc: usize) -> bool {
-        let (r, ch) = self.split(gc);
-        self.rings[r].is_dead(ch)
+        self.channels[gc].dead
     }
 
     /// Channels still operational across all rings.
     pub fn live_channels(&self) -> usize {
-        self.rings.iter().map(|r| r.live_channels()).sum()
+        self.channels.iter().filter(|c| !c.dead).count()
     }
 
-    /// Fail global channel `gc`, destroying its circulating pages (in
-    /// ascending page order, see [`OpticalRing::fail_channel`]). The
-    /// same node's channels on other rings keep working.
+    /// Fail global channel `gc`: every page circulating on it is
+    /// destroyed (the regenerator stops, the bits decay within one
+    /// round trip) and the channel rejects all further inserts and
+    /// snoops. The same node's channels on other rings keep working.
+    /// Returns the destroyed pages so the caller can re-issue their
+    /// swap-outs.
     pub fn fail_channel(&mut self, gc: usize) -> Vec<Page> {
-        let (r, ch) = self.split(gc);
-        self.rings[r].fail_channel(ch)
+        let chan = &mut self.channels[gc];
+        chan.dead = true;
+        // Ascending page order, as the old ordered map produced: the
+        // caller re-issues a swap-out per lost page and the experiment
+        // grids are bit-identical only if that order is stable.
+        chan.pages.drain_sorted()
     }
 
     /// Pages currently stored on global channel `gc`.
     pub fn occupancy(&self, gc: usize) -> usize {
-        let (r, ch) = self.split(gc);
-        self.rings[r].occupancy(ch)
+        self.channels[gc].pages.len()
     }
 
     /// Total pages stored across the whole fabric.
     pub fn total_occupancy(&self) -> usize {
-        self.rings.iter().map(|r| r.total_occupancy()).sum()
+        self.channels.iter().map(|c| c.pages.len()).sum()
     }
 
-    /// Insert `page` on global channel `gc` at `now`; returns the time
-    /// the page is fully on the ring. With several rings the insert
-    /// first serializes on the node's transmitter arbiter (one tunable
-    /// transmitter per node), then on the target channel.
+    /// Insert `page` on global channel `gc` at `now`. Returns the time
+    /// the page is fully on the ring: with several rings the insert
+    /// first serializes on the node's transmitter arbiter, then on the
+    /// channel's fixed transmitter at the channel rate. A rejected
+    /// insert consumes no transmitter time.
     pub fn insert(&mut self, now: Time, gc: usize, page: Page) -> Result<Time, RingError> {
-        let (r, ch) = self.split(gc);
-        if self.arbiters.is_empty() {
-            return self.rings[r].insert(now, ch, page);
-        }
-        // Reject before touching the arbiter so a full/dead/duplicate
-        // channel does not consume transmitter time.
-        if self.rings[r].is_dead(ch) {
+        if self.is_dead(gc) {
             return Err(RingError::ChannelDead);
         }
-        if !self.rings[r].has_room(ch) {
+        if !self.has_room(gc) {
             return Err(RingError::ChannelFull);
         }
-        if self.rings[r].contains(ch, page) {
+        if self.contains(gc, page) {
             return Err(RingError::Duplicate);
         }
-        let cfg = self.rings[r].config();
-        let dur = cfg.rate.transfer_cycles(cfg.page_bytes);
-        let grant = self.arbiters[ch].acquire(now, dur);
-        // The channel transmitter is necessarily free at grant.start:
-        // every insert on (r, ch) funnels through the same arbiter.
-        self.rings[r].insert(grant.start, ch, page)
+        let dur = self.cfg.rate.transfer_cycles(self.cfg.page_bytes);
+        // The channel transmitter is necessarily free at the arbiter's
+        // grant: every insert on `gc` funnels through the same arbiter.
+        let start = match self.arbiters.get_mut(gc % self.cfg.channels) {
+            Some(arb) => arb.acquire(now, dur).start,
+            None => now,
+        };
+        let chan = &mut self.channels[gc];
+        let grant = chan.tx.acquire(start, dur);
+        chan.pages.insert(page, grant.end);
+        chan.stats.inserts += 1;
+        chan.stats.peak_occupancy = chan.stats.peak_occupancy.max(chan.pages.len());
+        Ok(grant.end)
     }
 
     /// Whether `page` is stored on global channel `gc`.
     pub fn contains(&self, gc: usize, page: Page) -> bool {
-        let (r, ch) = self.split(gc);
-        self.rings[r].contains(ch, page)
+        self.channels[gc].pages.contains(page)
     }
 
     /// Locate the global channel storing `page`, if any (linear scan;
-    /// consistency checks only).
+    /// consistency checks only — the VM layer knows the channel from
+    /// the page's state).
     pub fn find(&self, page: Page) -> Option<usize> {
-        self.rings
-            .iter()
-            .enumerate()
-            .find_map(|(r, ring)| ring.find(page).map(|ch| r * self.channels_per_ring + ch))
+        self.channels.iter().position(|c| c.pages.contains(page))
     }
 
-    /// Snoop completion time of `page` on global channel `gc` (see
-    /// [`OpticalRing::snoop_ready`]).
+    /// When a snoop of `page` on global channel `gc`, issued at `now`,
+    /// completes: the first circulation pass at or after `now` plus the
+    /// off-channel transfer. `None` if the page is not on the channel.
     pub fn snoop_ready(&mut self, now: Time, gc: usize, page: Page) -> Option<Time> {
-        let (r, ch) = self.split(gc);
-        self.rings[r].snoop_ready(now, ch, page)
+        let rt = self.cfg.round_trip;
+        let xfer = self.cfg.rate.transfer_cycles(self.cfg.page_bytes);
+        let chan = &mut self.channels[gc];
+        let t0 = chan.pages.get(page)?;
+        chan.stats.snoops += 1;
+        let pass = if now <= t0 {
+            t0 + rt
+        } else {
+            t0 + (now - t0).div_ceil(rt).max(1) * rt
+        };
+        Some(pass + xfer)
     }
 
     /// Remove `page` from global channel `gc`, freeing its slot.
+    /// Returns true if it was present.
     pub fn remove(&mut self, gc: usize, page: Page) -> bool {
-        let (r, ch) = self.split(gc);
-        self.rings[r].remove(ch, page)
+        let chan = &mut self.channels[gc];
+        let was = chan.pages.remove(page);
+        if was {
+            chan.stats.removals += 1;
+        }
+        was
     }
 
     /// Insertions performed on global channel `gc`.
     pub fn inserts(&self, gc: usize) -> u64 {
-        let (r, ch) = self.split(gc);
-        self.rings[r].inserts(ch)
+        self.channels[gc].stats.inserts
     }
 
     /// Removals performed on global channel `gc`.
     pub fn removals(&self, gc: usize) -> u64 {
-        let (r, ch) = self.split(gc);
-        self.rings[r].removals(ch)
+        self.channels[gc].stats.removals
     }
 
     /// Snoops performed on global channel `gc`.
     pub fn snoops(&self, gc: usize) -> u64 {
-        let (r, ch) = self.split(gc);
-        self.rings[r].snoops(ch)
+        self.channels[gc].stats.snoops
     }
 
     /// Peak simultaneous occupancy of global channel `gc`.
     pub fn peak_occupancy(&self, gc: usize) -> usize {
-        let (r, ch) = self.split(gc);
-        self.rings[r].peak_occupancy(ch)
+        self.channels[gc].stats.peak_occupancy
     }
 
     /// Checkpoint the fabric, onto one with the same geometry: each
-    /// ring back to back, then (only with several rings) the per-node
-    /// arbiters. A single-ring fabric's bytes are exactly
-    /// [`OpticalRing::ckpt`]'s.
+    /// ring's channels as one counted run, then (only with several
+    /// rings) the per-node arbiters.
     pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
-        self.rings.iter_mut().try_for_each(|ring| ring.ckpt(c))?;
+        let cap = self.cfg.slots_per_channel;
+        for ring in self.channels.chunks_mut(self.cfg.channels) {
+            c.each(ring, "ring channels", |c, chan| chan.ckpt(c, cap))?;
+        }
         self.arbiters.iter_mut().try_for_each(|arb| arb.ckpt(c))
     }
 }
@@ -219,23 +222,6 @@ mod tests {
 
     fn fabric(rings: usize) -> RingFabric {
         RingFabric::new(RingConfig::paper_default(), rings)
-    }
-
-    #[test]
-    fn single_ring_fabric_matches_the_plain_ring() {
-        let mut f = fabric(1);
-        let mut r = OpticalRing::new(RingConfig::paper_default());
-        assert_eq!(f.channels(), 8);
-        assert_eq!(f.insert(100, 3, 42).unwrap(), r.insert(100, 3, 42).unwrap());
-        assert_eq!(f.snoop_ready(200, 3, 42), r.snoop_ready(200, 3, 42));
-        assert!(f.contains(3, 42) && !f.contains(2, 42));
-        assert_eq!(f.find(42), Some(3));
-        // Identical checkpoint bytes.
-        let mut wf = CkptWriter::new();
-        let mut wr = CkptWriter::new();
-        Ckpt::Save(&mut wf).section(1, |c| f.ckpt(c)).expect("save");
-        Ckpt::Save(&mut wr).section(1, |c| r.ckpt(c)).expect("save");
-        assert_eq!(wf.finish(), wr.finish());
     }
 
     #[test]

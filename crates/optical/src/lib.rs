@@ -9,15 +9,14 @@
 //!
 //! Three modules:
 //!
-//! * [`ring`] — the physical ring: channel slot storage, insertion via
-//!   the node's fixed transmitter, and snoop timing (a reader must wait
-//!   for the page's bits to circulate past its receiver: up to one
-//!   round-trip of 52 µs).
-//! * [`fabric`] — a stack of identical rings behind one global channel
-//!   namespace (`gc = ring * channels + node`), with a per-node
-//!   tunable-transmitter arbiter; a single-ring fabric is a bit-exact
-//!   drop-in for [`OpticalRing`]. Used by generated topologies that
-//!   shard pages across several rings.
+//! * [`ring`] — ring geometry and timing: channel slot storage, and
+//!   snoop timing (a reader must wait for the page's bits to circulate
+//!   past its receiver: up to one round-trip of 52 µs).
+//! * [`fabric`] — every channel of every ring in one array indexed by
+//!   global channel id (`gc = ring * channels + node`): insertion via
+//!   the node's transmitter (arbitrated across rings when there are
+//!   several), snoops, removal and channel failure. The paper machine
+//!   is a one-ring fabric.
 //! * [`interface`] — the NWCache interface electronics at an
 //!   I/O-enabled node: one FIFO per cache channel recording swap-out
 //!   notifications, drained *most-loaded channel first* and exhausting
@@ -28,9 +27,9 @@
 //! `capacity_bits = channels * fiber_length * rate / speed_of_light`.
 //!
 //! ```
-//! use nw_optical::{OpticalRing, RingConfig, NwcInterface};
+//! use nw_optical::{NwcInterface, RingConfig, RingFabric};
 //!
-//! let mut ring = OpticalRing::new(RingConfig::paper_default());
+//! let mut ring = RingFabric::new(RingConfig::paper_default(), 1);
 //! let mut iface = NwcInterface::new(8);
 //!
 //! // Node 2 swaps page 77 out onto its cache channel.
@@ -54,7 +53,7 @@ pub mod ring;
 
 pub use fabric::RingFabric;
 pub use interface::{NwcInterface, SwapRecord};
-pub use ring::{OpticalRing, RingConfig, RingError};
+pub use ring::{RingConfig, RingError};
 
 /// A virtual page number (same space as `nw-disk`).
 pub type Page = u64;

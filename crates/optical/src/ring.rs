@@ -1,4 +1,6 @@
-//! The WDM optical ring as a delay-line page store.
+//! The WDM optical ring as a delay-line page store: ring geometry,
+//! one channel's slot store, and the timing model that
+//! [`crate::RingFabric`] applies to every channel.
 //!
 //! Timing model. A page inserted on a channel at time `t0` (insertion
 //! itself is serialized on the node's fixed transmitter at the channel
@@ -69,11 +71,11 @@ pub enum RingError {
 }
 
 #[derive(Debug, Default)]
-struct ChannelStats {
-    inserts: u64,
-    removals: u64,
-    snoops: u64,
-    peak_occupancy: usize,
+pub(crate) struct ChannelStats {
+    pub(crate) inserts: u64,
+    pub(crate) removals: u64,
+    pub(crate) snoops: u64,
+    pub(crate) peak_occupancy: usize,
 }
 
 /// The pages circulating on one channel: a fixed-capacity slot set
@@ -84,28 +86,28 @@ struct ChannelStats {
 /// line or two of `(page, t0)` pairs — faster than any tree or hash
 /// walk at this size, and allocation-free after construction.
 /// Slot order is insertion order and is NOT observable: the only
-/// whole-set iteration, [`OpticalRing::fail_channel`], sorts its
+/// whole-set iteration, [`crate::RingFabric::fail_channel`], sorts its
 /// output to keep the old `BTreeMap` ascending-page order.
 #[derive(Debug)]
-struct SlotSet {
+pub(crate) struct SlotSet {
     slots: Vec<(Page, Time)>,
 }
 
 impl SlotSet {
-    fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         SlotSet {
             slots: Vec::with_capacity(cap),
         }
     }
 
     #[inline]
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// Insertion-completion time of `page`, if stored.
     #[inline]
-    fn get(&self, page: Page) -> Option<Time> {
+    pub(crate) fn get(&self, page: Page) -> Option<Time> {
         self.slots
             .iter()
             .find(|&&(p, _)| p == page)
@@ -113,21 +115,21 @@ impl SlotSet {
     }
 
     #[inline]
-    fn contains(&self, page: Page) -> bool {
+    pub(crate) fn contains(&self, page: Page) -> bool {
         self.slots.iter().any(|&(p, _)| p == page)
     }
 
     /// Add `page`; the caller has already rejected duplicates and
     /// checked capacity.
     #[inline]
-    fn insert(&mut self, page: Page, t0: Time) {
+    pub(crate) fn insert(&mut self, page: Page, t0: Time) {
         debug_assert!(!self.contains(page));
         self.slots.push((page, t0));
     }
 
     /// Drop `page`, returning whether it was stored.
     #[inline]
-    fn remove(&mut self, page: Page) -> bool {
+    pub(crate) fn remove(&mut self, page: Page) -> bool {
         match self.slots.iter().position(|&(p, _)| p == page) {
             Some(i) => {
                 self.slots.swap_remove(i);
@@ -138,207 +140,60 @@ impl SlotSet {
     }
 
     /// Remove every page, returning them in ascending page order.
-    fn drain_sorted(&mut self) -> Vec<Page> {
+    pub(crate) fn drain_sorted(&mut self) -> Vec<Page> {
         let mut pages: Vec<Page> = self.slots.drain(..).map(|(p, _)| p).collect();
         pages.sort_unstable();
         pages
     }
 }
 
+/// One cache channel: the unit a node writes, a failure kills and a
+/// checkpoint saves.
 #[derive(Debug)]
-struct Channel {
+pub(crate) struct Channel {
     /// Fixed transmitter: one insertion at a time.
-    tx: Resource,
+    pub(crate) tx: Resource,
     /// Stored pages -> time their insertion completed.
-    pages: SlotSet,
+    pub(crate) pages: SlotSet,
     /// A failed channel drops its circulating pages and rejects
     /// further traffic until the end of the run.
-    dead: bool,
-    stats: ChannelStats,
+    pub(crate) dead: bool,
+    pub(crate) stats: ChannelStats,
 }
 
-/// The machine-wide optical ring.
-#[derive(Debug)]
-pub struct OpticalRing {
-    cfg: RingConfig,
-    channels: Vec<Channel>,
-}
-
-impl OpticalRing {
-    /// An empty ring.
-    pub fn new(cfg: RingConfig) -> Self {
-        assert!(cfg.channels > 0 && cfg.slots_per_channel > 0);
-        OpticalRing {
-            channels: (0..cfg.channels)
-                .map(|_| Channel {
-                    tx: Resource::new("ring-tx"),
-                    pages: SlotSet::with_capacity(cfg.slots_per_channel),
-                    dead: false,
-                    stats: ChannelStats::default(),
-                })
-                .collect(),
-            cfg,
+impl Channel {
+    pub(crate) fn new(slots: usize) -> Self {
+        Channel {
+            tx: Resource::new("ring-tx"),
+            pages: SlotSet::with_capacity(slots),
+            dead: false,
+            stats: ChannelStats::default(),
         }
     }
 
-    /// The ring configuration.
-    pub fn config(&self) -> &RingConfig {
-        &self.cfg
-    }
-
-    /// Whether channel `ch` can accept another page. A dead channel
-    /// never has room.
-    pub fn has_room(&self, ch: usize) -> bool {
-        let chan = &self.channels[ch];
-        !chan.dead && chan.pages.len() < self.cfg.slots_per_channel
-    }
-
-    /// Whether channel `ch` has failed.
-    pub fn is_dead(&self, ch: usize) -> bool {
-        self.channels[ch].dead
-    }
-
-    /// Number of channels still operational.
-    pub fn live_channels(&self) -> usize {
-        self.channels.iter().filter(|c| !c.dead).count()
-    }
-
-    /// Fail channel `ch`: every page circulating on it is destroyed
-    /// (the regenerator stops, the bits decay within one round trip)
-    /// and the channel rejects all further inserts and snoops. Returns
-    /// the destroyed pages so the caller can re-issue their swap-outs.
-    pub fn fail_channel(&mut self, ch: usize) -> Vec<Page> {
-        let chan = &mut self.channels[ch];
-        chan.dead = true;
-        // Ascending page order, as the old ordered map produced: the
-        // caller re-issues a swap-out per lost page and the experiment
-        // grids are bit-identical only if that order is stable.
-        chan.pages.drain_sorted()
-    }
-
-    /// Number of channels (live or dead).
-    pub fn channels(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// Pages currently stored on channel `ch`.
-    pub fn occupancy(&self, ch: usize) -> usize {
-        self.channels[ch].pages.len()
-    }
-
-    /// Total pages stored across all channels.
-    pub fn total_occupancy(&self) -> usize {
-        self.channels.iter().map(|c| c.pages.len()).sum()
-    }
-
-    /// Insert `page` on channel `ch` at `now`. Returns the time the
-    /// page is fully on the ring (insertion serializes on the channel's
-    /// fixed transmitter at the channel rate).
-    pub fn insert(&mut self, now: Time, ch: usize, page: Page) -> Result<Time, RingError> {
-        if self.channels[ch].dead {
-            return Err(RingError::ChannelDead);
-        }
-        if !self.has_room(ch) {
-            return Err(RingError::ChannelFull);
-        }
-        let chan = &mut self.channels[ch];
-        if chan.pages.contains(page) {
-            return Err(RingError::Duplicate);
-        }
-        let dur = self.cfg.rate.transfer_cycles(self.cfg.page_bytes);
-        let grant = chan.tx.acquire(now, dur);
-        chan.pages.insert(page, grant.end);
-        chan.stats.inserts += 1;
-        chan.stats.peak_occupancy = chan.stats.peak_occupancy.max(chan.pages.len());
-        Ok(grant.end)
-    }
-
-    /// Whether `page` is stored on channel `ch`.
-    pub fn contains(&self, ch: usize, page: Page) -> bool {
-        self.channels[ch].pages.contains(page)
-    }
-
-    /// Locate the channel storing `page`, if any (linear scan across
-    /// channels; used as a consistency check — the VM layer normally
-    /// knows the channel from the page's last translation).
-    pub fn find(&self, page: Page) -> Option<usize> {
-        self.channels.iter().position(|c| c.pages.contains(page))
-    }
-
-    /// When a snoop of `page` on `ch`, issued at `now`, completes: the
-    /// first circulation pass at or after `now` plus the off-channel
-    /// transfer. `None` if the page is not on the channel.
-    pub fn snoop_ready(&mut self, now: Time, ch: usize, page: Page) -> Option<Time> {
-        let cfg_rt = self.cfg.round_trip;
-        let xfer = self.cfg.rate.transfer_cycles(self.cfg.page_bytes);
-        let chan = &mut self.channels[ch];
-        let t0 = chan.pages.get(page)?;
-        chan.stats.snoops += 1;
-        let pass = if now <= t0 {
-            t0 + cfg_rt
-        } else {
-            let k = (now - t0).div_ceil(cfg_rt).max(1);
-            t0 + k * cfg_rt
-        };
-        Some(pass + xfer)
-    }
-
-    /// Remove `page` from channel `ch`, freeing its slot. Returns true
-    /// if it was present.
-    pub fn remove(&mut self, ch: usize, page: Page) -> bool {
-        let chan = &mut self.channels[ch];
-        let was = chan.pages.remove(page);
-        if was {
-            chan.stats.removals += 1;
-        }
-        was
-    }
-
-    /// Insertions performed on channel `ch`.
-    pub fn inserts(&self, ch: usize) -> u64 {
-        self.channels[ch].stats.inserts
-    }
-
-    /// Removals performed on channel `ch`.
-    pub fn removals(&self, ch: usize) -> u64 {
-        self.channels[ch].stats.removals
-    }
-
-    /// Snoops performed on channel `ch`.
-    pub fn snoops(&self, ch: usize) -> u64 {
-        self.channels[ch].stats.snoops
-    }
-
-    /// Peak simultaneous occupancy of channel `ch`.
-    pub fn peak_occupancy(&self, ch: usize) -> usize {
-        self.channels[ch].stats.peak_occupancy
-    }
-
-    /// Checkpoint every channel: transmitter, stored pages in slot
-    /// order, dead flag and statistics. Geometry is config.
-    pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
-        let cap = self.cfg.slots_per_channel;
-        c.each(&mut self.channels, "ring channels", |c, chan| {
-            chan.tx.ckpt(c)?;
-            c.list(&mut chan.pages.slots, cap, 2, "pages on a channel", |c, (page, t0)| {
-                c.u64(page)?;
-                c.u64(t0)
-            })?;
-            c.bool(&mut chan.dead)?;
-            c.u64(&mut chan.stats.inserts)?;
-            c.u64(&mut chan.stats.removals)?;
-            c.u64(&mut chan.stats.snoops)?;
-            c.usize(&mut chan.stats.peak_occupancy)
-        })
+    /// Checkpoint the channel: transmitter, stored pages in slot
+    /// order, dead flag and statistics. `cap` is the slot capacity.
+    pub(crate) fn ckpt(&mut self, c: &mut Ckpt, cap: usize) -> Result<(), CkptError> {
+        self.tx.ckpt(c)?;
+        c.list(&mut self.pages.slots, cap, 2, "pages on a channel", |c, (page, t0)| {
+            c.u64(page)?;
+            c.u64(t0)
+        })?;
+        c.bool(&mut self.dead)?;
+        c.u64(&mut self.stats.inserts)?;
+        c.u64(&mut self.stats.removals)?;
+        c.u64(&mut self.stats.snoops)?;
+        c.usize(&mut self.stats.peak_occupancy)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RingFabric;
 
-    fn ring() -> OpticalRing {
-        OpticalRing::new(RingConfig::paper_default())
+    fn ring() -> RingFabric {
+        RingFabric::new(RingConfig::paper_default(), 1)
     }
 
     #[test]

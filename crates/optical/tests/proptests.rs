@@ -1,13 +1,13 @@
 //! Randomized property tests for the optical ring and NWCache
 //! interface, driven by the in-tree deterministic [`Pcg32`].
 
-use nw_optical::{NwcInterface, OpticalRing, RingConfig};
+use nw_optical::{NwcInterface, RingConfig, RingFabric};
 use nw_sim::Pcg32;
 
 const CASES: u64 = 48;
 
-fn ring() -> OpticalRing {
-    OpticalRing::new(RingConfig::paper_default())
+fn ring() -> RingFabric {
+    RingFabric::new(RingConfig::paper_default(), 1)
 }
 
 /// Channel occupancy never exceeds the slot capacity, no matter the

@@ -755,7 +755,7 @@ mod tests {
             prefetch: "adaptive:16".into(),
             scale: 0.05,
             seed: Some(42),
-            topo: Some("mesh=4x4,io=corners".into()),
+            topo: Some("mesh=4x4,rings=2".into()),
             warmup_events: 5_000,
             verify_warm: true,
             deadline_ms: 30_000,
