@@ -142,3 +142,41 @@ fn text_timeline_mentions_every_group() {
         assert!(text.contains(needle), "text timeline lacks {needle}");
     }
 }
+
+/// Every swap-out crosses the node's memory and I/O buses before it
+/// reaches its cache channel, and the I/O bus moves a page more slowly
+/// than the channel does, so no insert ever waits for a transmitter:
+/// each `ring.insert` span is exactly one page transfer at the
+/// channel rate (4 KB at 1.25 GB/s = 656 pcycles). Checked on the
+/// paper machine, on four rings with a channel failing mid-run, and on
+/// CI's 64-node two-ring cell.
+#[test]
+fn every_ring_insert_lasts_one_page_transfer() {
+    use nwcache::config::RunParams;
+    use nwcache::{AppSel, TopoSpec};
+    let mut ring4 = TopoSpec::parse("mesh=4x4,rings=4")
+        .expect("topology parses")
+        .to_config(MachineKind::NwCache, PrefetchMode::Naive, 0.1);
+    ring4.faults.ring_channel_failures = vec![(20_000_000, 3 * 16 + 10)];
+    let ci = RunParams { scale: 0.1, topo: Some("mesh=8x8,rings=2,dirshards=2".into()), ..RunParams::default() }
+        .to_config()
+        .expect("CI cell config");
+    let paper = MachineConfig::scaled_paper(MachineKind::NwCache, PrefetchMode::Naive, 0.1);
+    for (label, cfg, spec) in [
+        ("paper nwcache", paper, "sor"),
+        ("mesh=4x4,rings=4 failed channel", ring4, "workload:gen:zipf:0.9,ws=384,acc=60,wf=0.3"),
+        ("64-node CI cell", ci, "workload:gen:zipf:0.9,ws=768,acc=60,wf=0.3"),
+    ] {
+        let build = AppSel::parse(spec).and_then(|sel| sel.build(&cfg)).expect("workload builds");
+        let mut m = Machine::try_from_build(cfg, build).expect("machine builds");
+        m.enable_observer(ObserveConfig { trace_capacity: 1 << 17, ..ObserveConfig::default() });
+        m.run();
+        let data = m.take_observation().expect("observer was attached");
+        assert_eq!(data.dropped, 0, "{label}: trace wrapped");
+        let inserts: Vec<_> = data.events.iter().filter(|e| e.name == "ring.insert").collect();
+        assert!(!inserts.is_empty(), "{label}: no swap-out reached the ring");
+        for e in inserts {
+            assert_eq!(e.dur, 656, "{label}: insert of page {} at {} waited", e.arg0, e.at);
+        }
+    }
+}
