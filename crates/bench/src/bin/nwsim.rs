@@ -33,9 +33,15 @@
 //! `mesh=8x8,io=spread:4,rings=2,dirshards=4` — see
 //! DESIGN.md §17 for the grammar.
 //!
-//! `--jobs N` bounds the sweep worker threads for multi-run commands
-//! (`0` = one per core); results are identical at any job count. Each
-//! simulation itself runs on one serial event loop.
+//! `--seed N` sets the workload seed, which only Em3d's graph,
+//! Radix's keys, generated scenarios and the adaptive prefetcher's
+//! detector (to break ties) read: the other five paper apps run the
+//! same streams at any seed, and `workload replay` takes no seed
+//! because a trace fixes its streams.
+//!
+//! `compare --jobs N` runs its three machines on up to N worker
+//! threads (`0` = one per core); results are identical at any job
+//! count. Each simulation itself runs on one serial event loop.
 //!
 //! Checkpointing: `run --checkpoint ckpt.nwckpt --checkpoint-every N`
 //! autosaves an `nwckpt-v1` snapshot every N dispatched events
@@ -203,7 +209,6 @@ fn workload_cmd(p: &Parsed) -> Result<(), Usage> {
             if let Some(procs) = p.positive("--procs")? {
                 cfg.nodes = procs;
                 cfg.io_nodes = (cfg.nodes / 2).max(1);
-                cfg.ring_channels = cfg.nodes as usize;
             }
             let sel = app_of(p)?;
             let trace = nwcache::workload::record(&cfg, &sel).unwrap_or_else(|e| die_err(&e));
@@ -464,7 +469,7 @@ fn client_cmd(p: &Parsed) -> Result<(), Usage> {
                     .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
                 eprintln!("nwsim client: wrote {out}");
             }
-            None => eprintln!("nwsim client: server sent no trace (sweep jobs are untraced)"),
+            None => eprintln!("nwsim client: server sent no trace"),
         }
     }
     if let Some(json) = &result.json {
@@ -487,7 +492,6 @@ fn main() {
 }
 
 fn dispatch(p: &Parsed) -> Result<(), Usage> {
-    let jobs = p.value("--jobs")?.unwrap_or(0);
     match p.verb.name {
         "run" => run_cmd(p)?,
         "resume" => {
@@ -532,7 +536,7 @@ fn dispatch(p: &Parsed) -> Result<(), Usage> {
             }
         }
         "trace" => trace_cmd(p)?,
-        "compare" => compare_cmd(p, jobs)?,
+        "compare" => compare_cmd(p)?,
         "apps" => {
             println!("{:<8} description", "name");
             for app in AppId::ALL {
@@ -607,8 +611,9 @@ fn trace_cmd(p: &Parsed) -> Result<(), Usage> {
 }
 
 /// The three machines on one workload, each lowered through
-/// [`RunParams::to_config`] like `run`, on up to `jobs` workers.
-fn compare_cmd(p: &Parsed, jobs: usize) -> Result<(), Usage> {
+/// [`RunParams::to_config`] like `run`, on up to `--jobs` workers.
+fn compare_cmd(p: &Parsed) -> Result<(), Usage> {
+    let jobs = p.value("--jobs")?.unwrap_or(0);
     let sel = app_of(p)?;
     let params = run_params(p)?;
     let grid = [MachineKind::Standard, MachineKind::Dcd, MachineKind::NwCache]

@@ -92,9 +92,6 @@ fn main() {
     };
     let jobs = p.value("--jobs").unwrap_or_else(|u| u.exit()).unwrap_or(0);
     let mut targets: Vec<&str> = p.args().iter().map(String::as_str).collect();
-    if p.has("--faults") {
-        targets.push("faults");
-    }
     // `--json`/`--scale-json`/`--trace-cell` with no explicit targets
     // run only the export / trace; otherwise no targets means
     // everything.
@@ -106,7 +103,7 @@ fn main() {
     }
     let all = targets.contains(&"all");
     // The fault grid perturbs runs, so it never rides along with
-    // `all` — ask for it explicitly (`faults` or `--faults`).
+    // `all` — ask for it explicitly.
     let want_faults = targets.contains(&"faults");
     let want = |t: &str| {
         assert!(TARGETS.contains(&t), "'{t}' is missing from TARGETS");

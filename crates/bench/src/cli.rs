@@ -114,7 +114,8 @@ impl Cli {
             let Some((name, metavar)) = verb.all_flags().find(|(name, _)| name == word) else {
                 return Err(p.usage(if word == "--sim-threads" {
                     "--sim-threads was removed: each simulation runs on one serial event loop; \
-                     use --jobs N to run independent simulations in parallel"
+                     `nwsim compare` and `reproduce` take --jobs N to run independent \
+                     simulations in parallel"
                         .to_string()
                 } else {
                     format!("unknown flag '{word}'")

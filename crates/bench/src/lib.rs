@@ -13,14 +13,12 @@ const PARAMS: Group = &["--prefetch P", "--scale S", "--seed N", "--topo SPEC"];
 /// Direct `MachineConfig` overrides on top of the lowered parameters.
 const OVERRIDES: Group = &["--min-free N", "--disk-cache N", "--ring-slots N"];
 const CHECKPOINT: Group = &["--checkpoint PATH", "--checkpoint-every N", "--stop-after N"];
-const JOBS: Group = &["--jobs N"];
 const JSON: Group = &["--json"];
-/// The file `workload gen|record` write, and its encoding (`replay` reads but ignores them).
+/// The file `workload gen|record` write, and its encoding.
 const TRACE_FILE: Group = &["--out PATH", "--binary"];
 const ADDR: Group = &["--addr H:P"];
 /// The job fields of `client run|sweep` beyond the run parameters.
-const JOB: Group =
-    &["--warm-events N", "--verify-warm", "--deadline-ms N", "--progress-every N", "--trace-out PATH"];
+const JOB: Group = &["--warm-events N", "--verify-warm", "--deadline-ms N", "--progress-every N"];
 const OBSERVE: Group = &["--trace-out PATH", "--sample-interval N", "--trace-capacity N", "--text"];
 const SERVE: Group =
     &["--job-slots N", "--warm-dir DIR", "--warm-capacity N", "--autosave-dir DIR", "--chunk-events N"];
@@ -29,21 +27,24 @@ const SERVE: Group =
 pub static NWSIM: Cli = Cli {
     prog: "nwsim",
     verbs: &[
-        Verb::new("run", &[], &[APP, MACHINE, PARAMS, OVERRIDES, CHECKPOINT, JSON, JOBS]),
+        Verb::new("run", &[], &[APP, MACHINE, PARAMS, OVERRIDES, CHECKPOINT, JSON]),
         Verb::new("resume", &[One("CKPT")], &[CHECKPOINT, JSON]),
         Verb::new("ckpt-validate", &[One("PATH")], &[]),
         Verb::new("ckpt-diff", &[One("A"), One("B")], &[]),
-        Verb::new("trace", &[Opt("APP")], &[APP, MACHINE, PARAMS, OVERRIDES, OBSERVE, JOBS]),
+        Verb::new("trace", &[Opt("APP")], &[APP, MACHINE, PARAMS, OVERRIDES, OBSERVE]),
         Verb::new("trace-validate", &[One("PATH")], &[]),
-        Verb::new("compare", &[], &[APP, PARAMS, JOBS]),
-        Verb::new("apps", &[], &[JOBS]),
-        Verb::new("config", &[], &[MACHINE, PARAMS, OVERRIDES, JOBS]),
+        Verb::new("compare", &[], &[APP, PARAMS, &["--jobs N"]]),
+        Verb::new("apps", &[], &[]),
+        Verb::new("config", &[], &[MACHINE, PARAMS, OVERRIDES]),
         Verb::new("workload gen", &[], &[&["--spec SPEC", "--procs N", "--seed N"], TRACE_FILE]),
-        Verb::new("workload record", &[], &[APP, MACHINE, PARAMS, OVERRIDES, &["--procs N"], TRACE_FILE]),
-        Verb::new("workload replay", &[], &[&["--trace PATH"], MACHINE, PARAMS, OVERRIDES, JSON, TRACE_FILE]),
+        // Streams are a function of the app, processors, scale and seed
+        // alone, so `record` takes no machine or prefetch flags.
+        Verb::new("workload record", &[], &[APP, &["--scale S", "--seed N", "--topo SPEC", "--procs N"], TRACE_FILE]),
+        // A trace fixes its streams, seed included.
+        Verb::new("workload replay", &[], &[&["--trace PATH", "--prefetch P", "--scale S", "--topo SPEC"], MACHINE, OVERRIDES, JSON]),
         Verb::new("workload describe", &[One("PATH")], &[]),
         Verb::new("serve", &[], &[ADDR, SERVE]),
-        Verb::new("client run", &[], &[ADDR, APP, MACHINE, PARAMS, JOB]),
+        Verb::new("client run", &[], &[ADDR, APP, MACHINE, PARAMS, JOB, &["--trace-out PATH"]]),
         Verb::new("client sweep", &[], &[ADDR, APP, &["--machines M,..."], PARAMS, JOB]),
         Verb::new("client metrics", &[], &[ADDR]),
         Verb::new("client ping", &[], &[ADDR]),
@@ -67,7 +68,7 @@ pub static REPRODUCE: Cli = Cli {
         &[Many("target", &TARGETS)],
         &[
             &["--scale S", "--jobs N", "--json PATH", "--scale-json PATH"],
-            &["--trace-cell APP:MACHINE:PREFETCH", "--trace-out PATH", "--faults"],
+            &["--trace-cell APP:MACHINE:PREFETCH", "--trace-out PATH"],
         ],
     )],
 };

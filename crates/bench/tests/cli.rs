@@ -222,7 +222,8 @@ fn reproduce() -> Command {
 }
 
 /// `--sim-threads` is gone: every verb that took it refuses it with
-/// exit 2 and a pointer to `--jobs`, before doing any work.
+/// exit 2, before doing any work, and names the two commands that take
+/// `--jobs`.
 #[test]
 fn removed_sim_threads_flag_points_to_jobs() {
     let nwsim_calls: [&[&str]; 4] = [
@@ -245,7 +246,7 @@ fn removed_sim_threads_flag_points_to_jobs() {
         assert_eq!(out.status.code(), Some(2), "{call}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("--sim-threads was removed"), "{call}: {stderr}");
-        assert!(stderr.contains("--jobs"), "{call}: {stderr}");
+        assert!(stderr.contains("`nwsim compare` and `reproduce` take --jobs N"), "{call}: {stderr}");
         assert!(out.stdout.is_empty(), "{call} printed output");
     }
 }
@@ -316,6 +317,11 @@ fn usage_errors_exit_2_with_reason() {
         ("reproduce", &["--trace-cell", "bogus"], "--trace-cell: wants app:machine:prefetch"),
         ("reproduce", &["--trace-cell", "sor:nwc:bogus"], "--trace-cell: unknown prefetch 'bogus'"),
         ("reproduce", &["--trace-cell", "sor:bogus:naive"], "--trace-cell: unknown machine 'bogus'"),
+        // Words no handler read are refused, not ignored.
+        ("reproduce", &["--faults", "--scale", "0.1"], "unknown flag '--faults'"),
+        ("nwsim", &["run", "--app", gen, "--jobs", "2"], "unknown flag '--jobs'"),
+        ("nwsim", &["workload", "replay", "--trace", "t.nwtrace", "--binary"], "unknown flag '--binary'"),
+        ("nwsim", &["client", "sweep", "--addr", "127.0.0.1:1", "--trace-out", "t.json"], "unknown flag '--trace-out'"),
     ];
     for (prog, argv, reason) in rows {
         let mut cmd = if *prog == "nwsim" { nwsim() } else { reproduce() };

@@ -153,12 +153,12 @@ fn documented_and_ci_command_lines_parse() {
 #[test]
 fn extraction_handles_folds_quotes_and_redirections() {
     let yaml = "      - name: x\n        run: >\n          cargo run --bin nwsim --\n          \
-                run --app \"a b;c\" --jobs ${{ matrix.jobs }}\n          --json > out.json\n      \
+                compare --app \"a b;c\" --jobs ${{ matrix.jobs }}\n          --scale 0.1 > out.json\n      \
                 - name: y\n        run: |\n          ./target/release/nwsim client run \\\n            \
                 --addr \"$ADDR\" 2>log &\n";
     let got: Vec<Vec<String>> = documented_commands(yaml).into_iter().map(|(_, a)| a).collect();
     let want: [&[&str]; 2] = [
-        &["run", "--app", "a b;c", "--jobs", "1", "--json"],
+        &["compare", "--app", "a b;c", "--jobs", "1", "--scale", "0.1"],
         &["client", "run", "--addr", "1"],
     ];
     assert_eq!(got, want);

@@ -15,10 +15,10 @@
 //! | 1  | META    | workload spec, app name, events dispatched, sim time |
 //! | 2  | CONFIG  | the full [`MachineConfig`] including the fault plan |
 //! | 3  | ENGINE  | event queue (counters + pending events), run-loop state |
-//! | 4  | PROCS   | per-processor stream position, caches, TLB, write buffer |
+//! | 4  | PROCS   | per-processor stream position, caches, TLB; an empty write-buffer slot |
 //! | 5  | MEMHIER | memory/I/O buses, coherence directory |
 //! | 6  | DISKS   | controller caches, mechanics, log disks, fault injectors |
-//! | 7  | RING    | optical ring slot sets, NWCache interface FIFOs |
+//! | 7  | RING    | optical ring slot sets (zeroed transmitter slots), NWCache interface FIFOs |
 //! | 8  | MESH    | link horizons, traffic tallies, fault injector |
 //! | 9  | VM      | page table, frame pools, barrier, protocol maps |
 //! | 10 | METRICS | machine-owned metric accumulators |
@@ -130,11 +130,11 @@ fn config(c: &mut Ckpt, cfg: &mut MachineConfig) -> Result<(), CkptError> {
     use ReplacementPolicy as R;
     // Exhaustive, so a new field cannot be left out of checkpoints.
     let MachineConfig {
-        kind, prefetch, prefetch_window, nodes, io_nodes, page_bytes, tlb_miss_latency,
+        kind, prefetch, prefetch_window, nodes, io_nodes, tlb_miss_latency,
         tlb_shootdown_latency, interrupt_latency, memory_per_node, min_free_frames, replacement,
-        mesh_width, mesh_height, ring_channels, ring_slots_per_channel, ring_round_trip,
+        mesh_width, mesh_height, ring_slots_per_channel, ring_round_trip,
         ring_count, dir_shards, disk_cache_pages, disk_flush_delay,
-        tlb_entries, l1_latency, l2_latency, mem_latency, dir_latency, wb_entries, ctl_msg_bytes,
+        tlb_entries, l1_latency, l2_latency, mem_latency, dir_latency, ctl_msg_bytes,
         quantum, app_scale, seed, faults,
     } = cfg;
     let FaultPlan {
@@ -146,12 +146,21 @@ fn config(c: &mut Ckpt, cfg: &mut MachineConfig) -> Result<(), CkptError> {
     c.usize(prefetch_window)?;
     c.u32(nodes)?;
     c.u32(io_nodes)?;
-    for v in [page_bytes, tlb_miss_latency, tlb_shootdown_latency, interrupt_latency, memory_per_node] {
+    // Three slots hold fields that had one usable value and are gone:
+    // the page size, the channels per ring and the write-buffer size.
+    // They keep their values, so CONFIG bytes (and the memo and
+    // warm-state keys made from them) do not move.
+    let mut page_bytes = nw_memhier::PAGE_BYTES;
+    c.u64(&mut page_bytes)?;
+    if page_bytes != nw_memhier::PAGE_BYTES {
+        return Err(c.invalid(format!("page size {page_bytes}: only 4096-byte pages are simulated")));
+    }
+    for v in [tlb_miss_latency, tlb_shootdown_latency, interrupt_latency, memory_per_node] {
         c.u64(v)?;
     }
     c.u32(min_free_frames)?;
     c.choice(replacement, &[R::Lru, R::Fifo, R::Clock], "replacement-policy")?;
-    c.usize(ring_channels)?;
+    c.u32(&mut { *nodes })?;
     c.usize(ring_slots_per_channel)?;
     c.u64(ring_round_trip)?;
     c.usize(disk_cache_pages)?;
@@ -160,7 +169,7 @@ fn config(c: &mut Ckpt, cfg: &mut MachineConfig) -> Result<(), CkptError> {
     for v in [l1_latency, l2_latency, mem_latency, dir_latency] {
         c.u64(v)?;
     }
-    c.usize(wb_entries)?;
+    c.u64(&mut 8)?;
     c.u64(ctl_msg_bytes)?;
     c.u64(quantum)?;
     c.f64(app_scale)?;

@@ -169,19 +169,12 @@ pub const MAX_DISK_CACHE_PAGES: usize = 1 << 16;
 /// allocation fails.
 pub const MAX_RING_SLOTS: usize = 1 << 12;
 
-/// Largest [`MachineConfig::ring_channels`]: four channels per node of
-/// the largest (1,024-node) machine.
-pub const MAX_RING_CHANNELS: usize = 1 << 12;
-
 /// Largest [`MachineConfig::ring_count`]: far above the 8 rings of the
 /// largest generated topology in use.
 pub const MAX_RING_COUNT: usize = 1 << 6;
 
 /// Largest [`MachineConfig::tlb_entries`]: far above the paper's 64.
 pub const MAX_TLB_ENTRIES: usize = 1 << 16;
-
-/// Largest [`MachineConfig::wb_entries`]: far above the paper's 8.
-pub const MAX_WB_ENTRIES: usize = 1 << 10;
 
 /// Largest [`MachineConfig::prefetch_window`]: far above the default 16.
 /// The window sizes each controller's speculative side cache.
@@ -201,8 +194,6 @@ pub struct MachineConfig {
     pub nodes: u32,
     /// Number of I/O-enabled nodes (Table 1: 4).
     pub io_nodes: u32,
-    /// Page size in bytes (Table 1: 4 KB).
-    pub page_bytes: u64,
     /// TLB miss latency in pcycles (Table 1: 100).
     pub tlb_miss_latency: Time,
     /// TLB shootdown latency paid by the initiator (Table 1: 500).
@@ -226,18 +217,15 @@ pub struct MachineConfig {
     /// Mesh height in nodes (see [`MachineConfig::mesh_width`]).
     pub mesh_height: u32,
 
-    /// WDM cache channels (Table 1: 8; one per node). With
-    /// `ring_count > 1` this is the per-ring channel count; every node
-    /// owns one channel on every ring.
-    pub ring_channels: usize,
     /// Page slots per cache channel (Table 1: 64 KB per channel = 16).
     pub ring_slots_per_channel: usize,
     /// Ring round-trip latency (Table 1: 52 usecs).
     pub ring_round_trip: Time,
     /// Independent optical rings in the fabric (paper: 1). Each ring
-    /// carries the full per-node channel set; page `vpn` rides ring
-    /// `vpn % ring_count`, and each node's single tunable transmitter
-    /// arbitrates between rings.
+    /// carries one WDM cache channel per node (Table 1: 8 channels on
+    /// 8 nodes); page `vpn` rides ring `vpn % ring_count`. A node's
+    /// single tunable transmitter reaches every ring, and its inserts
+    /// never queue for it (see `RingFabric::insert`).
     pub ring_count: usize,
 
     /// Directory shards (paper-equivalent: 1; at most one per node),
@@ -266,8 +254,6 @@ pub struct MachineConfig {
     pub mem_latency: Time,
     /// Directory lookup overhead at the home node.
     pub dir_latency: Time,
-    /// Write-buffer entries per processor.
-    pub wb_entries: usize,
     /// Control-message payload size on the mesh (bytes).
     pub ctl_msg_bytes: u64,
     /// Max pcycles a processor may run ahead inline before yielding to
@@ -304,7 +290,6 @@ impl MachineConfig {
             prefetch,
             nodes: 8,
             io_nodes: 4,
-            page_bytes: 4096,
             tlb_miss_latency: 100,
             tlb_shootdown_latency: 500,
             interrupt_latency: 400,
@@ -313,7 +298,6 @@ impl MachineConfig {
             replacement: ReplacementPolicy::Lru,
             mesh_width: 0,
             mesh_height: 0,
-            ring_channels: 8,
             ring_slots_per_channel: 16,
             ring_round_trip: usecs(52),
             ring_count: 1,
@@ -326,7 +310,6 @@ impl MachineConfig {
             l2_latency: 10,
             mem_latency: 30,
             dir_latency: 10,
-            wb_entries: 8,
             ctl_msg_bytes: 16,
             quantum: 2_000,
             app_scale: 1.0,
@@ -346,7 +329,7 @@ impl MachineConfig {
         cfg.app_scale = scale;
         if scale < 1.0 {
             let frames = ((cfg.frames_per_node() as f64 * scale) as u64).max(8);
-            cfg.memory_per_node = frames * cfg.page_bytes;
+            cfg.memory_per_node = frames * nw_memhier::PAGE_BYTES;
             // Round to nearest: truncation made e.g. scale 0.3 drop
             // 16 * 0.3 = 4.8 slots to 4, an 8% capacity cut the scale
             // never asked for.
@@ -359,7 +342,7 @@ impl MachineConfig {
 
     /// Page frames per node implied by the memory size.
     pub fn frames_per_node(&self) -> u32 {
-        (self.memory_per_node / self.page_bytes) as u32
+        (self.memory_per_node / nw_memhier::PAGE_BYTES) as u32
     }
 
     /// Mesh dimensions `(width, height)`: the explicit
@@ -420,31 +403,16 @@ impl MachineConfig {
                 self.nodes
             ));
         }
-        if self.has_ring() && self.ring_channels < self.nodes as usize {
-            return Err("each node needs its own cache channel".into());
-        }
         for (name, value, max) in [
             ("dir_shards", self.dir_shards, self.nodes as usize),
             ("disk_cache_pages", self.disk_cache_pages, MAX_DISK_CACHE_PAGES),
             ("ring_slots_per_channel", self.ring_slots_per_channel, MAX_RING_SLOTS),
-            ("ring_channels", self.ring_channels, MAX_RING_CHANNELS),
             ("ring_count", self.ring_count, MAX_RING_COUNT),
             ("tlb_entries", self.tlb_entries, MAX_TLB_ENTRIES),
-            ("wb_entries", self.wb_entries, MAX_WB_ENTRIES),
         ] {
             if !(1..=max).contains(&value) {
                 return Err(format!("{name} must be in 1..={max}, got {value}"));
             }
-        }
-        // Caches, the directory's page blocks and `Machine::page_of`
-        // all assume 64 lines per page.
-        if self.page_bytes != nw_memhier::PAGE_BYTES {
-            return Err(format!(
-                "page_bytes must be {} (64 lines of {} B), got {}",
-                nw_memhier::PAGE_BYTES,
-                nw_memhier::LINE_BYTES,
-                self.page_bytes
-            ));
         }
         if self.frames_per_node() <= self.min_free_frames {
             return Err("min_free_frames must be below frames/node".into());
@@ -467,11 +435,11 @@ impl MachineConfig {
                 return Err("ring_channel_failures require a NWCache machine".into());
             }
             // Channel ids are global across the fabric:
-            // `ring * ring_channels + node`.
-            if ch as usize >= self.ring_channels * self.ring_count {
+            // `ring * nodes + node`.
+            let channels = self.nodes as usize * self.ring_count;
+            if ch as usize >= channels {
                 return Err(format!(
-                    "ring channel failure targets channel {ch}, fabric has {}",
-                    self.ring_channels * self.ring_count
+                    "ring channel failure targets channel {ch}, fabric has {channels}"
                 ));
             }
         }
@@ -638,13 +606,11 @@ mod tests {
         let c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Optimal);
         assert_eq!(c.nodes, 8);
         assert_eq!(c.io_nodes, 4);
-        assert_eq!(c.page_bytes, 4096);
         assert_eq!(c.tlb_miss_latency, 100);
         assert_eq!(c.tlb_shootdown_latency, 500);
         assert_eq!(c.interrupt_latency, 400);
         assert_eq!(c.memory_per_node, 262_144);
         assert_eq!(c.frames_per_node(), 64);
-        assert_eq!(c.ring_channels, 8);
         assert_eq!(c.ring_slots_per_channel, 16);
         assert_eq!(c.ring_round_trip, 10_400);
         assert_eq!(c.disk_cache_pages, 4);
@@ -659,10 +625,8 @@ mod tests {
             *match field {
                 "disk_cache_pages" => &mut c.disk_cache_pages,
                 "ring_slots_per_channel" => &mut c.ring_slots_per_channel,
-                "ring_channels" => &mut c.ring_channels,
                 "ring_count" => &mut c.ring_count,
                 "tlb_entries" => &mut c.tlb_entries,
-                "wb_entries" => &mut c.wb_entries,
                 "prefetch_window" => &mut c.prefetch_window,
                 "dir_shards" => &mut c.dir_shards,
                 _ => unreachable!("{field}"),
@@ -678,14 +642,10 @@ mod tests {
             ("ring_slots_per_channel", 100_000_000_000, "ring_slots_per_channel"),
             // Each of these at 2^40 used to abort machine construction
             // on a failed allocation of terabytes.
-            ("ring_channels", MAX_RING_CHANNELS + 1, "ring_channels must be in 1..=4096, got 4097"),
-            ("ring_channels", 1 << 40, "ring_channels"),
             ("ring_count", 0, "ring_count must be in 1..=64, got 0"),
             ("ring_count", 1 << 40, "ring_count must be in 1..=64, got 1099511627776"),
             ("tlb_entries", MAX_TLB_ENTRIES + 1, "tlb_entries must be in 1..=65536, got 65537"),
             ("tlb_entries", 1 << 40, "tlb_entries"),
-            ("wb_entries", MAX_WB_ENTRIES + 1, "wb_entries must be in 1..=1024, got 1025"),
-            ("wb_entries", 1 << 40, "wb_entries"),
             ("prefetch_window", MAX_PREFETCH_WINDOW + 1, "prefetch_window must be at most 4096, got 4097"),
             ("prefetch_window", 1 << 40, "prefetch_window"),
             // The shard count is recorded only; at most one per node.
@@ -699,10 +659,8 @@ mod tests {
         let max = MachineConfig {
             disk_cache_pages: MAX_DISK_CACHE_PAGES,
             ring_slots_per_channel: MAX_RING_SLOTS,
-            ring_channels: MAX_RING_CHANNELS,
             ring_count: MAX_RING_COUNT,
             tlb_entries: MAX_TLB_ENTRIES,
-            wb_entries: MAX_WB_ENTRIES,
             prefetch_window: MAX_PREFETCH_WINDOW,
             dir_shards: 8,
             ..ok
@@ -774,7 +732,6 @@ mod tests {
         let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
         c.nodes = 2048;
         c.io_nodes = 1024;
-        c.ring_channels = 2048;
         assert!(c.validate().is_err());
         // A fault targeting a second-ring channel validates only when
         // the fabric has that ring.
@@ -787,10 +744,6 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configs() {
-        let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-        c.ring_channels = 4;
-        assert!(c.validate().is_err());
-
         let mut c = MachineConfig::paper_default(MachineKind::Standard, PrefetchMode::Naive);
         c.io_nodes = 3;
         assert!(c.validate().is_err());
@@ -810,19 +763,6 @@ mod tests {
         let mut c = MachineConfig::paper_default(MachineKind::Standard, PrefetchMode::Naive);
         c.prefetch_window = 1;
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn page_size_other_than_64_lines_is_rejected() {
-        // Another page size used to mis-simulate silently: the caches
-        // and the directory purge a fixed 64 lines per page.
-        for page_bytes in [2048, 4095, 8192] {
-            let mut c = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
-            c.page_bytes = page_bytes;
-            c.memory_per_node = 64 * page_bytes;
-            let err = c.validate().unwrap_err();
-            assert!(err.contains("page_bytes must be 4096"), "{page_bytes}: {err}");
-        }
     }
 
     #[test]

@@ -382,7 +382,7 @@ pub fn reuse_distance_sweep(
 /// Bytes of memory plus ring storage on the machine `cfg` describes.
 fn mem_plus_ring(cfg: &MachineConfig) -> u64 {
     cfg.memory_per_node * cfg.nodes as u64
-        + (cfg.ring_channels * cfg.ring_slots_per_channel) as u64 * cfg.page_bytes
+        + (cfg.nodes as usize * cfg.ring_slots_per_channel) as u64 * nw_memhier::PAGE_BYTES
 }
 
 /// [`mem_plus_ring`] of `cfg` over that of the paper machine: 1.0 at
@@ -413,7 +413,7 @@ pub fn zipf_skew_sweep(
     let base = MachineConfig::scaled_paper(MachineKind::NwCache, prefetch, scale);
     // 1.5x the combined capacity: out-of-core, but close enough that
     // a concentrated hot set fits back in.
-    let pages = mem_plus_ring(&base) * 3 / 2 / base.page_bytes;
+    let pages = mem_plus_ring(&base) * 3 / 2 / nw_memhier::PAGE_BYTES;
     // As many accesses per page as at full scale.
     let accesses = (4000.0 * capacity_shrink(&base)) as u64;
     let grid: Vec<(MachineConfig, AppSel)> = skews
@@ -527,9 +527,6 @@ pub fn scaling_sweep(
     let runs = grid(lab, &PAIR, prefetch, scale, node_counts, |cfg, n| {
         cfg.nodes = n;
         cfg.io_nodes = (n / 2).max(1);
-        if cfg.kind == MachineKind::NwCache {
-            cfg.ring_channels = n as usize;
-        }
         app
     });
     runs.into_iter().map(|(n, r)| (n, r[0].exec_time, r[1].exec_time)).collect()
@@ -650,7 +647,7 @@ pub fn fault_tolerance(
             // catches in-flight pages.
             nwc_cfg.faults.ring_channel_failures = (0..failed)
                 .map(|k| {
-                    let ch = (2 * k as u32 + 1) % nwc_cfg.ring_channels as u32;
+                    let ch = (2 * k as u32 + 1) % nwc_cfg.nodes;
                     (clean_exec / 4 * (k as u64 + 1), ch)
                 })
                 .collect();

@@ -17,8 +17,9 @@
 //!   processor records only how many actions it consumed and restore
 //!   fast-forwards the rebuilt stream, skipping whole generated blocks
 //!   ([`nw_apps::ActionStream::advance`]);
-//! * the observer — re-attached (if globally configured) at build
-//!   time; observation never feeds back into simulation state;
+//! * the observer — a restored machine runs unobserved until its
+//!   caller attaches one with `Machine::enable_observer`; observation
+//!   never feeds back into simulation state;
 //! * `fatal` — always `None` at a checkpoint boundary (a fatal error
 //!   aborts the run before it can be checkpointed).
 
@@ -261,7 +262,10 @@ impl Machine {
                 p.tlb.ckpt(c)?;
                 p.l1.ckpt(c)?;
                 p.l2.ckpt(c)?;
-                p.wb.ckpt(c)?;
+                // The retired write buffer's slot: no lines and three
+                // zero counters. Lines a file carries are discarded.
+                c.list(&mut Vec::new(), 1 << 10, 1, "write-buffer lines", Ckpt::u64)?;
+                (0..3).try_for_each(|_| c.u64(&mut 0))?;
                 c.u64(&mut p.local_time)?;
                 p.breakdown.ckpt(c)?;
                 c.u64(&mut p.pending_interrupt)?;

@@ -1,7 +1,7 @@
 //! Directed tests: hand-built action streams drive specific paths of
 //! the memory hierarchy and VM system, with analytically checkable
 //! timing. Unlike the application-level tests these pin *individual*
-//! mechanisms (TLB costs, cache hits, write buffering, barrier skew,
+//! mechanisms (TLB costs, cache hits, write retirement, barrier skew,
 //! transit waits).
 
 #![cfg(test)]
@@ -20,7 +20,6 @@ fn one_node_cfg() -> MachineConfig {
     let mut cfg = MachineConfig::paper_default(MachineKind::Standard, PrefetchMode::Optimal);
     cfg.nodes = 1;
     cfg.io_nodes = 1;
-    cfg.ring_channels = 1;
     cfg
 }
 
@@ -76,7 +75,7 @@ fn l1_hits_cost_one_cycle() {
 
 #[test]
 fn writes_are_cheaper_than_reads_on_miss() {
-    // Release consistency: write misses retire into the write buffer.
+    // Release consistency: write misses retire at L1 latency.
     let cfg = one_node_cfg();
     let lines: Vec<u64> = (0..64).collect(); // one resident page
     let warm: Vec<Action> = lines.iter().map(|&l| Action::Read(l)).collect();
@@ -305,7 +304,6 @@ fn idle_nodes_are_fine() {
     let mut cfg = MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive);
     cfg.nodes = 4;
     cfg.io_nodes = 2;
-    cfg.ring_channels = 4;
     let mut streams = idle_streams(4);
     streams[2] = vec![Action::Compute(500), Action::Read(0)];
     let mut m = machine_with(cfg, 4096, streams);

@@ -6,6 +6,7 @@ use crate::config::{MachineKind, PrefetchMode};
 use crate::error::SimError;
 use crate::observe::groups;
 use crate::vm::{PageState, ProcId, Vpn};
+use nw_memhier::PAGE_BYTES;
 use nw_sim::Time;
 
 impl Machine {
@@ -153,8 +154,8 @@ impl Machine {
             return;
         };
         self.obs_span(now, ready, groups::RING, channel, "ring.snoop", vpn, n as u64);
-        let g = self.io_bus[n as usize].transfer(ready, self.cfg.page_bytes);
-        let g2 = self.mem_bus[n as usize].transfer(g.end, self.cfg.page_bytes);
+        let g = self.io_bus[n as usize].transfer(ready, PAGE_BYTES);
+        let g2 = self.mem_bus[n as usize].transfer(g.end, PAGE_BYTES);
         self.queue
             .schedule_at(g2.end, super::Event::PageArrive { vpn });
         let disk = self.fs.disk_of(vpn);
@@ -167,8 +168,8 @@ impl Machine {
         // served from the ring.
         if self.cfg.prefetch == PrefetchMode::Optimal {
             self.disks[disk as usize].background_read(now);
-            let bg = self.io_bus[io as usize].transfer(now, self.cfg.page_bytes);
-            self.mesh_send(bg.end, io, n, self.cfg.page_bytes, "mesh.page");
+            let bg = self.io_bus[io as usize].transfer(now, PAGE_BYTES);
+            self.mesh_send(bg.end, io, n, PAGE_BYTES, "mesh.page");
         }
         // Notify the responsible I/O node so the page is not also
         // written to disk; the interface will ACK the original swapper.
@@ -424,8 +425,8 @@ impl Machine {
         let disk = self.fs.disk_of(vpn);
         let io = self.disk_homes[disk as usize];
         // Read the page from memory, then ship it.
-        let g = self.mem_bus[node as usize].transfer(now, self.cfg.page_bytes);
-        let d = self.mesh_send(g.end, node, io, self.cfg.page_bytes, "mesh.page");
+        let g = self.mem_bus[node as usize].transfer(now, PAGE_BYTES);
+        let d = self.mesh_send(g.end, node, io, PAGE_BYTES, "mesh.page");
         self.queue.schedule_at(
             d.arrival,
             super::Event::SwapWriteArrive {
@@ -472,10 +473,13 @@ impl Machine {
             return;
         }
         // Page moves over the local memory and I/O buses to the NWC
-        // interface, then serializes onto the channel (multi-ring
-        // fabrics arbitrate the node's tunable transmitter here).
-        let g = self.mem_bus[node as usize].transfer(now, self.cfg.page_bytes);
-        let g2 = self.io_bus[node as usize].transfer(g.end, self.cfg.page_bytes);
+        // interface, then serializes onto the channel. The node's I/O
+        // bus takes longer per page (2,739 pcycles) than the channel
+        // (656), so successive inserts of one node start more than a
+        // transfer apart and never wait for its transmitter — the
+        // precondition of `RingFabric::insert`.
+        let g = self.mem_bus[node as usize].transfer(now, PAGE_BYTES);
+        let g2 = self.io_bus[node as usize].transfer(g.end, PAGE_BYTES);
         let on_ring = self
             .ring
             .as_mut()

@@ -9,6 +9,7 @@ use crate::error::SimError;
 use crate::observe::groups;
 use crate::vm::{PageState, Vpn};
 use nw_disk::{DiskFault, WriteOutcome};
+use nw_memhier::PAGE_BYTES;
 use nw_sim::Time;
 
 /// Most flush checks one queue entry may stand for. A longer run just
@@ -222,9 +223,9 @@ impl Machine {
                 })
             }
         };
-        let g = self.io_bus[io as usize].transfer(t, self.cfg.page_bytes);
-        let d = self.mesh_send(g.end, io, dest, self.cfg.page_bytes, "mesh.page");
-        let g2 = self.mem_bus[dest as usize].transfer(d.arrival, self.cfg.page_bytes);
+        let g = self.io_bus[io as usize].transfer(t, PAGE_BYTES);
+        let d = self.mesh_send(g.end, io, dest, PAGE_BYTES, "mesh.page");
+        let g2 = self.mem_bus[dest as usize].transfer(d.arrival, PAGE_BYTES);
         self.queue
             .schedule_at(g2.end, super::Event::PageArrive { vpn });
         Ok(())
@@ -239,7 +240,7 @@ impl Machine {
         // answer is observed as a span over that crossing, so it starts
         // when the write reached the I/O node, as a page's timeline has
         // it (`TraceData::page_events`), and ends at the decision.
-        let g = self.io_bus[io as usize].transfer(t, self.cfg.page_bytes);
+        let g = self.io_bus[io as usize].transfer(t, PAGE_BYTES);
         match self.disks[disk as usize].write_page(g.end, vpn, block, from) {
             WriteOutcome::Ack { flush_check_at } => {
                 self.obs_span(t, g.end, groups::DISK, disk, "disk.admit", vpn, from as u64);

@@ -1,5 +1,5 @@
-//! The synchronous memory-access path: TLB, caches, write buffer and
-//! the directory-coherent memory transaction.
+//! The synchronous memory-access path: TLB, caches and the
+//! directory-coherent memory transaction.
 //!
 //! Everything here resolves against resource timestamps without event
 //! round-trips; only page faults (handled in `fault.rs`) block the
@@ -8,7 +8,7 @@
 use super::{BlockKind, Machine};
 use crate::observe::groups;
 use crate::vm::{PageState, ProcId};
-use nw_memhier::{Line, WbOutcome};
+use nw_memhier::Line;
 use nw_sim::Time;
 
 impl Machine {
@@ -97,14 +97,11 @@ impl Machine {
                     }
                     None => {
                         let mem_lat = self.mem_transaction(p, line, is_write, home, t_access);
-                        // Reads stall for the data; writes retire into
-                        // the write buffer (release consistency).
-                        if is_write {
-                            lat += self.cfg.l1_latency;
-                            lat += self.wb_insert(p, line);
-                        } else {
-                            lat += mem_lat;
-                        }
+                        // Reads stall for the data; writes retire at
+                        // L1 latency (release consistency). A write
+                        // buffer that drains once more than half full
+                        // never stalls a store, so none is modelled.
+                        lat += if is_write { self.cfg.l1_latency } else { mem_lat };
                         self.fill_l2(p, line, is_write);
                         self.fill_l1(p, line, is_write);
                     }
@@ -112,28 +109,6 @@ impl Machine {
             }
         }
         Ok((lat, tlb_lat))
-    }
-
-    /// Insert a store into the write buffer, returning stall cycles.
-    fn wb_insert(&mut self, p: ProcId, line: Line) -> Time {
-        match self.procs[p as usize].wb.insert(line) {
-            WbOutcome::Coalesced | WbOutcome::Queued => {
-                // Background drain: oldest entry retires with the
-                // transaction just issued.
-                if self.procs[p as usize].wb.len() > self.cfg.wb_entries / 2 {
-                    self.procs[p as usize].wb.drain_one();
-                }
-                0
-            }
-            WbOutcome::Full => {
-                // Stall long enough to drain the head entry.
-                self.procs[p as usize].wb.drain_one();
-                self.procs[p as usize]
-                    .wb
-                    .insert(line);
-                20
-            }
-        }
     }
 
     /// Fill `line` into `p`'s L1, handling the victim.
@@ -235,7 +210,7 @@ impl Machine {
     }
 
     /// A full L2-miss memory transaction; returns the latency seen by
-    /// a blocking load (writes use the write buffer instead).
+    /// a blocking load (writes retire without waiting for it).
     fn mem_transaction(
         &mut self,
         p: ProcId,

@@ -35,7 +35,7 @@ use nw_apps::{Action, ActionStream, AppId};
 use nw_disk::{
     DiskController, DiskControllerConfig, DiskFaultInjector, Mechanics, ParallelFs,
 };
-use nw_memhier::{Cache, CacheConfig, Directory, Line, MemoryBus, Tlb, WriteBuffer, LINES_PER_PAGE};
+use nw_memhier::{Cache, CacheConfig, Directory, Line, MemoryBus, Tlb, LINES_PER_PAGE, PAGE_BYTES};
 use nw_mesh::{Delivery, Mesh, MeshConfig, MeshFaults, MsgFault};
 use nw_optical::{NwcInterface, RingConfig, RingFabric};
 use nw_sim::stats::{BoundedSeries, CycleBreakdown, Histogram, Tally};
@@ -85,7 +85,6 @@ pub(crate) struct Proc {
     pub(crate) tlb: Tlb,
     pub(crate) l1: Cache,
     pub(crate) l2: Cache,
-    pub(crate) wb: WriteBuffer,
     pub(crate) local_time: Time,
     pub(crate) breakdown: CycleBreakdown,
     /// Interrupt cycles (TLB shootdowns) to charge at the next step.
@@ -141,7 +140,7 @@ pub struct Machine {
     pub(crate) fs: ParallelFs,
     pub(crate) ring: Option<RingFabric>,
     /// One NWCache interface per disk (at its I/O node), with one FIFO
-    /// per global cache channel (`ring * ring_channels + node`).
+    /// per global cache channel (`ring * nodes + node`).
     pub(crate) ifaces: Vec<NwcInterface>,
     /// I/O node hosting each disk, precomputed from the placement
     /// policy (derived from config; never checkpointed).
@@ -253,7 +252,7 @@ impl Machine {
                 nodes: cfg.nodes,
             });
         }
-        let npages = build.data_bytes.div_ceil(cfg.page_bytes);
+        let npages = build.data_bytes.div_ceil(PAGE_BYTES);
 
         let (mesh_w, mesh_h) = cfg.mesh_dims();
         let mesh_cfg = MeshConfig {
@@ -271,7 +270,6 @@ impl Machine {
                 tlb: Tlb::new(cfg.tlb_entries),
                 l1: Cache::new(CacheConfig::l1_default()),
                 l2: Cache::new(CacheConfig::l2_default()),
-                wb: WriteBuffer::new(cfg.wb_entries),
                 local_time: 0,
                 breakdown: CycleBreakdown::default(),
                 pending_interrupt: 0,
@@ -300,11 +298,11 @@ impl Machine {
         let ring = if cfg.has_ring() {
             Some(RingFabric::new(
                 RingConfig {
-                    channels: cfg.ring_channels,
+                    channels: cfg.nodes as usize,
                     slots_per_channel: cfg.ring_slots_per_channel,
                     round_trip: cfg.ring_round_trip,
                     rate: Bandwidth::from_gbytes_per_sec_milli(1250),
-                    page_bytes: cfg.page_bytes,
+                    page_bytes: PAGE_BYTES,
                 },
                 cfg.ring_count,
             ))
@@ -315,7 +313,7 @@ impl Machine {
         let io_nodes = cfg.io_nodes;
         // Interface FIFOs are indexed by global channel id so a drain
         // or channel failure addresses exactly one (ring, node) pair.
-        let total_channels = cfg.ring_channels * cfg.ring_count;
+        let total_channels = cfg.nodes as usize * cfg.ring_count;
         let disk_homes = (0..cfg.io_nodes)
             .map(|d| cfg.try_io_node_of_disk(d))
             .collect::<Result<Vec<u32>, SimError>>()?;
@@ -894,7 +892,7 @@ impl Machine {
     }
 
     /// The virtual page containing cache line `line`: a shift, since
-    /// `validate` pins `page_bytes` to [`nw_memhier::PAGE_BYTES`].
+    /// every page is [`nw_memhier::PAGE_BYTES`].
     pub(crate) fn page_of(&self, line: u64) -> Vpn {
         nw_memhier::page_of_line(line)
     }
@@ -907,15 +905,15 @@ impl Machine {
     }
 
     /// Global cache-channel id for `node`'s channel on `vpn`'s ring
-    /// (`gc = ring * ring_channels + node`; equal to `node` on the
+    /// (`gc = ring * nodes + node`; equal to `node` on the
     /// paper machine, keeping all existing encodings bit-identical).
     pub(crate) fn ring_channel_of(&self, node: u32, vpn: Vpn) -> u32 {
-        (self.ring_of_page(vpn) * self.cfg.ring_channels) as u32 + node
+        self.ring_of_page(vpn) as u32 * self.cfg.nodes + node
     }
 
     /// The node owning global cache channel `gc`.
     pub(crate) fn channel_node(&self, gc: u32) -> u32 {
-        gc % self.cfg.ring_channels as u32
+        gc % self.cfg.nodes
     }
 
     /// Debug invariant: per-node frame accounting is conserved.

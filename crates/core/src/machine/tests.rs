@@ -154,7 +154,7 @@ fn naive_prefetching_has_both_hits_and_misses() {
 #[test]
 fn ring_is_bounded_by_capacity() {
     let cfg = MachineConfig::scaled_paper(MachineKind::NwCache, PrefetchMode::Optimal, SCALE);
-    let cap = cfg.ring_channels * cfg.ring_slots_per_channel;
+    let cap = cfg.nodes as usize * cfg.ring_slots_per_channel;
     let mut machine = Machine::new(cfg, AppId::Gauss);
     let m = machine.run();
     assert!(

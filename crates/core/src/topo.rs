@@ -190,7 +190,6 @@ impl TopoSpec {
         cfg.io_nodes = self.io_nodes;
         cfg.mesh_width = self.width;
         cfg.mesh_height = self.height;
-        cfg.ring_channels = cfg.nodes as usize;
         cfg.ring_count = self.rings;
         cfg.dir_shards = self.dir_shards;
         cfg

@@ -203,7 +203,6 @@ mod tests {
         let mut other = c.clone();
         other.nodes = 4;
         other.io_nodes = 2;
-        other.ring_channels = 4;
         let err = try_run_sel(&other, &AppSel::Replay(Arc::new(trace))).unwrap_err();
         assert!(matches!(err, SimError::WorkloadMismatch { streams: 8, nodes: 4 }), "{err}");
     }

@@ -1,9 +1,11 @@
 //! # nw-memhier — node memory hierarchy and coherence substrate
 //!
 //! Per-node hardware from Figure 1 of the paper: TLB, first- and
-//! second-level caches, a coalescing write buffer, and the local memory
-//! bus — plus the machine-wide directory used to keep caches coherent
-//! (the paper's base machine is DASH-like, i.e. directory-based).
+//! second-level caches and the local memory bus — plus the
+//! machine-wide directory used to keep caches coherent (the paper's
+//! base machine is DASH-like, i.e. directory-based). Figure 1's write
+//! buffer is not modelled: stores retire at L1 latency (see the
+//! machine model's memory path).
 //!
 //! These components are *timing models*: they track tags, states and
 //! statistics, while the actual latencies/contention are charged by the
@@ -37,14 +39,12 @@ mod ckpt_fuzz;
 pub mod directory;
 pub mod linetable;
 pub mod tlb;
-pub mod wbuffer;
 
 pub use bus::MemoryBus;
 pub use cache::{Cache, CacheConfig, Evicted, LookupResult};
 pub use directory::{Directory, ReadOutcome, WriteOutcome};
 pub use linetable::LineTable;
 pub use tlb::Tlb;
-pub use wbuffer::{WbOutcome, WriteBuffer};
 
 /// A global cache-line index (byte address / line size).
 pub type Line = u64;

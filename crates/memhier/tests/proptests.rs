@@ -1,10 +1,7 @@
 //! Randomized property tests for memory-hierarchy invariants, driven
 //! by the in-tree deterministic [`Pcg32`].
 
-use nw_memhier::{
-    page_of_line, Cache, CacheConfig, Directory, LineTable, Tlb, WbOutcome, WriteBuffer,
-    LINES_PER_PAGE,
-};
+use nw_memhier::{page_of_line, Cache, CacheConfig, Directory, LineTable, Tlb, LINES_PER_PAGE};
 use nw_sim::Pcg32;
 use std::collections::BTreeMap;
 
@@ -263,34 +260,5 @@ fn linetable_iteration_and_get_mut_match_model() {
         let items: Vec<(u64, u64)> = t.iter().collect();
         let expected: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
         assert_eq!(items, expected, "case {case}");
-    }
-}
-
-/// Write buffer: drained lines come out in insertion order and every
-/// queued line is eventually drained exactly once.
-#[test]
-fn wbuffer_fifo() {
-    for case in 0..CASES {
-        let mut rng = Pcg32::new(0x3E40, case);
-        let n = rng.gen_range(1, 100) as usize;
-        let mut wb = WriteBuffer::new(8);
-        let mut expected = Vec::new();
-        for _ in 0..n {
-            let l = rng.gen_range(0, 32);
-            match wb.insert(l) {
-                WbOutcome::Queued => expected.push(l),
-                WbOutcome::Coalesced => {}
-                WbOutcome::Full => {
-                    let drained = wb.drain_one().unwrap();
-                    assert_eq!(drained, expected.remove(0), "case {case}");
-                    assert_eq!(wb.insert(l), WbOutcome::Queued, "case {case}");
-                    expected.push(l);
-                }
-            }
-        }
-        while let Some(d) = wb.drain_one() {
-            assert_eq!(d, expected.remove(0), "case {case}");
-        }
-        assert!(expected.is_empty(), "case {case}");
     }
 }

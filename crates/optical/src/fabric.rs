@@ -11,24 +11,24 @@
 //! id* `gc = ring * channels + node`, which is also the channel's index
 //! in the array. With a single ring `gc == node`.
 //!
-//! **Arbitration.** Each node has a single tunable transmitter: it can
-//! insert on any ring, but on only one at a time. With `rings > 1`,
-//! inserts first serialize on the node's transmitter arbiter and then
-//! occupy the target channel's transmitter for the transfer duration;
-//! the channel `tx` never conflicts beyond that because every insert
-//! reaches it through the arbiter. With one ring there are no arbiters
-//! (the channel `tx` *is* the node transmitter), keeping the paper
-//! machine bit-identical.
+//! **Transmitters.** Each node has a single tunable transmitter: it
+//! can insert on any ring, but on only one at a time. The fabric keeps
+//! no transmitter state, because the caller never issues two inserts
+//! of one node less than a page transfer apart (see
+//! [`RingFabric::insert`]): every insert finds the transmitter idle
+//! and takes exactly one transfer.
 //!
 //! **Checkpoint format.** Each ring's channels are saved as one
-//! length-prefixed run, in ring order; the per-node arbiters follow
-//! only when `rings > 1`. A single-ring fabric therefore writes the
-//! bytes the machine's pre-fabric ring always wrote.
+//! length-prefixed run, in ring order; with `rings > 1` one slot per
+//! node follows, where the retired transmitter arbiters were. Those
+//! slots, and each channel's retired transmitter slot, are written as
+//! zeros and discarded on restore, so the layout of `nwckpt-v1` is
+//! unchanged.
 
-use crate::ring::{Channel, RingConfig, RingError};
+use crate::ring::{retired_transmitter, Channel, RingConfig, RingError};
 use crate::Page;
 use nw_sim::ckpt::{Ckpt, CkptError};
-use nw_sim::{Resource, Time};
+use nw_sim::Time;
 
 /// Every channel of a stack of identical optical rings, addressed by
 /// global channel id.
@@ -37,9 +37,6 @@ pub struct RingFabric {
     cfg: RingConfig,
     /// `rings * cfg.channels` channels, indexed by global channel id.
     channels: Vec<Channel>,
-    /// Per-node transmitter arbiters; empty when `rings == 1` (the
-    /// channel transmitters already serialize per node).
-    arbiters: Vec<Resource>,
 }
 
 impl RingFabric {
@@ -51,11 +48,6 @@ impl RingFabric {
             channels: (0..rings * cfg.channels)
                 .map(|_| Channel::new(cfg.slots_per_channel))
                 .collect(),
-            arbiters: if rings > 1 {
-                (0..cfg.channels).map(|_| Resource::new("ring-arb")).collect()
-            } else {
-                Vec::new()
-            },
             cfg,
         }
     }
@@ -114,10 +106,14 @@ impl RingFabric {
     }
 
     /// Insert `page` on global channel `gc` at `now`. Returns the time
-    /// the page is fully on the ring: with several rings the insert
-    /// first serializes on the node's transmitter arbiter, then on the
-    /// channel's fixed transmitter at the channel rate. A rejected
-    /// insert consumes no transmitter time.
+    /// the page is fully on the ring: `now` plus one page transfer at
+    /// the channel rate.
+    ///
+    /// Precondition: the caller issues one node's inserts, on any of
+    /// its channels, at least one page transfer apart, so the node's
+    /// transmitter is idle whenever an insert reaches it. The machine
+    /// meets this because every swap-out first crosses the node's I/O
+    /// bus, which is slower per page than a channel.
     pub fn insert(&mut self, now: Time, gc: usize, page: Page) -> Result<Time, RingError> {
         if self.is_dead(gc) {
             return Err(RingError::ChannelDead);
@@ -128,19 +124,12 @@ impl RingFabric {
         if self.contains(gc, page) {
             return Err(RingError::Duplicate);
         }
-        let dur = self.cfg.rate.transfer_cycles(self.cfg.page_bytes);
-        // The channel transmitter is necessarily free at the arbiter's
-        // grant: every insert on `gc` funnels through the same arbiter.
-        let start = match self.arbiters.get_mut(gc % self.cfg.channels) {
-            Some(arb) => arb.acquire(now, dur).start,
-            None => now,
-        };
+        let on_ring = now + self.cfg.rate.transfer_cycles(self.cfg.page_bytes);
         let chan = &mut self.channels[gc];
-        let grant = chan.tx.acquire(start, dur);
-        chan.pages.insert(page, grant.end);
+        chan.pages.insert(page, on_ring);
         chan.stats.inserts += 1;
         chan.stats.peak_occupancy = chan.stats.peak_occupancy.max(chan.pages.len());
-        Ok(grant.end)
+        Ok(on_ring)
     }
 
     /// Whether `page` is stored on global channel `gc`.
@@ -205,13 +194,16 @@ impl RingFabric {
 
     /// Checkpoint the fabric, onto one with the same geometry: each
     /// ring's channels as one counted run, then (only with several
-    /// rings) the per-node arbiters.
+    /// rings) the retired per-node arbiter slots.
     pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
         let cap = self.cfg.slots_per_channel;
         for ring in self.channels.chunks_mut(self.cfg.channels) {
             c.each(ring, "ring channels", |c, chan| chan.ckpt(c, cap))?;
         }
-        self.arbiters.iter_mut().try_for_each(|arb| arb.ckpt(c))
+        if self.ring_count() > 1 {
+            (0..self.cfg.channels).try_for_each(|_| retired_transmitter(c))?;
+        }
+        Ok(())
     }
 }
 
@@ -241,27 +233,13 @@ mod tests {
     }
 
     #[test]
-    fn node_transmitter_serializes_across_rings() {
-        let mut f = fabric(2);
-        // Node 0 inserts on ring 0 then ring 1 at the same instant:
-        // the single tunable transmitter serializes them.
-        let a = f.insert(0, 0, 1).unwrap();
-        let b = f.insert(0, 8, 2).unwrap();
-        assert_eq!(a, 656);
-        assert_eq!(b, 1312);
-        // A different node is unaffected.
-        let c = f.insert(0, 5, 3).unwrap();
-        assert_eq!(c, 656);
-    }
-
-    #[test]
     fn rejections_do_not_consume_transmitter_time() {
         let mut f = fabric(2);
         f.insert(0, 0, 1).unwrap();
         // Duplicate on the other ring's same page id is fine...
         f.insert(0, 8, 1).unwrap();
-        // ...but a duplicate on the same channel is rejected without
-        // holding the arbiter.
+        // ...but a duplicate on the same channel is rejected, and the
+        // next insert still takes exactly one transfer.
         assert_eq!(f.insert(5000, 0, 1), Err(RingError::Duplicate));
         let t = f.insert(5000, 0, 2).unwrap();
         assert_eq!(t, 5000 + 656);
@@ -301,8 +279,6 @@ mod tests {
         assert_eq!(bytes, w2.finish());
         assert!(g.contains(8 + 1, 11));
         assert!(g.is_dead(16 + 7));
-        // Restored arbiters keep serializing from where they were.
-        let t = g.insert(0, 1, 99).unwrap();
-        assert!(t >= 656);
+        assert_eq!(g.insert(0, 1, 99), Ok(656));
     }
 }

@@ -13,10 +13,9 @@
 //!   snoop timing (a reader must wait for the page's bits to circulate
 //!   past its receiver: up to one round-trip of 52 µs).
 //! * [`fabric`] — every channel of every ring in one array indexed by
-//!   global channel id (`gc = ring * channels + node`): insertion via
-//!   the node's transmitter (arbitrated across rings when there are
-//!   several), snoops, removal and channel failure. The paper machine
-//!   is a one-ring fabric.
+//!   global channel id (`gc = ring * channels + node`): insertion
+//!   (one page transfer), snoops, removal and channel failure. The
+//!   paper machine is a one-ring fabric.
 //! * [`interface`] — the NWCache interface electronics at an
 //!   I/O-enabled node: one FIFO per cache channel recording swap-out
 //!   notifications, drained *most-loaded channel first* and exhausting

@@ -50,7 +50,7 @@ fn main() {
         println!(
             "peak pages stored on the ring: {} (capacity {})\n",
             m.ring_peak_pages,
-            cfg.ring_channels * cfg.ring_slots_per_channel
+            cfg.nodes as usize * cfg.ring_slots_per_channel
         );
     }
     println!(

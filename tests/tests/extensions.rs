@@ -104,7 +104,6 @@ fn sixteen_node_machine_is_consistent() {
     let mut cfg = MachineConfig::scaled_paper(MachineKind::NwCache, PrefetchMode::Naive, 0.05);
     cfg.nodes = 16;
     cfg.io_nodes = 8;
-    cfg.ring_channels = 16;
     assert!(cfg.validate().is_ok());
     let m = run_app(&cfg, AppId::Radix);
     assert_eq!(m.breakdown.len(), 16);

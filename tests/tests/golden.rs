@@ -130,7 +130,7 @@ fn golden_ring_occupancy_series_recorded() {
     let cfg = MachineConfig::scaled_paper(MachineKind::NwCache, PrefetchMode::Naive, 0.1);
     let m = run_app(&cfg, AppId::Sor);
     assert!(!m.ring_occupancy.is_empty(), "no occupancy samples");
-    let cap = (cfg.ring_channels * cfg.ring_slots_per_channel) as u64;
+    let cap = (cfg.nodes as usize * cfg.ring_slots_per_channel) as u64;
     for &(_, v) in &m.ring_occupancy {
         assert!(v <= cap, "occupancy sample {v} beyond capacity {cap}");
     }

@@ -95,8 +95,8 @@ fn ci_64_node_cell_matches_snapshot() {
 }
 
 /// A four-ring, page-sharded NWCache cell in which node 10's channel
-/// on ring 3 fails mid-run: pins the global channel layout, the
-/// per-node transmitter arbiters and a channel failure off ring 0.
+/// on ring 3 fails mid-run: pins the global channel layout, inserts
+/// from one node on four rings, and a channel failure off ring 0.
 const RING4_CELL_SPEC: &str = "workload:gen:zipf:0.9,ws=384,acc=60,wf=0.3";
 const GOLDEN_RING4_CELL: &str = include_str!("golden/ring4_channel_failure_01.json");
 

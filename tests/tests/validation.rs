@@ -28,7 +28,6 @@ fn uncontended_cold_reads() -> nwcache::RunMetrics {
     let mut cfg = MachineConfig::paper_default(MachineKind::Standard, PrefetchMode::Naive);
     cfg.nodes = 1;
     cfg.io_nodes = 1;
-    cfg.ring_channels = 1;
     let synth = synth_build(
         SynthConfig {
             data_bytes: 512 * 1024, // fits the single node's memory? no: 256KB memory
@@ -129,7 +128,6 @@ fn single_node_machine_runs_every_app() {
     let mut cfg = MachineConfig::scaled_paper(MachineKind::NwCache, PrefetchMode::Naive, 0.05);
     cfg.nodes = 1;
     cfg.io_nodes = 1;
-    cfg.ring_channels = 1;
     for app in [AppId::Sor, AppId::Radix] {
         let m = run_app(&cfg, app);
         assert!(m.exec_time > 0, "{app:?}");
