@@ -77,6 +77,13 @@ pub enum Action {
     Barrier(u32),
 }
 
+/// The blank a decoder overwrites: a zero-cycle compute step.
+impl Default for Action {
+    fn default() -> Self {
+        Action::Compute(0)
+    }
+}
+
 /// A kernel's per-unit generator: each call appends one natural unit
 /// of work (a row update, a graph node, a block) to the buffer, or
 /// returns `false` once the kernel has no units left.

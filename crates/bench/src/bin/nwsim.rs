@@ -56,7 +56,7 @@
 
 use nw_apps::AppId;
 use nw_bench::cli::{Parsed, Usage};
-use nw_bench::NWSIM;
+use nw_bench::{print, println, NWSIM};
 use nw_server::proto::code_name;
 use nw_server::{Connection, JobKind, JobSpec, Response, ServeOptions, Server};
 use nw_sim::atomic_write::write_atomic;

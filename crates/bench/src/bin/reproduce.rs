@@ -35,7 +35,7 @@
 
 use nw_apps::AppId;
 use nw_bench::cli::{Parsed, Usage};
-use nw_bench::{REPRODUCE, TARGETS};
+use nw_bench::{println, REPRODUCE, TARGETS};
 use nw_sim::atomic_write::write_atomic;
 use nwcache::config::{scale_in_range, MachineKind, PrefetchMode, RunParams};
 use nwcache::experiments as exp;

@@ -5,6 +5,44 @@
 pub mod cli;
 
 use cli::{Cli, Group, Slot::*, Verb};
+use nwcache::ExitCode;
+use std::io::Write;
+
+/// `print!` for the binaries, which import it in place of `std`'s:
+/// see [`stdout`].
+#[macro_export]
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for the binaries, which import it in place of `std`'s:
+/// see [`stdout`].
+#[macro_export]
+macro_rules! println {
+    () => {
+        $crate::stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write to stdout, where `std`'s `print!` would panic on a failed
+/// write. Once the reader has gone away (`nwsim … | head`) the process
+/// ends quietly with [`ExitCode::StdoutClosed`]; any other failure is
+/// reported on stderr and ends it with [`ExitCode::SimFault`].
+pub fn stdout(args: std::fmt::Arguments) {
+    let Err(e) = std::io::stdout().write_fmt(args) else {
+        return;
+    };
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        ExitCode::StdoutClosed.exit()
+    }
+    eprintln!("cannot write to stdout: {e}");
+    ExitCode::SimFault.exit()
+}
 
 const APP: Group = &["--app SPEC"];
 const MACHINE: Group = &["--machine M"];

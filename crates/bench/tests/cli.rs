@@ -349,3 +349,35 @@ fn compare_honours_seed() {
     };
     assert_ne!(table("5"), table("9"), "--seed did not change the compare table");
 }
+
+/// A reader that goes away early ends either binary with the documented
+/// status 141 and no panic. `nwsim trace --text` writes far more than a
+/// pipe holds, so it is still writing when the read end closes;
+/// `reproduce` finds the read end closed before its first line.
+#[test]
+fn closed_stdout_exits_141_without_a_panic() {
+    use std::io::Read;
+    use std::process::Stdio;
+    let spawn = |mut cmd: Command| {
+        cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn().expect("spawn")
+    };
+    let mut cmd = nwsim();
+    let out = scratch("closed-stdout.json");
+    cmd.args(["trace", "--app", "sor", "--scale", "0.05", "--text", "--trace-out"]).arg(&out);
+    let mut trace = spawn(cmd);
+    let mut head = [0u8; 64];
+    trace.stdout.take().expect("piped").read_exact(&mut head).expect("the timeline starts");
+    assert!(head.starts_with(b"# trace: app=sor"), "{}", String::from_utf8_lossy(&head));
+    let mut cmd = reproduce();
+    cmd.args(["--scale", "0.05", "table3"]);
+    let mut table = spawn(cmd);
+    drop(table.stdout.take());
+    for child in [trace, table] {
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(141), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    // The timeline is printed before the trace file is written.
+    assert!(!out.exists());
+}

@@ -128,12 +128,6 @@ impl FaultPlan {
             || self.mesh_corrupt_rate > 0.0
     }
 
-    /// Whether any mesh-level fault is scheduled (gates the swap
-    /// timeout machinery).
-    pub fn mesh_faults_active(&self) -> bool {
-        self.mesh_drop_rate > 0.0 || self.mesh_corrupt_rate > 0.0
-    }
-
     /// Validate rates and retry bounds.
     pub fn validate(&self) -> Result<(), String> {
         for (name, rate) in [

@@ -177,6 +177,11 @@ impl std::error::Error for SimError {}
 /// | 2 | validation error: bad flags, unknown app, malformed spec, invalid config |
 /// | 3 | simulation fault: deadlock, livelock, exhausted fault retries, I/O failure, worker panic |
 /// | 4 | corrupt or version-incompatible checkpoint file |
+/// | 141 | stdout closed before the output was written (`nwsim … \| head`); nothing is printed |
+///
+/// 141 is the status a shell reports for a process killed by SIGPIPE
+/// (128 + 13), so a `set -o pipefail` script sees the same status as
+/// for any other tool cut off by its reader. No job reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ExitCode {
@@ -190,6 +195,8 @@ pub enum ExitCode {
     SimFault = 3,
     /// A checkpoint file was corrupt or written by another version.
     CorruptCheckpoint = 4,
+    /// The reader of stdout went away before the output was written.
+    StdoutClosed = 141,
 }
 
 impl ExitCode {

@@ -939,11 +939,6 @@ impl DiskController {
             .count()
     }
 
-    /// Total cache slots.
-    pub fn cache_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Withdraw a pending NACK-FIFO entry for `(node, page)`. Called
     /// when a write for the pair lands anyway (a timed-out swap was
     /// re-sent and the duplicate found room), and by the NWCache

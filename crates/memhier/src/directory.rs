@@ -331,16 +331,6 @@ impl Directory {
         self.lines.len()
     }
 
-    /// Total read transactions.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total write transactions.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
     /// Total invalidation messages implied by write transactions.
     pub fn invalidations_sent(&self) -> u64 {
         self.invalidations_sent

@@ -244,11 +244,6 @@ impl Mesh {
         &self.wait
     }
 
-    /// Number of directed links (4 per node).
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     /// Aggregate busy cycles across all links (traffic proxy).
     pub fn total_link_busy(&self) -> Time {
         self.links.iter().map(|l| l.busy_cycles()).sum()

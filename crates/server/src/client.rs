@@ -32,13 +32,6 @@ pub struct JobResult {
     pub drained: Option<(String, u64)>,
 }
 
-impl JobResult {
-    /// True when the job produced its final JSON.
-    pub fn is_done(&self) -> bool {
-        self.json.is_some()
-    }
-}
-
 /// One handshaken protocol connection.
 pub struct Connection {
     stream: TcpStream,

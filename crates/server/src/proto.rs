@@ -1,8 +1,9 @@
 //! The frozen `nwserve-v1` wire protocol.
 //!
-//! The serve protocol reuses the workspace's LEB128 varint codec
-//! ([`nw_sim::ckpt::put_varint`] / [`read_varint`]) so the whole wire
-//! format shares one scalar encoding with checkpoints and traces:
+//! The serve protocol is written and read by the workspace's one
+//! binary codec, the [`nw_sim::ckpt`] field visitor in its headerless
+//! mode, so checkpoints, traces and frames share one scalar encoding
+//! and one set of input checks:
 //!
 //! * **handshake** — the client sends the 4-byte magic `NWSV` plus a
 //!   version byte; the server echoes both back. Anything else on the
@@ -10,8 +11,10 @@
 //!   sniffs and answers with the text metrics page — see
 //!   `server::handle_conn`).
 //! * **frames** — every subsequent message is
-//!   `varint(type) ++ varint(payload_len) ++ payload`. Payloads are
-//!   themselves varint/str records with a fixed field order per type.
+//!   `varint(type) ++ varint(payload_len) ++ payload`: an `nwckpt-v1`
+//!   section whose id is the type tag. The payload is the message's
+//!   fields in the fixed order of its row in the `messages!` tables
+//!   below, the one list both directions walk.
 //!
 //! Requests (client → server) use type tags 1–15, responses
 //! (server → client) 16–31, so a desynchronized stream fails fast on
@@ -21,7 +24,7 @@
 //! client that exits with the received code therefore behaves exactly
 //! like the batch CLI for every simulator-level failure.
 
-use nw_sim::ckpt::{put_varint, read_varint};
+use nw_sim::ckpt::{read_varint, Ckpt, CkptError, CkptReader, CkptWriter};
 use std::io::{Read, Write};
 
 /// Handshake magic.
@@ -233,378 +236,164 @@ pub enum Response {
     ShuttingDown,
 }
 
-// Frame type tags. Requests 1–15, responses 16–31.
-const T_SUBMIT: u64 = 1;
-const T_CANCEL: u64 = 2;
-const T_METRICS_REQ: u64 = 3;
-const T_SHUTDOWN: u64 = 4;
-const T_PING: u64 = 5;
-const T_ACCEPTED: u64 = 16;
-const T_PROGRESS: u64 = 17;
-const T_DONE: u64 = 18;
-const T_JOB_ERROR: u64 = 19;
-const T_METRICS_TEXT: u64 = 20;
-const T_PONG: u64 = 21;
-const T_TRACE_JSON: u64 = 22;
-const T_DRAINED: u64 = 23;
-const T_SHUTTING_DOWN: u64 = 24;
+/// Most machines one sweep job may name.
+const MAX_SWEEP_MACHINES: usize = 1024;
 
-/// Payload encoder: varints and length-prefixed strings.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
+impl JobSpec {
+    /// Every field, in wire order, in either direction.
+    fn visit(c: &mut Ckpt, j: &mut JobSpec) -> Result<(), CkptError> {
+        c.choice(&mut j.kind, &[JobKind::Run, JobKind::Sweep], "job kind")?;
+        c.str(&mut j.spec)?;
+        c.list(&mut j.machines, MAX_SWEEP_MACHINES, 1, "sweep machines", Ckpt::str)?;
+        c.str(&mut j.prefetch)?;
+        c.f64(&mut j.scale)?;
+        c.opt(&mut j.seed, 0, Ckpt::u64)?;
+        c.opt(&mut j.topo, String::new(), Ckpt::str)?;
+        c.u64(&mut j.warmup_events)?;
+        c.bool(&mut j.verify_warm)?;
+        c.u64(&mut j.deadline_ms)?;
+        c.u64(&mut j.progress_every)?;
+        c.bool(&mut j.want_trace)
+    }
 }
 
-impl Enc {
-    fn u64(&mut self, v: u64) {
-        put_varint(&mut self.buf, v);
-    }
+/// What the frame codec needs of a message enum; `messages!` writes
+/// it from the enum's one table.
+trait Message: Clone {
+    /// `request` or `response`, for errors.
+    const WHAT: &'static str;
+    /// The type tag this message is sent under.
+    fn tag(&self) -> u32;
+    /// The message a type tag decodes into, its fields blank.
+    fn blank(tag: u32) -> Option<Self>;
+    /// Every payload field, in wire order, in either direction.
+    fn fields(&mut self, c: &mut Ckpt) -> Result<(), CkptError>;
+}
 
-    fn bool(&mut self, v: bool) {
-        self.u64(v as u64);
-    }
+/// One table per message enum: each variant's type tag, then its
+/// fields in wire order with the [`Ckpt`] visit of each. Both
+/// directions walk this one list.
+macro_rules! messages {
+    ($ty:ident, $what:literal, $($tag:literal => $variant:ident { $($field:tt: $visit:path),* },)*) => {
+        impl Message for $ty {
+            const WHAT: &'static str = $what;
 
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
+            fn tag(&self) -> u32 {
+                match self {
+                    $($ty::$variant { .. } => $tag,)*
+                }
+            }
 
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
+            fn blank(tag: u32) -> Option<Self> {
+                Some(match tag {
+                    $($tag => $ty::$variant { $($field: Default::default()),* },)*
+                    _ => return None,
+                })
+            }
 
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.bool(false),
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
+            fn fields(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+                $($(if let $ty::$variant { $field: v, .. } = self {
+                    $visit(c, v)?;
+                })*)*
+                Ok(())
             }
         }
-    }
-
-    fn opt_str(&mut self, v: Option<&str>) {
-        match v {
-            None => self.bool(false),
-            Some(s) => {
-                self.bool(true);
-                self.str(s);
-            }
-        }
-    }
-}
-
-/// Payload decoder, mirroring [`Enc`] field by field.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        read_varint(self.buf, &mut self.pos)
-            .map_err(|e| ProtoError::Malformed(format!("varint at {}: {e}", self.pos)))
-    }
-
-    fn bool(&mut self) -> Result<bool, ProtoError> {
-        match self.u64()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(ProtoError::Malformed(format!("bool tag {v}"))),
-        }
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, ProtoError> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(ProtoError::Malformed(format!(
-                "string of {n} bytes overruns payload at {}",
-                self.pos
-            )));
-        }
-        let raw = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        std::str::from_utf8(raw)
-            .map(str::to_owned)
-            .map_err(|_| ProtoError::Malformed("string is not UTF-8".into()))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, ProtoError> {
-        if self.bool()? {
-            Ok(Some(self.u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn opt_str(&mut self) -> Result<Option<String>, ProtoError> {
-        if self.bool()? {
-            Ok(Some(self.str()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.pos != self.buf.len() {
-            return Err(ProtoError::Malformed(format!(
-                "{} unconsumed payload bytes",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn encode_job_spec(e: &mut Enc, j: &JobSpec) {
-    e.u64(match j.kind {
-        JobKind::Run => 0,
-        JobKind::Sweep => 1,
-    });
-    e.str(&j.spec);
-    e.u64(j.machines.len() as u64);
-    for m in &j.machines {
-        e.str(m);
-    }
-    e.str(&j.prefetch);
-    e.f64(j.scale);
-    e.opt_u64(j.seed);
-    e.opt_str(j.topo.as_deref());
-    e.u64(j.warmup_events);
-    e.bool(j.verify_warm);
-    e.u64(j.deadline_ms);
-    e.u64(j.progress_every);
-    e.bool(j.want_trace);
-}
-
-fn decode_job_spec(d: &mut Dec<'_>) -> Result<JobSpec, ProtoError> {
-    let kind = match d.u64()? {
-        0 => JobKind::Run,
-        1 => JobKind::Sweep,
-        t => return Err(ProtoError::Malformed(format!("job kind tag {t}"))),
     };
-    let spec = d.str()?;
-    let n = d.u64()? as usize;
-    if n > 1024 {
-        return Err(ProtoError::Malformed(format!("{n} sweep machines")));
-    }
-    let mut machines = Vec::with_capacity(n);
-    for _ in 0..n {
-        machines.push(d.str()?);
-    }
-    Ok(JobSpec {
-        kind,
-        spec,
-        machines,
-        prefetch: d.str()?,
-        scale: d.f64()?,
-        seed: d.opt_u64()?,
-        topo: d.opt_str()?,
-        warmup_events: d.u64()?,
-        verify_warm: d.bool()?,
-        deadline_ms: d.u64()?,
-        progress_every: d.u64()?,
-        want_trace: d.bool()?,
-    })
 }
 
-impl Request {
-    fn encode(&self) -> (u64, Vec<u8>) {
-        let mut e = Enc::default();
-        let t = match self {
-            Request::Submit(j) => {
-                encode_job_spec(&mut e, j);
-                T_SUBMIT
-            }
-            Request::Cancel { job } => {
-                e.u64(*job);
-                T_CANCEL
-            }
-            Request::Metrics => T_METRICS_REQ,
-            Request::Shutdown => T_SHUTDOWN,
-            Request::Ping => T_PING,
-        };
-        (t, e.buf)
-    }
+// Requests (client → server) 1–15, responses (server → client) 16–31.
+messages!(Request, "request",
+    1 => Submit { 0: JobSpec::visit },
+    2 => Cancel { job: Ckpt::u64 },
+    3 => Metrics {},
+    4 => Shutdown {},
+    5 => Ping {},
+);
+messages!(Response, "response",
+    16 => Accepted { job: Ckpt::u64 },
+    17 => Progress { job: Ckpt::u64, cell: Ckpt::u64, cells: Ckpt::u64, events: Ckpt::u64, now: Ckpt::u64 },
+    18 => Done { job: Ckpt::u64, warm_hit: Ckpt::bool, json: Ckpt::str },
+    19 => JobError { job: Ckpt::u64, code: Ckpt::u64, message: Ckpt::str },
+    20 => MetricsText { text: Ckpt::str },
+    21 => Pong {},
+    22 => TraceJson { job: Ckpt::u64, json: Ckpt::str },
+    23 => Drained { job: Ckpt::u64, path: Ckpt::str, events: Ckpt::u64 },
+    24 => ShuttingDown {},
+);
 
-    fn decode(t: u64, payload: &[u8]) -> Result<Request, ProtoError> {
-        let mut d = Dec::new(payload);
-        let req = match t {
-            T_SUBMIT => Request::Submit(decode_job_spec(&mut d)?),
-            T_CANCEL => Request::Cancel { job: d.u64()? },
-            T_METRICS_REQ => Request::Metrics,
-            T_SHUTDOWN => Request::Shutdown,
-            T_PING => Request::Ping,
-            other => return Err(ProtoError::Malformed(format!("request tag {other}"))),
-        };
-        d.finish()?;
-        Ok(req)
+impl From<CkptError> for ProtoError {
+    fn from(e: CkptError) -> Self {
+        ProtoError::Malformed(e.to_string())
     }
 }
 
-impl Response {
-    fn encode(&self) -> (u64, Vec<u8>) {
-        let mut e = Enc::default();
-        let t = match self {
-            Response::Accepted { job } => {
-                e.u64(*job);
-                T_ACCEPTED
-            }
-            Response::Progress {
-                job,
-                cell,
-                cells,
-                events,
-                now,
-            } => {
-                e.u64(*job);
-                e.u64(*cell);
-                e.u64(*cells);
-                e.u64(*events);
-                e.u64(*now);
-                T_PROGRESS
-            }
-            Response::Done {
-                job,
-                warm_hit,
-                json,
-            } => {
-                e.u64(*job);
-                e.bool(*warm_hit);
-                e.str(json);
-                T_DONE
-            }
-            Response::JobError { job, code, message } => {
-                e.u64(*job);
-                e.u64(*code);
-                e.str(message);
-                T_JOB_ERROR
-            }
-            Response::MetricsText { text } => {
-                e.str(text);
-                T_METRICS_TEXT
-            }
-            Response::Pong => T_PONG,
-            Response::TraceJson { job, json } => {
-                e.u64(*job);
-                e.str(json);
-                T_TRACE_JSON
-            }
-            Response::Drained { job, path, events } => {
-                e.u64(*job);
-                e.str(path);
-                e.u64(*events);
-                T_DRAINED
-            }
-            Response::ShuttingDown => T_SHUTTING_DOWN,
-        };
-        (t, e.buf)
-    }
-
-    fn decode(t: u64, payload: &[u8]) -> Result<Response, ProtoError> {
-        let mut d = Dec::new(payload);
-        let rsp = match t {
-            T_ACCEPTED => Response::Accepted { job: d.u64()? },
-            T_PROGRESS => Response::Progress {
-                job: d.u64()?,
-                cell: d.u64()?,
-                cells: d.u64()?,
-                events: d.u64()?,
-                now: d.u64()?,
-            },
-            T_DONE => Response::Done {
-                job: d.u64()?,
-                warm_hit: d.bool()?,
-                json: d.str()?,
-            },
-            T_JOB_ERROR => Response::JobError {
-                job: d.u64()?,
-                code: d.u64()?,
-                message: d.str()?,
-            },
-            T_METRICS_TEXT => Response::MetricsText { text: d.str()? },
-            T_PONG => Response::Pong,
-            T_TRACE_JSON => Response::TraceJson {
-                job: d.u64()?,
-                json: d.str()?,
-            },
-            T_DRAINED => Response::Drained {
-                job: d.u64()?,
-                path: d.str()?,
-                events: d.u64()?,
-            },
-            T_SHUTTING_DOWN => Response::ShuttingDown,
-            other => return Err(ProtoError::Malformed(format!("response tag {other}"))),
-        };
-        d.finish()?;
-        Ok(rsp)
-    }
-}
-
-fn write_frame(w: &mut impl Write, t: u64, payload: &[u8]) -> Result<(), ProtoError> {
-    let mut frame = Vec::with_capacity(payload.len() + 12);
-    put_varint(&mut frame, t);
-    put_varint(&mut frame, payload.len() as u64);
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+/// Write `msg` as one frame: a headerless section whose id is the
+/// message's type tag.
+fn write_frame<M: Message>(w: &mut impl Write, msg: &M) -> Result<(), ProtoError> {
+    // The visitor takes `&mut` in both directions; saving walks a copy.
+    let mut msg = msg.clone();
+    let mut out = CkptWriter::headerless();
+    Ckpt::Save(&mut out)
+        .section(msg.tag(), |c| msg.fields(c))
+        .expect("saving cannot fail");
+    w.write_all(&out.finish())?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one varint from the stream byte by byte. `first_byte_opt`
-/// turns a timeout/would-block on the FIRST byte into `Ok(None)` (no
-/// frame started yet); a stall mid-varint is retried, so a frame that
-/// has started is always read to completion.
-fn read_stream_varint(
-    r: &mut impl Read,
-    first_byte_opt: bool,
-) -> Result<Option<u64>, ProtoError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    let mut first = true;
+/// The message of type tag `tag` whose fields fill exactly `payload`.
+fn decode<M: Message>(tag: u64, payload: &[u8]) -> Result<M, ProtoError> {
+    let mut msg = u32::try_from(tag)
+        .ok()
+        .and_then(M::blank)
+        .ok_or_else(|| ProtoError::Malformed(format!("{} tag {tag}", M::WHAT)))?;
+    let mut r = CkptReader::headerless(payload);
+    msg.fields(&mut Ckpt::Load(&mut r))?;
+    r.finish()?;
+    Ok(msg)
+}
+
+/// What a timeout/would-block before a varint's first byte means.
+#[derive(Clone, Copy)]
+enum Stall {
+    /// No frame has started and the caller is polling: `Ok(None)`.
+    Poll,
+    /// No frame has started and the caller blocks: an I/O error.
+    Fail,
+    /// The frame has started: wait for the rest of it.
+    Wait,
+}
+
+/// Read one varint from the stream byte by byte, handing what has
+/// arrived to [`read_varint`] after each byte until it decides. A
+/// stall before the first byte is handled as `first` says; one
+/// mid-varint is retried, so a frame that has started is always read
+/// to completion.
+fn read_stream_varint(r: &mut impl Read, first: Stall) -> Result<Option<u64>, ProtoError> {
+    // `read_varint` decides by the 10th byte: a value or an overflow.
+    let mut buf = [0u8; 10];
+    let mut n = 0;
     loop {
-        let mut byte = [0u8; 1];
-        match r.read_exact(&mut byte) {
-            Ok(()) => {}
+        match r.read_exact(&mut buf[n..=n]) {
+            Ok(()) => n += 1,
             Err(e)
-                if first
-                    && first_byte_opt
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
             {
-                return Ok(None);
-            }
-            Err(e)
-                if !first
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-            {
-                continue;
+                match (n, first) {
+                    (0, Stall::Poll) => return Ok(None),
+                    (0, Stall::Fail) => return Err(ProtoError::Io(e)),
+                    _ => continue,
+                }
             }
             Err(e) => return Err(ProtoError::Io(e)),
         }
-        first = false;
-        let b = byte[0];
-        if shift >= 64 || (shift == 63 && b > 1) {
-            return Err(ProtoError::Malformed("frame varint overflow".into()));
+        match read_varint(&buf[..n], &mut 0) {
+            Err(CkptError::Truncated { .. }) => continue,
+            v => return Ok(Some(v?)),
         }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(Some(v));
-        }
-        shift += 7;
     }
 }
 
@@ -632,14 +421,11 @@ fn read_exact_retry(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ProtoError>
     Ok(())
 }
 
-fn read_raw_frame(
-    r: &mut impl Read,
-    first_byte_opt: bool,
-) -> Result<Option<(u64, Vec<u8>)>, ProtoError> {
-    let Some(t) = read_stream_varint(r, first_byte_opt)? else {
+fn read_raw_frame(r: &mut impl Read, first: Stall) -> Result<Option<(u64, Vec<u8>)>, ProtoError> {
+    let Some(t) = read_stream_varint(r, first)? else {
         return Ok(None);
     };
-    let len = read_stream_varint(r, false)?.expect("non-optional varint");
+    let len = read_stream_varint(r, Stall::Wait)?.expect("a started frame waits");
     if len > MAX_FRAME {
         return Err(ProtoError::Malformed(format!(
             "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"
@@ -652,36 +438,34 @@ fn read_raw_frame(
 
 /// Write one request frame.
 pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), ProtoError> {
-    let (t, payload) = req.encode();
-    write_frame(w, t, &payload)
+    write_frame(w, req)
 }
 
 /// Write one response frame.
 pub fn write_response(w: &mut impl Write, rsp: &Response) -> Result<(), ProtoError> {
-    let (t, payload) = rsp.encode();
-    write_frame(w, t, &payload)
+    write_frame(w, rsp)
 }
 
 /// Read one request frame (blocking).
 pub fn read_request(r: &mut impl Read) -> Result<Request, ProtoError> {
-    let (t, payload) = read_raw_frame(r, false)?.expect("non-optional frame");
-    Request::decode(t, &payload)
+    let (t, payload) = read_raw_frame(r, Stall::Fail)?.expect("non-optional frame");
+    decode(t, &payload)
 }
 
 /// Read one request frame if one has started arriving; `Ok(None)` when
 /// the read timed out before the first byte. Used by the server's
 /// streaming loop to poll for `Cancel` without blocking job progress.
 pub fn try_read_request(r: &mut impl Read) -> Result<Option<Request>, ProtoError> {
-    match read_raw_frame(r, true)? {
+    match read_raw_frame(r, Stall::Poll)? {
         None => Ok(None),
-        Some((t, payload)) => Ok(Some(Request::decode(t, &payload)?)),
+        Some((t, payload)) => decode(t, &payload).map(Some),
     }
 }
 
 /// Read one response frame (blocking).
 pub fn read_response(r: &mut impl Read) -> Result<Response, ProtoError> {
-    let (t, payload) = read_raw_frame(r, false)?.expect("non-optional frame");
-    Response::decode(t, &payload)
+    let (t, payload) = read_raw_frame(r, Stall::Fail)?.expect("non-optional frame");
+    decode(t, &payload)
 }
 
 /// Client side of the handshake: send magic + version, require the
@@ -728,6 +512,7 @@ pub fn server_handshake_rest(s: &mut (impl Read + Write)) -> Result<(), ProtoErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nw_sim::ckpt::put_varint;
 
     fn round_trip_request(req: Request) {
         let mut buf = Vec::new();
@@ -834,7 +619,7 @@ mod tests {
     #[test]
     fn rejects_oversized_frame_without_allocating() {
         let mut frame = Vec::new();
-        put_varint(&mut frame, T_DONE);
+        put_varint(&mut frame, 18); // Done
         put_varint(&mut frame, u64::MAX); // absurd length prefix
         let mut cur = std::io::Cursor::new(frame);
         let err = read_response(&mut cur).unwrap_err();
@@ -847,11 +632,67 @@ mod tests {
         put_varint(&mut payload, 0); // a run job
         put_varint(&mut payload, u64::MAX); // its spec's length
         let mut frame = Vec::new();
-        put_varint(&mut frame, T_SUBMIT);
+        put_varint(&mut frame, 1); // Submit
         put_varint(&mut frame, payload.len() as u64);
         frame.extend_from_slice(&payload);
         let err = read_request(&mut std::io::Cursor::new(frame)).unwrap_err();
         assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn bool_tags_above_one_and_oversized_sweeps_are_malformed() {
+        let submit = |spec: JobSpec| {
+            let mut frame = Vec::new();
+            write_request(&mut frame, &Request::Submit(spec)).unwrap();
+            frame
+        };
+        // The default spec's last byte is `want_trace`.
+        let mut frame = submit(JobSpec::default());
+        *frame.last_mut().unwrap() = 2;
+        let err = read_request(&mut std::io::Cursor::new(frame)).unwrap_err();
+        assert!(matches!(&err, ProtoError::Malformed(m) if m.contains("bool tag 2")), "{err}");
+
+        let many = JobSpec {
+            kind: JobKind::Sweep,
+            machines: vec!["dcd".into(); MAX_SWEEP_MACHINES + 1],
+            ..JobSpec::default()
+        };
+        let err = read_request(&mut std::io::Cursor::new(submit(many))).unwrap_err();
+        assert!(matches!(&err, ProtoError::Malformed(m) if m.contains("1025 sweep machines")), "{err}");
+    }
+
+    #[test]
+    fn frame_varint_overflow_is_malformed() {
+        let mut frame = vec![0xff; 10];
+        frame.push(0x01);
+        let err = read_request(&mut std::io::Cursor::new(frame)).unwrap_err();
+        assert!(matches!(err, ProtoError::Malformed(_)), "{err}");
+    }
+
+    /// Times out before every byte it hands over, one byte at a time.
+    struct Stalling(std::io::Cursor<Vec<u8>>, bool);
+
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.1 = !self.1;
+            if self.1 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn a_stall_before_a_frame_polls_and_a_stall_inside_one_waits() {
+        let mut frame = Vec::new();
+        write_request(&mut frame, &Request::Cancel { job: 300 }).unwrap();
+        let mut r = Stalling(std::io::Cursor::new(frame), false);
+        assert!(try_read_request(&mut r).unwrap().is_none());
+        assert_eq!(try_read_request(&mut r).unwrap(), Some(Request::Cancel { job: 300 }));
+        // A blocking read treats a stall before the frame as an error.
+        let mut r = Stalling(std::io::Cursor::new(Vec::new()), false);
+        assert!(matches!(read_request(&mut r), Err(ProtoError::Io(_))));
     }
 
     #[test]

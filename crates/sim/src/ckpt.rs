@@ -1,11 +1,17 @@
-//! Binary checkpoint primitives shared by every snapshottable layer.
+//! The workspace's one binary codec: the `nwckpt-v1` checkpoint
+//! container, and the headerless payloads of `nwtrace-v1` binary
+//! traces and `nwserve-v1` frames.
 //!
-//! The `nwckpt-v1` container mirrors the `nwtrace-v1` codec: a magic /
-//! version header, LEB128 varints for every scalar, and strict
-//! rejection of malformed input (truncation, varint overflow, trailing
-//! bytes). On top of that it adds what a checkpoint needs and a trace
-//! does not:
+//! Every scalar is a LEB128 varint (a record tag that must stay one
+//! byte is [`Ckpt::u8`]), strings and byte strings are length-prefixed,
+//! and malformed input (truncation, varint overflow, trailing bytes,
+//! impossible values) is rejected with a [`CkptError`]. A headerless
+//! writer or reader ([`CkptWriter::headerless`],
+//! [`CkptReader::headerless`]) is exactly that: values, and sections
+//! if the caller opens any, with no magic, version or checksum. The
+//! `nwckpt-v1` container adds what a checkpoint needs:
 //!
+//! * **a magic / version header** — `NWCK` and [`VERSION`];
 //! * **per-section length framing** — the file is a sequence of
 //!   `(section id, byte length, payload)` records, so a reader can
 //!   verify each subsystem consumed exactly its own bytes and a
@@ -15,10 +21,12 @@
 //!   rejected before any section is interpreted.
 //!
 //! The writer/reader pair here is deliberately dumb: it knows bytes,
-//! varints and sections, nothing about machines. [`Ckpt`] drives either
-//! of them through one field list: each component defines a single
-//! `ckpt(&mut self, &mut Ckpt)` next to its fields that both saves and
-//! restores, and `nwcache-core` owns the section layout.
+//! varints and sections, nothing about machines, traces or frames.
+//! [`Ckpt`] drives either of them through one field list: each
+//! component, trace body and message defines a single visit next to
+//! its fields that both saves and restores. `nwcache-core` owns the
+//! checkpoint's section layout; an `nwserve-v1` frame is one section
+//! whose id is the message's type tag.
 
 use std::collections::HashMap;
 use std::fmt::Debug;
@@ -107,7 +115,7 @@ impl std::fmt::Display for CkptError {
                 "checksum mismatch: file says {stored:#018x}, contents hash to {computed:#018x}"
             ),
             CkptError::Truncated { wanted, offset } => {
-                write!(f, "truncated checkpoint: wanted {wanted} bytes at offset {offset}")
+                write!(f, "input ends early: wanted {wanted} bytes at offset {offset}")
             }
             CkptError::VarintOverflow { offset } => {
                 write!(f, "varint overflow at offset {offset}")
@@ -127,7 +135,7 @@ impl std::fmt::Display for CkptError {
                 write!(f, "unconsumed bytes starting at offset {offset}")
             }
             CkptError::Invalid { offset, what } => {
-                write!(f, "invalid checkpoint data at offset {offset}: {what}")
+                write!(f, "invalid data at offset {offset}: {what}")
             }
         }
     }
@@ -145,9 +153,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Serializer for an `nwckpt-v1` file.
+/// Serializer for an `nwckpt-v1` file or a headerless payload.
 ///
-/// All data lives inside sections: open one with
+/// In a checkpoint all data lives inside sections: open one with
 /// [`begin_section`](CkptWriter::begin_section), emit values, close it
 /// with [`end_section`](CkptWriter::end_section), and call
 /// [`finish`](CkptWriter::finish) to obtain the checksummed bytes.
@@ -156,6 +164,9 @@ pub struct CkptWriter {
     buf: Vec<u8>,
     section: Option<u32>,
     payload: Vec<u8>,
+    /// A checkpoint: header written, checksum appended at `finish`,
+    /// values only inside sections.
+    container: bool,
 }
 
 impl Default for CkptWriter {
@@ -165,7 +176,8 @@ impl Default for CkptWriter {
 }
 
 impl CkptWriter {
-    /// A writer with the magic/version header already emitted.
+    /// A checkpoint writer with the magic/version header already
+    /// emitted.
     pub fn new() -> Self {
         let mut buf = Vec::with_capacity(4096);
         buf.extend_from_slice(&MAGIC);
@@ -174,6 +186,19 @@ impl CkptWriter {
             buf,
             section: None,
             payload: Vec::new(),
+            container: true,
+        }
+    }
+
+    /// A writer of a bare payload: no magic, version or checksum, and
+    /// values may stand outside sections. [`finish`](Self::finish)
+    /// returns exactly what was written.
+    pub fn headerless() -> Self {
+        CkptWriter {
+            buf: Vec::new(),
+            section: None,
+            payload: Vec::new(),
+            container: false,
         }
     }
 
@@ -194,8 +219,22 @@ impl CkptWriter {
     }
 
     fn out(&mut self) -> &mut Vec<u8> {
-        assert!(self.section.is_some(), "checkpoint value outside a section");
-        &mut self.payload
+        if self.section.is_some() {
+            return &mut self.payload;
+        }
+        assert!(!self.container, "checkpoint value outside a section");
+        &mut self.buf
+    }
+
+    /// Emit one raw byte: a record tag that must stay one byte.
+    pub fn u8(&mut self, v: u8) {
+        self.out().push(v);
+    }
+
+    /// Emit bytes as they are, with no length prefix (a format's own
+    /// magic).
+    pub fn raw(&mut self, v: &[u8]) {
+        self.out().extend_from_slice(v);
     }
 
     /// Emit a `u64` as a LEB128 varint.
@@ -234,7 +273,7 @@ impl CkptWriter {
     /// Emit a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
-        self.out().extend_from_slice(v);
+        self.raw(v);
     }
 
     /// Emit a length-prefixed UTF-8 string.
@@ -242,22 +281,25 @@ impl CkptWriter {
         self.bytes(v.as_bytes());
     }
 
-    /// Seal the file: append the FNV-1a 64 checksum and return the
-    /// complete byte image.
+    /// The complete byte image: a checkpoint is sealed with its
+    /// FNV-1a 64 checksum, a headerless payload returned as written.
     pub fn finish(self) -> Vec<u8> {
         assert!(self.section.is_none(), "unfinished section at finish()");
         let mut buf = self.buf;
-        let sum = fnv1a(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
+        if self.container {
+            let sum = fnv1a(&buf);
+            buf.extend_from_slice(&sum.to_le_bytes());
+        }
         buf
     }
 }
 
-/// Deserializer for an `nwckpt-v1` file.
+/// Deserializer for an `nwckpt-v1` file or a headerless payload.
 ///
-/// Construction verifies magic, version and checksum; sections are then
-/// consumed in order with [`begin_section`](CkptReader::begin_section)
-/// / [`end_section`](CkptReader::end_section), and
+/// [`new`](CkptReader::new) verifies magic, version and checksum;
+/// sections are then consumed in order with
+/// [`begin_section`](CkptReader::begin_section) /
+/// [`end_section`](CkptReader::end_section), and
 /// [`finish`](CkptReader::finish) asserts nothing is left over.
 #[derive(Debug)]
 pub struct CkptReader<'a> {
@@ -305,6 +347,18 @@ impl<'a> CkptReader<'a> {
         })
     }
 
+    /// A reader of a bare payload: every byte of `buf` is data, read
+    /// from offset 0, with no header or checksum to verify.
+    pub fn headerless(buf: &'a [u8]) -> Self {
+        CkptReader {
+            buf,
+            pos: 0,
+            body_end: buf.len(),
+            limit: buf.len(),
+            section: None,
+        }
+    }
+
     /// Current byte offset (for error context).
     pub fn offset(&self) -> usize {
         self.pos
@@ -327,6 +381,16 @@ impl<'a> CkptReader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Read `n` bytes as they are (a format's own magic).
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
+        self.take(n)
+    }
+
+    /// Read one raw byte.
+    pub fn u8(&mut self) -> Result<u8, CkptError> {
+        Ok(self.take(1)?[0])
     }
 
     /// Read a LEB128 varint. Running out of bytes inside a section is a
@@ -437,12 +501,12 @@ impl<'a> CkptReader<'a> {
         Ok(())
     }
 
-    /// Bytes remaining in the open section's payload. Formats that
-    /// append optional trailing fields to a section (newer writers
-    /// only emit them when non-default) use this to decide whether to
-    /// consume them — old checkpoints simply have none left.
-    pub fn section_remaining(&self) -> usize {
-        assert!(self.section.is_some(), "section_remaining outside a section");
+    /// Bytes remaining in the open section's payload, or in the whole
+    /// input outside a section. Formats that append optional trailing
+    /// fields to a section (newer writers only emit them when
+    /// non-default) use this to decide whether to consume them — old
+    /// checkpoints simply have none left.
+    pub fn remaining(&self) -> usize {
         self.limit - self.pos
     }
 
@@ -515,7 +579,7 @@ macro_rules! scalars {
 }
 
 impl Ckpt<'_, '_> {
-    scalars!(u64, u32, usize, bool, f64, u128);
+    scalars!(u64, u32, usize, bool, f64, u128, u8);
 
     /// A UTF-8 string field.
     pub fn str(&mut self, v: &mut String) -> Result<(), CkptError> {
@@ -531,12 +595,12 @@ impl Ckpt<'_, '_> {
         matches!(self, Ckpt::Load(_))
     }
 
-    /// Payload bytes left in the open section while loading; 0 while
-    /// saving.
+    /// Input bytes left in the open section (or outside one, the
+    /// whole input) while loading; 0 while saving.
     pub fn remaining(&self) -> usize {
         match self {
             Ckpt::Save(_) => 0,
-            Ckpt::Load(r) => r.section_remaining(),
+            Ckpt::Load(r) => r.remaining(),
         }
     }
 
@@ -1097,6 +1161,35 @@ mod tests {
         let bytes = save(|c| c.u32(&mut 1));
         load(&bytes, |c| c.choice(&mut v, &variants, "color")).expect("known tag");
         assert_eq!(v, Color::Blue);
+    }
+
+    #[test]
+    fn headerless_payload_is_exactly_its_values() {
+        let mut w = CkptWriter::headerless();
+        w.raw(b"AB");
+        w.u8(0xfe);
+        w.u64(300);
+        w.begin_section(7);
+        w.str("hi");
+        w.end_section();
+        let bytes = w.finish();
+        assert_eq!(bytes, [b'A', b'B', 0xfe, 0xac, 0x02, 7, 3, 2, b'h', b'i']);
+        let mut r = CkptReader::headerless(&bytes);
+        assert_eq!(r.raw(2).unwrap(), b"AB");
+        assert_eq!(r.u8().unwrap(), 0xfe);
+        assert_eq!(r.u64().unwrap(), 300);
+        assert_eq!(r.remaining(), 5);
+        r.begin_section(7).unwrap();
+        assert_eq!(r.str().unwrap(), "hi");
+        r.end_section().unwrap();
+        r.finish().unwrap();
+        // Running out is a truncation, and unread bytes are trailing.
+        let mut r = CkptReader::headerless(&bytes[..3]);
+        r.raw(3).unwrap();
+        assert!(matches!(r.u64(), Err(CkptError::Truncated { offset: 3, .. })));
+        let mut r = CkptReader::headerless(&bytes);
+        r.raw(2).unwrap();
+        assert_eq!(r.finish(), Err(CkptError::TrailingBytes { offset: 2 }));
     }
 
     #[test]

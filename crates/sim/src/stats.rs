@@ -30,8 +30,8 @@ impl Tally {
     /// samples near `u64::MAX` would otherwise blow through even the
     /// `u128` accumulator for the sum of squares. Saturation keeps the
     /// count and extrema exact and is deterministic, so the
-    /// bit-identity comparisons stay valid; only `mean`/`variance`
-    /// become approximations in that astronomical regime.
+    /// bit-identity comparisons stay valid; only `mean` becomes an
+    /// approximation in that astronomical regime.
     #[inline]
     pub fn add(&mut self, v: u64) {
         self.n += 1;
@@ -68,23 +68,6 @@ impl Tally {
     /// Largest sample, if any.
     pub fn max(&self) -> Option<u64> {
         self.max
-    }
-
-    /// Population variance, or 0 with fewer than two samples. Clamped
-    /// to be non-negative: the `E[x²] − E[x]²` form can dip slightly
-    /// below zero from floating-point rounding when all samples are
-    /// equal and large.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        (self.sum_sq as f64 / self.n as f64 - mean * mean).max(0.0)
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Checkpoint the full internal state.
@@ -195,65 +178,11 @@ impl Histogram {
     }
 }
 
-/// A fixed-interval time series: call [`TimeSeries::record`] with a
-/// monotonically advancing clock and a value; one sample is kept per
-/// interval (the last value observed in it). Used to trace quantities
-/// like ring occupancy over a run without unbounded memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimeSeries {
-    interval: Time,
-    samples: Vec<(Time, u64)>,
-}
-
-impl TimeSeries {
-    /// A series sampling once per `interval` pcycles.
-    ///
-    /// # Panics
-    /// Panics if `interval` is zero.
-    pub fn new(interval: Time) -> Self {
-        assert!(interval > 0, "sampling interval must be positive");
-        TimeSeries {
-            interval,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Record `value` at time `t`. Values within the same interval
-    /// overwrite each other (last writer wins); out-of-order times are
-    /// clamped into the latest interval.
-    pub fn record(&mut self, t: Time, value: u64) {
-        let bucket = t / self.interval;
-        match self.samples.last_mut() {
-            Some((last, v)) if *last >= bucket => *v = value,
-            _ => self.samples.push((bucket, value)),
-        }
-    }
-
-    /// The recorded `(time, value)` samples, times in pcycles.
-    pub fn samples(&self) -> impl Iterator<Item = (Time, u64)> + '_ {
-        self.samples.iter().map(move |&(b, v)| (b * self.interval, v))
-    }
-
-    /// Number of samples kept.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Largest recorded value, if any.
-    pub fn max_value(&self) -> Option<u64> {
-        self.samples.iter().map(|&(_, v)| v).max()
-    }
-}
-
 /// A bounded, self-downsampling time series.
 ///
-/// Behaves like [`TimeSeries`] — one sample per interval, last writer
-/// wins — but holds at most `cap` samples: when a run outlives the
+/// One sample per interval, last writer wins, and out-of-order times
+/// fold into the latest interval — but it holds at most `cap`
+/// samples: when a run outlives the
 /// current resolution, the interval **doubles** and adjacent samples
 /// merge (last writer wins per coarser bucket), halving the series in
 /// place. Memory is therefore O(cap) no matter how long the run or how
@@ -440,20 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn tally_variance_and_stddev() {
-        let mut t = Tally::new();
-        for v in [2u64, 4, 4, 4, 5, 5, 7, 9] {
-            t.add(v);
-        }
-        // Classic example: population variance 4, stddev 2.
-        assert!((t.variance() - 4.0).abs() < 1e-9);
-        assert!((t.stddev() - 2.0).abs() < 1e-9);
-        let mut single = Tally::new();
-        single.add(10);
-        assert_eq!(single.variance(), 0.0);
-    }
-
-    #[test]
     fn tally_merge() {
         let mut a = Tally::new();
         a.add(1);
@@ -560,29 +475,14 @@ mod tests {
     }
 
     #[test]
-    fn tally_variance_never_negative() {
-        // Large equal samples: the E[x²]−E[x]² form loses precision and
-        // can go fractionally negative without the clamp.
-        let mut t = Tally::new();
-        for _ in 0..7 {
-            t.add((1u64 << 53) + 1);
-        }
-        assert!(t.variance() >= 0.0);
-        assert!(t.stddev() >= 0.0);
-        assert!(!t.stddev().is_nan());
-    }
-
-    #[test]
-    fn bounded_series_matches_time_series_under_cap() {
-        let mut ts = TimeSeries::new(100);
+    fn bounded_series_keeps_one_sample_per_interval_under_cap() {
         let mut bs = BoundedSeries::new(100, 64);
-        for (t, v) in [(0, 1), (50, 2), (150, 3), (320, 9)] {
-            ts.record(t, v);
+        // 50 overwrites 0's bucket; 280 folds into 320's.
+        for (t, v) in [(0, 1), (50, 2), (150, 3), (320, 9), (280, 4)] {
             bs.record(t, v);
         }
-        let a: Vec<(u64, u64)> = ts.samples().collect();
-        let b: Vec<(u64, u64)> = bs.samples().collect();
-        assert_eq!(a, b);
+        let v: Vec<(u64, u64)> = bs.samples().collect();
+        assert_eq!(v, vec![(0, 2), (100, 3), (300, 4)]);
         assert_eq!(bs.interval(), 100);
     }
 
@@ -628,35 +528,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn bounded_series_zero_interval_rejected() {
         BoundedSeries::new(0, 8);
-    }
-
-    #[test]
-    fn time_series_buckets() {
-        let mut ts = TimeSeries::new(100);
-        ts.record(0, 1);
-        ts.record(50, 2); // same bucket: overwrite
-        ts.record(150, 3);
-        ts.record(320, 9);
-        let v: Vec<(u64, u64)> = ts.samples().collect();
-        assert_eq!(v, vec![(0, 2), (100, 3), (300, 9)]);
-        assert_eq!(ts.max_value(), Some(9));
-        assert_eq!(ts.len(), 3);
-        assert!(!ts.is_empty());
-    }
-
-    #[test]
-    fn time_series_out_of_order_clamps() {
-        let mut ts = TimeSeries::new(10);
-        ts.record(100, 5);
-        ts.record(90, 7); // earlier time: folded into latest bucket
-        let v: Vec<(u64, u64)> = ts.samples().collect();
-        assert_eq!(v, vec![(100, 7)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn time_series_zero_interval_rejected() {
-        TimeSeries::new(0);
     }
 
     #[test]
