@@ -57,6 +57,8 @@ pub mod radix;
 pub mod sor;
 pub mod synth;
 
+use nw_sim::ckpt::{Ckpt, CkptError};
+
 /// A global cache-line index (byte address / 64).
 pub type Line = u64;
 
@@ -81,6 +83,34 @@ pub enum Action {
 impl Default for Action {
     fn default() -> Self {
         Action::Compute(0)
+    }
+}
+
+/// Visit one action for the [`nw_sim::ckpt`] codec: its tag as one raw
+/// byte (frozen: 0 compute, 1 read, 2 write, 3 barrier), then its
+/// operand as a varint. The same bytes encode an `nwtrace-v1` binary
+/// record and an `nwckpt-v1` pending action. Any other tag byte is
+/// refused, so `0x80 0x00` (a long varint 0) is not a compute step.
+pub fn action_ckpt(c: &mut Ckpt, a: &mut Action) -> Result<(), CkptError> {
+    let mut tag: u8 = match a {
+        Action::Compute(_) => 0,
+        Action::Read(_) => 1,
+        Action::Write(_) => 2,
+        Action::Barrier(_) => 3,
+    };
+    c.u8(&mut tag)?;
+    if c.loading() {
+        *a = match tag {
+            0 => Action::Compute(0),
+            1 => Action::Read(0),
+            2 => Action::Write(0),
+            3 => Action::Barrier(0),
+            other => return Err(c.invalid(format!("unknown action tag byte {other}"))),
+        };
+    }
+    match a {
+        Action::Compute(n) | Action::Barrier(n) => c.u32(n),
+        Action::Read(line) | Action::Write(line) => c.u64(line),
     }
 }
 

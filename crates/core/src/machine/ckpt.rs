@@ -21,12 +21,15 @@
 //!   caller attaches one with `Machine::enable_observer`; observation
 //!   never feeds back into simulation state;
 //! * `fatal` — always `None` at a checkpoint boundary (a fatal error
-//!   aborts the run before it can be checkpointed).
+//!   aborts the run before it can be checkpointed);
+//! * the per-page TLB holder sets — derived from the TLBs, so a
+//!   restore rebuilds them after PROCS, refusing a TLB entry past the
+//!   footprint.
 
 use super::io::{FlushRuns, MAX_FLUSH_RUN};
 use super::{BlockKind, Event, FaultSource, Machine};
 use crate::checkpoint::sections;
-use crate::vm::{PageState, Vpn};
+use crate::vm::{PageState, TlbHolders, Vpn};
 use nw_apps::Action;
 use nw_sim::ckpt::{Ckpt, CkptError};
 
@@ -160,30 +163,6 @@ fn event(c: &mut Ckpt, ev: &mut Event, runs: &mut FlushRuns) -> Result<(), CkptE
     }
 }
 
-/// A processor's pending action: its tag, then its one field.
-fn action(c: &mut Ckpt, a: &mut Action) -> Result<(), CkptError> {
-    let tag = match a {
-        Action::Compute(_) => 0,
-        Action::Read(_) => 1,
-        Action::Write(_) => 2,
-        Action::Barrier(_) => 3,
-    };
-    let blank = |tag| {
-        Some(match tag {
-            0 => Action::Compute(0),
-            1 => Action::Read(0),
-            2 => Action::Write(0),
-            3 => Action::Barrier(0),
-            _ => return None,
-        })
-    };
-    c.variant(a, tag, blank, "action")?;
-    match a {
-        Action::Compute(n) | Action::Barrier(n) => c.u32(n),
-        Action::Read(line) | Action::Write(line) => c.u64(line),
-    }
-}
-
 /// Where a page lives: its tag, then the variant's fields.
 fn page_state(c: &mut Ckpt, s: &mut PageState) -> Result<(), CkptError> {
     let tag = match s {
@@ -243,6 +222,7 @@ impl Machine {
         })?;
 
         // PROCS: per-processor stream position and execution state.
+        let npages = self.npages;
         c.section(sections::PROCS, |c| {
             let mut pi = 0;
             c.each(&mut self.procs, "procs", |c, p| {
@@ -257,9 +237,15 @@ impl Machine {
                         )));
                     }
                 }
-                pi += 1;
-                c.opt(&mut p.pending, Action::Compute(0), action)?;
+                c.opt(&mut p.pending, Action::Compute(0), nw_apps::action_ckpt)?;
                 p.tlb.ckpt(c)?;
+                // The TLB holder sets are rebuilt from these entries.
+                if let Some(vpn) = p.tlb.vpns().find(|&v| v >= npages) {
+                    return Err(c.invalid(format!(
+                        "proc {pi}: TLB caches page {vpn}, past the {npages}-page footprint"
+                    )));
+                }
+                pi += 1;
                 p.l1.ckpt(c)?;
                 p.l2.ckpt(c)?;
                 // The retired write buffer's slot: no lines and three
@@ -278,6 +264,9 @@ impl Machine {
             })?;
             c.usize(&mut self.finished)
         })?;
+        if c.loading() {
+            self.tlb_holders = TlbHolders::of(npages, self.procs.iter().map(|p| &p.tlb));
+        }
 
         // MEMHIER: buses and the coherence directory.
         c.section(sections::MEMHIER, |c| {

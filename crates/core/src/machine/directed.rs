@@ -311,3 +311,49 @@ fn idle_nodes_are_fine() {
     assert!(r.exec_time >= 500);
     assert_eq!(r.page_faults, 1);
 }
+
+#[test]
+fn shootdown_interrupts_exactly_the_tlbs_that_hold_the_page() {
+    let mut cfg = MachineConfig::paper_default(MachineKind::Standard, PrefetchMode::Optimal);
+    cfg.nodes = 64;
+    (cfg.mesh_width, cfg.mesh_height) = (8, 8);
+    // Node 10 faults page 0 in; the other holders translate it once it
+    // is resident. Every other node stays idle.
+    let (home, holders) = (10, [3, 10, 17, 40, 63]);
+    let mut streams = idle_streams(64);
+    for q in holders {
+        streams[q] = if q == home {
+            vec![Action::Read(0)]
+        } else {
+            vec![Action::Compute(10_000_000), Action::Read(q as u64)]
+        };
+    }
+    let mut m = machine_with(cfg.clone(), 4096, streams);
+    m.run();
+    assert!(m.tlb_holders_match());
+    for q in 0..64 {
+        assert_eq!(m.procs[q].tlb.contains(0), holders.contains(&q), "node {q}");
+    }
+    let before: Vec<u64> = m.procs.iter().map(|p| p.pending_interrupt).collect();
+    let shootdowns = m.m_shootdowns;
+    m.evict_page(home as u32, 0, m.exec_time());
+    let charged: Vec<u64> = m.procs.iter().zip(&before).map(|(p, b)| p.pending_interrupt - b).collect();
+    for (q, &c) in charged.iter().enumerate() {
+        let want = match q {
+            _ if q == home => cfg.tlb_shootdown_latency,
+            _ if holders.contains(&q) => cfg.interrupt_latency,
+            _ => 0,
+        };
+        assert_eq!(c, want, "node {q}");
+    }
+    let k = holders.len() as u64;
+    assert_eq!(
+        charged.iter().sum::<u64>(),
+        cfg.tlb_shootdown_latency + (k - 1) * cfg.interrupt_latency
+    );
+    assert_eq!(m.m_shootdowns, shootdowns + 1);
+    assert!(m.procs.iter().all(|p| !p.tlb.contains(0)));
+    let mut left = Vec::new();
+    m.tlb_holders.drain(0, |q| left.push(q));
+    assert_eq!(left, Vec::<usize>::new(), "holder bits survive the shootdown");
+}

@@ -300,20 +300,20 @@ impl Machine {
 
     /// TLB shootdown for `vpn`: the initiator (the processor on
     /// `node`) pays the shootdown latency; every other processor with
-    /// a cached translation pays an interrupt.
+    /// a cached translation pays an interrupt. The page's holder set
+    /// names exactly those processors, so only their TLBs are visited.
     fn shootdown(&mut self, node: u32, vpn: Vpn) {
         self.m_shootdowns += 1;
         let initiator = node as usize;
-        self.procs[initiator].tlb.invalidate(vpn);
-        self.procs[initiator].pending_interrupt += self.cfg.tlb_shootdown_latency;
-        for q in 0..self.procs.len() {
-            if q == initiator {
-                continue;
+        let procs = &mut self.procs;
+        procs[initiator].tlb.invalidate(vpn);
+        procs[initiator].pending_interrupt += self.cfg.tlb_shootdown_latency;
+        let interrupt = self.cfg.interrupt_latency;
+        self.tlb_holders.drain(vpn, |q| {
+            if q != initiator && procs[q].tlb.invalidate(vpn) {
+                procs[q].pending_interrupt += interrupt;
             }
-            if self.procs[q].tlb.invalidate(vpn) {
-                self.procs[q].pending_interrupt += self.cfg.interrupt_latency;
-            }
-        }
+        });
     }
 
     /// Invalidate every cached line of `vpn` machine-wide (the

@@ -66,7 +66,11 @@ impl Machine {
             }
         };
         if !tlb_hit {
-            self.procs[p as usize].tlb.insert(vpn);
+            // One processor per node: `p` indexes the holder bits.
+            if let Some(old) = self.procs[p as usize].tlb.insert(vpn) {
+                self.tlb_holders.remove(old, p as usize);
+            }
+            self.tlb_holders.insert(vpn, p as usize);
         }
         let entry = &mut self.pt[vpn as usize];
         entry.last_access = now;

@@ -30,7 +30,7 @@ use crate::error::SimError;
 use crate::metrics::RunMetrics;
 use crate::observe::{groups, ObserveConfig, Observer, TraceData};
 use crate::prefetch::AdaptivePolicy;
-use crate::vm::{BarrierState, FramePool, PageEntry, PageState, ProcId, Vpn};
+use crate::vm::{BarrierState, FramePool, PageEntry, PageState, ProcId, TlbHolders, Vpn};
 use nw_apps::{Action, ActionStream, AppId};
 use nw_disk::{
     DiskController, DiskControllerConfig, DiskFaultInjector, Mechanics, ParallelFs,
@@ -148,6 +148,9 @@ pub struct Machine {
     /// Per-disk: the drain receiver is busy until this time.
     pub(crate) drain_busy_until: Vec<Time>,
     pub(crate) pt: Vec<PageEntry>,
+    /// Per page, the nodes whose TLB caches it (derived from the
+    /// TLBs; never checkpointed, rebuilt on restore).
+    pub(crate) tlb_holders: TlbHolders,
     pub(crate) frames: Vec<FramePool>,
     pub(crate) barrier: BarrierState,
     /// Per node: swap-outs waiting for ring-channel room.
@@ -260,7 +263,7 @@ impl Machine {
             height: mesh_h,
             ..MeshConfig::paper_default()
         };
-        let procs = build
+        let procs: Vec<Proc> = build
             .streams
             .into_iter()
             .map(|stream| Proc {
@@ -335,6 +338,7 @@ impl Machine {
             cfg.faults.mesh_drop_rate,
             cfg.faults.mesh_corrupt_rate,
         );
+        let tlb_holders = TlbHolders::of(npages, procs.iter().map(|p| &p.tlb));
         let m = Machine {
             cfg,
             // Pre-size the far tier for the simultaneously outstanding
@@ -361,6 +365,7 @@ impl Machine {
             disk_homes,
             drain_busy_until: vec![0; io_nodes as usize],
             pt: (0..npages).map(|_| PageEntry::new()).collect(),
+            tlb_holders,
             frames: (0..n)
                 .map(|_| FramePool::new(frames_per_node))
                 .collect(),
@@ -644,6 +649,7 @@ impl Machine {
             });
         }
         self.check_page_conservation()?;
+        debug_assert!(self.tlb_holders_match(), "TLB holder sets differ from the TLBs");
         Ok(RunOutcome::Done(Box::new(self.collect_metrics())))
     }
 
@@ -691,6 +697,12 @@ impl Machine {
             }
         }
         Ok(())
+    }
+
+    /// Whether every page's holder set names exactly the TLBs that
+    /// cache it.
+    fn tlb_holders_match(&self) -> bool {
+        self.tlb_holders == TlbHolders::of(self.npages, self.procs.iter().map(|p| &p.tlb))
     }
 
     /// Roll the mesh fault injector for one protected control message

@@ -1,6 +1,7 @@
-//! Virtual-memory bookkeeping: the machine-wide page table, per-node
-//! frame pools, and barrier state.
+//! Virtual-memory bookkeeping: the machine-wide page table, the TLB
+//! holder sets, per-node frame pools, and barrier state.
 
+use nw_memhier::Tlb;
 use nw_sim::ckpt::{Ckpt, CkptError};
 use nw_sim::Time;
 
@@ -79,6 +80,65 @@ impl PageEntry {
 impl Default for PageEntry {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Per page, the set of nodes whose TLB caches its translation: one
+/// bit per node, `words` 64-bit words per page. It is derived from the
+/// TLBs, so a shootdown visits only the TLBs that hold the page
+/// instead of probing every node's (DESIGN.md §11). Never
+/// checkpointed: a restore rebuilds it from the restored TLBs.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct TlbHolders {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl TlbHolders {
+    /// The holder sets of `pages` pages, built from each node's TLB
+    /// in node order. Every cached VPN must be below `pages`.
+    pub(crate) fn of<'a>(pages: u64, tlbs: impl ExactSizeIterator<Item = &'a Tlb>) -> Self {
+        let words = tlbs.len().div_ceil(64);
+        let mut h = TlbHolders {
+            words,
+            bits: vec![0; pages as usize * words],
+        };
+        for (node, tlb) in tlbs.enumerate() {
+            tlb.vpns().for_each(|vpn| h.insert(vpn, node));
+        }
+        h
+    }
+
+    #[inline]
+    fn at(&self, vpn: Vpn, node: usize) -> (usize, u64) {
+        (vpn as usize * self.words + node / 64, 1 << (node % 64))
+    }
+
+    /// `node`'s TLB now caches `vpn`.
+    #[inline]
+    pub(crate) fn insert(&mut self, vpn: Vpn, node: usize) {
+        let (i, bit) = self.at(vpn, node);
+        self.bits[i] |= bit;
+    }
+
+    /// `node`'s TLB no longer caches `vpn`.
+    #[inline]
+    pub(crate) fn remove(&mut self, vpn: Vpn, node: usize) {
+        let (i, bit) = self.at(vpn, node);
+        self.bits[i] &= !bit;
+    }
+
+    /// Empty `vpn`'s set, handing each node that was in it to `f` in
+    /// ascending order.
+    pub(crate) fn drain(&mut self, vpn: Vpn, mut f: impl FnMut(usize)) {
+        let base = vpn as usize * self.words;
+        for (w, word) in self.bits[base..base + self.words].iter_mut().enumerate() {
+            let mut m = std::mem::take(word);
+            while m != 0 {
+                f(w * 64 + m.trailing_zeros() as usize);
+                m &= m - 1;
+            }
+        }
     }
 }
 

@@ -275,7 +275,7 @@ impl DiskController {
             ],
             cfg,
             mech,
-            arm: Resource::new("disk-arm"),
+            arm: Resource::new(),
             log: None,
             nack_fifo: VecDeque::new(),
             clock: 0,

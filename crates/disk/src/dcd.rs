@@ -48,7 +48,7 @@ impl LogDisk {
     pub fn new(mech: Mechanics) -> Self {
         LogDisk {
             mech,
-            arm: Resource::new("log-disk-arm"),
+            arm: Resource::new(),
             locations: HashMap::new(),
             head: 0,
             appends: 0,

@@ -23,23 +23,23 @@ pub struct MemoryBus {
 impl MemoryBus {
     /// A bus with payload bandwidth `bw` and `overhead` cycles of
     /// arbitration/setup per transaction.
-    pub fn new(name: &'static str, bw: Bandwidth, overhead: Time) -> Self {
+    pub fn new(bw: Bandwidth, overhead: Time) -> Self {
         MemoryBus {
             bw,
             overhead,
-            res: Resource::new(name),
+            res: Resource::new(),
             bytes: 0,
         }
     }
 
     /// The paper's 800 MB/s memory bus with a small arbitration cost.
     pub fn paper_memory_bus() -> Self {
-        MemoryBus::new("mem-bus", Bandwidth::from_mbytes_per_sec(800), 8)
+        MemoryBus::new(Bandwidth::from_mbytes_per_sec(800), 8)
     }
 
     /// The paper's 300 MB/s I/O bus.
     pub fn paper_io_bus() -> Self {
-        MemoryBus::new("io-bus", Bandwidth::from_mbytes_per_sec(300), 8)
+        MemoryBus::new(Bandwidth::from_mbytes_per_sec(300), 8)
     }
 
     /// Occupy the bus for a `bytes`-byte transfer starting no earlier

@@ -49,21 +49,62 @@ impl CacheConfig {
     }
 }
 
+/// Line-word flag: the way holds a line.
+const VALID: u64 = 1 << 63;
+/// Line-word flag: the line is modified.
+const DIRTY: u64 = 1 << 62;
+/// Largest line address a way can hold, plus one: the two flags take
+/// the line word's top bits.
+pub const LINE_LIMIT: Line = 1 << 62;
+
+/// [`DIRTY`] if `dirty`, else 0: set without a branch on the access
+/// kind, which is close to random.
+#[inline]
+fn dirty_bit(dirty: bool) -> u64 {
+    (dirty as u64) << 62
+}
+
+/// One way: the line address with [`VALID`] and [`DIRTY`] in its top
+/// bits, and its LRU stamp. An invalidated way keeps its stale line
+/// bits, which `nwckpt-v1` records.
 #[derive(Debug, Clone, Copy)]
 struct Way {
-    line: Line,
-    dirty: bool,
+    tag: u64,
     last_use: u64,
-    valid: bool,
 }
 
 impl Way {
-    const EMPTY: Way = Way {
-        line: 0,
-        dirty: false,
-        last_use: 0,
-        valid: false,
-    };
+    const EMPTY: Way = Way { tag: 0, last_use: 0 };
+
+    #[inline]
+    fn holds(&self, line: Line) -> bool {
+        self.tag & !DIRTY == line | VALID
+    }
+
+    #[inline]
+    fn valid(&self) -> bool {
+        self.tag & VALID != 0
+    }
+
+    #[inline]
+    fn dirty(&self) -> bool {
+        self.tag & DIRTY != 0
+    }
+
+    #[inline]
+    fn line(&self) -> Line {
+        self.tag & (LINE_LIMIT - 1)
+    }
+
+    /// A valid way holding `line`, dirty if `dirty`.
+    #[inline]
+    fn filled(line: Line, dirty: bool, last_use: u64) -> Way {
+        debug_assert!(line < LINE_LIMIT, "line {line} past the way's line bits");
+        Way {
+            tag: line | VALID | dirty_bit(dirty),
+            last_use,
+        }
+    }
 }
 
 /// A line evicted to make room for a fill.
@@ -91,7 +132,8 @@ pub enum LookupResult {
 /// `ways[s * assoc .. (s + 1) * assoc]`. A probe touches one small
 /// contiguous slice instead of chasing a per-set heap allocation, and
 /// way order within the slice is exactly the old inner-`Vec` order,
-/// so LRU ties and purge output are unchanged.
+/// so LRU ties and purge output are unchanged. Each way is 16 bytes:
+/// the valid and dirty bits ride in the line word's top two bits.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -153,10 +195,10 @@ impl Cache {
         self.clock += 1;
         let clock = self.clock;
         for way in self.set_mut(line) {
-            if way.valid && way.line == line {
+            if way.holds(line) {
                 way.last_use = clock;
-                let was_dirty = way.dirty;
-                way.dirty |= is_write;
+                let was_dirty = way.dirty();
+                way.tag |= dirty_bit(is_write);
                 self.hits += 1;
                 return Some(was_dirty);
             }
@@ -172,42 +214,35 @@ impl Cache {
         self.clock += 1;
         let clock = self.clock;
         let set = self.set_mut(line);
-        // Already present (e.g. racing fill): just refresh.
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.line == line) {
-            way.last_use = clock;
-            way.dirty |= is_write;
+        // One pass: an existing copy (e.g. a racing fill) is just
+        // refreshed; otherwise the first invalid way, else the first
+        // way with the oldest stamp (true LRU, first way wins ties).
+        let mut invalid = None;
+        let (mut lru, mut oldest) = (0, u64::MAX);
+        for (i, way) in set.iter_mut().enumerate() {
+            if way.holds(line) {
+                way.last_use = clock;
+                way.tag |= dirty_bit(is_write);
+                return None;
+            }
+            if !way.valid() {
+                invalid = invalid.or(Some(i));
+            } else if way.last_use < oldest {
+                (lru, oldest) = (i, way.last_use);
+            }
+        }
+        let incoming = Way::filled(line, is_write, clock);
+        if let Some(i) = invalid {
+            set[i] = incoming;
             return None;
         }
-        // Prefer an invalid way.
-        if let Some(way) = set.iter_mut().find(|w| !w.valid) {
-            *way = Way {
-                line,
-                dirty: is_write,
-                last_use: clock,
-                valid: true,
-            };
-            return None;
-        }
-        // Evict true-LRU (first-way wins ties, as before).
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.last_use)
-            .map(|(i, _)| i)
-            .expect("assoc > 0");
-        let victim = set[victim_idx];
-        set[victim_idx] = Way {
-            line,
-            dirty: is_write,
-            last_use: clock,
-            valid: true,
-        };
-        if victim.dirty {
+        let victim = std::mem::replace(&mut set[lru], incoming);
+        if victim.dirty() {
             self.writebacks += 1;
         }
         Some(Evicted {
-            line: victim.line,
-            dirty: victim.dirty,
+            line: victim.line(),
+            dirty: victim.dirty(),
         })
     }
 
@@ -215,10 +250,9 @@ impl Cache {
     /// entry was dropped.
     pub fn invalidate(&mut self, line: Line) -> Option<bool> {
         for way in self.set_mut(line) {
-            if way.valid && way.line == line {
-                way.valid = false;
-                let dirty = way.dirty;
-                way.dirty = false;
+            if way.holds(line) {
+                let dirty = way.dirty();
+                way.tag &= !(VALID | DIRTY);
                 return Some(dirty);
             }
         }
@@ -230,8 +264,8 @@ impl Cache {
     /// down). Returns true if the line was present.
     pub fn mark_dirty(&mut self, line: Line) -> bool {
         for way in self.set_mut(line) {
-            if way.valid && way.line == line {
-                way.dirty = true;
+            if way.holds(line) {
+                way.tag |= DIRTY;
                 return true;
             }
         }
@@ -242,8 +276,8 @@ impl Cache {
     /// remote read); returns true if the line was present and dirty.
     pub fn clean(&mut self, line: Line) -> bool {
         for way in self.set_mut(line) {
-            if way.valid && way.line == line && way.dirty {
-                way.dirty = false;
+            if way.holds(line) && way.dirty() {
+                way.tag &= !DIRTY;
                 return true;
             }
         }
@@ -275,14 +309,12 @@ impl Cache {
 
     /// Whether `line` is present (no LRU update).
     pub fn contains(&self, line: Line) -> bool {
-        self.set(line).iter().any(|w| w.valid && w.line == line)
+        self.set(line).iter().any(|w| w.holds(line))
     }
 
     /// Whether `line` is present and dirty.
     pub fn is_dirty(&self, line: Line) -> bool {
-        self.set(line)
-            .iter()
-            .any(|w| w.valid && w.line == line && w.dirty)
+        self.set(line).iter().any(|w| w.holds(line) && w.dirty())
     }
 
     /// Total hits.
@@ -318,12 +350,21 @@ impl Cache {
     /// Checkpoint the dynamic state: every way in slot order (way
     /// order inside a set is observable through LRU tie-breaking) plus
     /// the LRU clock and statistics. Geometry comes from construction.
+    /// Each way records `valid, line, dirty, last_use`, stale lines of
+    /// invalid ways included; a restore rejects a line of
+    /// [`LINE_LIMIT`] or more, which the packed line word cannot hold.
     pub fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
         c.each(&mut self.ways, "cache ways", |c, way| {
-            c.bool(&mut way.valid)?;
-            c.u64(&mut way.line)?;
-            c.bool(&mut way.dirty)?;
-            c.u64(&mut way.last_use)
+            let (mut valid, mut line, mut dirty) = (way.valid(), way.line(), way.dirty());
+            c.bool(&mut valid)?;
+            c.u64(&mut line)?;
+            c.bool(&mut dirty)?;
+            c.u64(&mut way.last_use)?;
+            if line >= LINE_LIMIT {
+                return Err(c.invalid(format!("cache way holds line {line}, past 2^62")));
+            }
+            way.tag = line | (valid as u64) << 63 | dirty_bit(dirty);
+            Ok(())
         })?;
         for v in [&mut self.clock, &mut self.hits, &mut self.misses, &mut self.writebacks] {
             c.u64(v)?;

@@ -216,16 +216,20 @@ impl Tlb {
     }
 
     /// Insert a translation for `vpn`, evicting the LRU entry if full.
-    pub fn insert(&mut self, vpn: Vpn) {
+    /// Returns the VPN evicted to make room, if any.
+    pub fn insert(&mut self, vpn: Vpn) -> Option<Vpn> {
         self.clock += 1;
         if let Some((_, pos)) = self.find(vpn) {
             self.touch(pos);
-            return;
+            return None;
         }
+        let mut evicted = None;
         if self.entries.len() == self.capacity {
             let lru = self.head as usize;
-            let (slot, _) = self.find(self.entries[lru].vpn).expect("indexed entry");
+            let victim = self.entries[lru].vpn;
+            let (slot, _) = self.find(victim).expect("indexed entry");
             self.remove_at(slot, lru);
+            evicted = Some(victim);
         }
         let pos = self.entries.len();
         self.entries.push(Entry {
@@ -236,6 +240,7 @@ impl Tlb {
         });
         self.index_insert(vpn, pos);
         self.push_back(pos);
+        evicted
     }
 
     /// Remove the entry for `vpn` (TLB shootdown). Returns `true` if an
@@ -254,6 +259,11 @@ impl Tlb {
     /// Whether `vpn` is currently cached (no LRU update).
     pub fn contains(&self, vpn: Vpn) -> bool {
         self.find(vpn).is_some()
+    }
+
+    /// The cached VPNs, in storage order.
+    pub fn vpns(&self) -> impl Iterator<Item = Vpn> + '_ {
+        self.entries.iter().map(|e| e.vpn)
     }
 
     /// Number of valid entries.
@@ -443,19 +453,21 @@ mod tests {
             }
         }
 
-        fn insert(&mut self, vpn: Vpn) {
+        fn insert(&mut self, vpn: Vpn) -> Option<Vpn> {
             self.clock += 1;
             if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
                 e.1 = self.clock;
-                return;
+                return None;
             }
+            let mut evicted = None;
             if self.entries.len() == self.capacity {
                 let lru = (0..self.entries.len())
                     .min_by_key(|&i| self.entries[i].1)
                     .expect("full implies non-empty");
-                self.entries.swap_remove(lru);
+                evicted = Some(self.entries.swap_remove(lru).0);
             }
             self.entries.push((vpn, self.clock));
+            evicted
         }
 
         fn invalidate(&mut self, vpn: Vpn) -> bool {
@@ -516,10 +528,7 @@ mod tests {
                     prev = vpn;
                     match rng.gen_below(10) {
                         0..=3 => assert_eq!(tlb.lookup(vpn), model.lookup(vpn)),
-                        4..=6 => {
-                            tlb.insert(vpn);
-                            model.insert(vpn);
-                        }
+                        4..=6 => assert_eq!(tlb.insert(vpn), model.insert(vpn)),
                         7 | 8 => assert_eq!(tlb.invalidate(vpn), model.invalidate(vpn)),
                         _ => assert_eq!(tlb.contains(vpn), model.contains(vpn)),
                     }

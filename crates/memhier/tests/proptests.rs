@@ -1,7 +1,11 @@
 //! Randomized property tests for memory-hierarchy invariants, driven
 //! by the in-tree deterministic [`Pcg32`].
 
-use nw_memhier::{page_of_line, Cache, CacheConfig, Directory, LineTable, Tlb, LINES_PER_PAGE};
+use nw_memhier::{
+    first_line_of_page, page_of_line, Cache, CacheConfig, Directory, Evicted, LineTable, Tlb,
+    LINES_PER_PAGE,
+};
+use nw_sim::ckpt::{Ckpt, CkptError, CkptWriter};
 use nw_sim::Pcg32;
 use std::collections::BTreeMap;
 
@@ -105,6 +109,199 @@ fn tlb_capacity() {
             tlb.insert(v);
             assert!(tlb.lookup(v), "case {case}");
             assert!(tlb.len() <= cap, "case {case}");
+        }
+    }
+}
+
+/// The 24-byte-way cache the packed one replaced, kept as the
+/// reference model: `valid`, `line`, `dirty` and `last_use` per way,
+/// an existing copy refreshed on fill, else the first invalid way,
+/// else the first way with the oldest stamp.
+struct RefCache {
+    assoc: usize,
+    ways: Vec<(bool, u64, bool, u64)>,
+    set_mask: u64,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    writebacks: u64,
+}
+
+impl RefCache {
+    fn new(cfg: CacheConfig) -> Self {
+        let n = cfg.num_sets();
+        RefCache {
+            assoc: cfg.assoc,
+            ways: vec![(false, 0, false, 0); n * cfg.assoc],
+            set_mask: n as u64 - 1,
+            clock: 0,
+            hits: 0,
+            misses: 0,
+            writebacks: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut [(bool, u64, bool, u64)] {
+        let base = (line & self.set_mask) as usize * self.assoc;
+        &mut self.ways[base..base + self.assoc]
+    }
+
+    fn find(&mut self, line: u64) -> Option<&mut (bool, u64, bool, u64)> {
+        self.set(line).iter_mut().find(|w| w.0 && w.1 == line)
+    }
+
+    fn access_dirty(&mut self, line: u64, is_write: bool) -> Option<bool> {
+        self.clock += 1;
+        let clock = self.clock;
+        let hit = self.find(line).map(|w| {
+            w.3 = clock;
+            let was = w.2;
+            w.2 |= is_write;
+            was
+        });
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        hit
+    }
+
+    fn fill(&mut self, line: u64, is_write: bool) -> Option<Evicted> {
+        self.clock += 1;
+        let clock = self.clock;
+        if let Some(w) = self.find(line) {
+            w.3 = clock;
+            w.2 |= is_write;
+            return None;
+        }
+        let set = self.set(line);
+        if let Some(w) = set.iter_mut().find(|w| !w.0) {
+            *w = (true, line, is_write, clock);
+            return None;
+        }
+        let i = (0..set.len()).min_by_key(|&i| set[i].3).expect("assoc > 0");
+        let victim = std::mem::replace(&mut set[i], (true, line, is_write, clock));
+        self.writebacks += victim.2 as u64;
+        Some(Evicted {
+            line: victim.1,
+            dirty: victim.2,
+        })
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<bool> {
+        self.find(line).map(|w| {
+            w.0 = false;
+            std::mem::take(&mut w.2)
+        })
+    }
+
+    fn mark_dirty(&mut self, line: u64) -> bool {
+        self.find(line).map(|w| w.2 = true).is_some()
+    }
+
+    fn clean(&mut self, line: u64) -> bool {
+        self.find(line).is_some_and(|w| std::mem::take(&mut w.2))
+    }
+
+    fn purge_page(&mut self, vpn: u64) -> Vec<Evicted> {
+        let start = first_line_of_page(vpn);
+        (start..start + LINES_PER_PAGE)
+            .filter_map(|line| self.invalidate(line).map(|dirty| Evicted { line, dirty }))
+            .collect()
+    }
+
+    fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
+        c.each(&mut self.ways, "cache ways", |c, w| {
+            c.bool(&mut w.0)?;
+            c.u64(&mut w.1)?;
+            c.bool(&mut w.2)?;
+            c.u64(&mut w.3)
+        })?;
+        for v in [&mut self.clock, &mut self.hits, &mut self.misses, &mut self.writebacks] {
+            c.u64(v)?;
+        }
+        Ok(())
+    }
+}
+
+/// The bytes `save` writes as a bare payload.
+fn saved(save: impl FnOnce(&mut Ckpt) -> Result<(), CkptError>) -> Vec<u8> {
+    let mut w = CkptWriter::headerless();
+    save(&mut Ckpt::Save(&mut w)).expect("saving cannot fail");
+    w.finish()
+}
+
+/// The packed cache agrees with the reference model on every hit,
+/// victim, dirty bit and checkpoint byte, stale lines of invalidated
+/// ways included, under seeded operation mixes on direct-mapped, 2-way
+/// and 4-way geometries.
+#[test]
+fn packed_cache_matches_the_reference_model() {
+    for case in 0..CASES {
+        let mut rng = Pcg32::new(0x3E40, case);
+        let cfg = CacheConfig {
+            size_bytes: 1024,
+            assoc: [1, 2, 4][case as usize % 3],
+            line_bytes: 64,
+        };
+        let (mut c, mut model) = (Cache::new(cfg), RefCache::new(cfg));
+        // Lines over a few pages, so sets conflict and purges bite.
+        let lines = LINES_PER_PAGE * (1 + rng.gen_below(4) as u64);
+        for op in 0..600 {
+            let line = rng.gen_range(0, lines);
+            let w = rng.gen_bool(0.4);
+            let ctx = format!("case {case} op {op} line {line}");
+            match rng.gen_below(10) {
+                0..=2 => assert_eq!(c.access_dirty(line, w), model.access_dirty(line, w), "{ctx}"),
+                3..=5 => assert_eq!(c.fill(line, w), model.fill(line, w), "{ctx}"),
+                6 => assert_eq!(c.invalidate(line), model.invalidate(line), "{ctx}"),
+                7 => assert_eq!(c.clean(line), model.clean(line), "{ctx}"),
+                8 => assert_eq!(c.mark_dirty(line), model.mark_dirty(line), "{ctx}"),
+                _ => {
+                    let vpn = page_of_line(line);
+                    assert_eq!(c.purge_page(vpn), model.purge_page(vpn), "{ctx}");
+                }
+            }
+            let (hit, dirty) = (model.find(line).is_some(), model.find(line).is_some_and(|w| w.2));
+            assert_eq!((c.contains(line), c.is_dirty(line)), (hit, dirty), "{ctx}");
+            if op % 50 == 0 {
+                assert_eq!(saved(|k| c.ckpt(k)), saved(|k| model.ckpt(k)), "{ctx}: checkpoint bytes");
+            }
+        }
+        assert_eq!((c.hits(), c.misses(), c.writebacks()), (model.hits, model.misses, model.writebacks));
+        assert_eq!(saved(|k| c.ckpt(k)), saved(|k| model.ckpt(k)), "case {case}");
+    }
+}
+
+/// `Tlb::insert` returns exactly the entry a linear LRU scan evicts:
+/// the one with the oldest stamp, and nothing while there is room or
+/// the VPN is already cached.
+#[test]
+fn tlb_insert_returns_the_lru_victim() {
+    for case in 0..CASES {
+        let mut rng = Pcg32::new(0x3E41, case);
+        let cap = rng.gen_range(1, 9) as usize;
+        let mut tlb = Tlb::new(cap);
+        // vpn -> last touch, in the same clock the TLB keeps.
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        for t in 0..300u64 {
+            let vpn = rng.gen_range(0, 3 * cap as u64);
+            if rng.gen_bool(0.5) {
+                if tlb.lookup(vpn) {
+                    model.insert(vpn, t);
+                }
+                continue;
+            }
+            let want = if model.contains_key(&vpn) || model.len() < cap {
+                None
+            } else {
+                let lru = *model.iter().min_by_key(|e| e.1).expect("full").0;
+                model.remove(&lru);
+                Some(lru)
+            };
+            model.insert(vpn, t);
+            assert_eq!(tlb.insert(vpn), want, "case {case} step {t}");
+            assert_eq!(tlb.len(), model.len(), "case {case} step {t}");
         }
     }
 }

@@ -120,7 +120,7 @@ impl Mesh {
         let n = cfg.nodes() as usize;
         Mesh {
             cfg,
-            links: (0..n * 4).map(|_| Resource::new("mesh-link")).collect(),
+            links: (0..n * 4).map(|_| Resource::new()).collect(),
             messages: 0,
             bytes: 0,
             latency: Tally::new(),

@@ -24,7 +24,7 @@
 //!
 //! // A bus serving two transfers, driven by an event loop.
 //! let mut queue = EventQueue::new();
-//! let mut bus = Resource::new("bus");
+//! let mut bus = Resource::new();
 //! queue.schedule_at(0, "request-a");
 //! queue.schedule_at(10, "request-b");
 //! let mut done = Vec::new();

@@ -27,9 +27,8 @@ impl Grant {
 }
 
 /// A FIFO-served shared resource with utilization accounting.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Resource {
-    name: &'static str,
     next_free: Time,
     busy_cycles: Time,
     wait_cycles: Time,
@@ -37,20 +36,9 @@ pub struct Resource {
 }
 
 impl Resource {
-    /// A new, idle resource. `name` is used in statistics reports.
-    pub fn new(name: &'static str) -> Self {
-        Resource {
-            name,
-            next_free: 0,
-            busy_cycles: 0,
-            wait_cycles: 0,
-            acquisitions: 0,
-        }
-    }
-
-    /// Resource name.
-    pub fn name(&self) -> &'static str {
-        self.name
+    /// A new, idle resource.
+    pub fn new() -> Self {
+        Resource::default()
     }
 
     /// Reserve the resource for `duration` cycles, requested at `now`.
@@ -137,7 +125,7 @@ mod tests {
 
     #[test]
     fn idle_resource_serves_immediately() {
-        let mut r = Resource::new("bus");
+        let mut r = Resource::new();
         let g = r.acquire(100, 50);
         assert_eq!(g, Grant { start: 100, end: 150 });
         assert_eq!(g.wait(100), 0);
@@ -145,7 +133,7 @@ mod tests {
 
     #[test]
     fn back_to_back_requests_queue() {
-        let mut r = Resource::new("bus");
+        let mut r = Resource::new();
         let g1 = r.acquire(0, 100);
         let g2 = r.acquire(10, 100);
         assert_eq!(g1.end, 100);
@@ -158,7 +146,7 @@ mod tests {
 
     #[test]
     fn gap_leaves_resource_idle() {
-        let mut r = Resource::new("bus");
+        let mut r = Resource::new();
         r.acquire(0, 10);
         let g = r.acquire(100, 10);
         assert_eq!(g.start, 100);
@@ -168,7 +156,7 @@ mod tests {
 
     #[test]
     fn try_acquire_respects_busy() {
-        let mut r = Resource::new("disk");
+        let mut r = Resource::new();
         r.acquire(0, 100);
         assert_eq!(r.try_acquire(50, 10), None);
         let g = r.try_acquire(100, 10).unwrap();
@@ -177,7 +165,7 @@ mod tests {
 
     #[test]
     fn utilization_and_mean_wait() {
-        let mut r = Resource::new("bus");
+        let mut r = Resource::new();
         r.acquire(0, 100);
         r.acquire(0, 100);
         assert!((r.utilization(400) - 0.5).abs() < 1e-12);
@@ -187,7 +175,7 @@ mod tests {
 
     #[test]
     fn zero_duration_grant_is_instant() {
-        let mut r = Resource::new("bus");
+        let mut r = Resource::new();
         let g = r.acquire(5, 0);
         assert_eq!(g.start, 5);
         assert_eq!(g.end, 5);
@@ -196,7 +184,7 @@ mod tests {
 
     #[test]
     fn earliest_start_previews_queue() {
-        let mut r = Resource::new("bus");
+        let mut r = Resource::new();
         r.acquire(0, 1000);
         assert_eq!(r.earliest_start(10), 1000);
         assert_eq!(r.earliest_start(2000), 2000);

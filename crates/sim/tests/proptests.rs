@@ -162,7 +162,7 @@ fn resource_grants_disjoint() {
             .map(|_| (rng.gen_range(0, 10_000), rng.gen_range(1, 500)))
             .collect();
         reqs.sort_by_key(|r| r.0);
-        let mut r = Resource::new("prop");
+        let mut r = Resource::new();
         let mut prev_end = 0u64;
         let mut total = 0u64;
         for &(at, dur) in &reqs {

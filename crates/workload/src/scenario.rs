@@ -31,8 +31,8 @@ const LINES_PER_PAGE: u64 = PAGE_BYTES / LINE_BYTES;
 /// above the 24,576 pages of the full-scale 256-node scale-study cell,
 /// far below a Zipf table whose allocation fails. Zipf phases' working
 /// sets are also bounded by it summed over phases, since
-/// [`Scenario::to_trace`] holds every Zipf phase's CDF (8 bytes a page)
-/// at once.
+/// [`Scenario::to_trace`] holds every Zipf phase's CDF and guide table
+/// (12 bytes a page) at once.
 pub const MAX_PAGES: u64 = 1 << 20;
 
 // The byte and line counts of a working set cannot overflow.
@@ -228,16 +228,16 @@ impl Scenario {
         // Zipf CDF over page ranks, one per phase, shared by every
         // processor (skew 0 degenerates to uniform pages, still with
         // uniform line choice within the page).
-        let cdfs: Vec<Vec<f64>> = self
+        let zipfs: Vec<ZipfTable> = self
             .phases
             .iter()
             .map(|ph| match ph.pattern {
-                Pattern::Zipf { skew } => zipf_cdf(ph.pages, skew),
-                _ => Vec::new(),
+                Pattern::Zipf { skew } => ZipfTable::new(zipf_cdf(ph.pages, skew)),
+                _ => ZipfTable::default(),
             })
             .collect();
         let procs = (0..nprocs)
-            .map(|p| self.gen_proc(p, nprocs, seed, &cdfs))
+            .map(|p| self.gen_proc(p, nprocs, seed, &zipfs))
             .collect();
         Trace {
             name: self.name.clone(),
@@ -251,13 +251,13 @@ impl Scenario {
         self.to_trace(nprocs, seed).into_build()
     }
 
-    /// Generate one processor's record stream; `cdfs[k]` is phase
-    /// `k`'s Zipf CDF (empty for the other patterns).
-    fn gen_proc(&self, p: usize, nprocs: usize, seed: u64, cdfs: &[Vec<f64>]) -> Vec<Action> {
+    /// Generate one processor's record stream; `zipfs[k]` is phase
+    /// `k`'s Zipf table (empty for the other patterns).
+    fn gen_proc(&self, p: usize, nprocs: usize, seed: u64, zipfs: &[ZipfTable]) -> Vec<Action> {
         let mut rng = Pcg32::new(seed, 0x7716 + p as u64);
         let mut out = Vec::new();
         let mut next_barrier_id: u32 = 0;
-        for ((k, ph), cdf) in self.phases.iter().enumerate().zip(cdfs) {
+        for ((k, ph), zipf) in self.phases.iter().enumerate().zip(zipfs) {
             let mut prng = rng.split(k as u64);
             let lines_total = ph.pages * LINES_PER_PAGE;
             let (l0, l1) = {
@@ -284,7 +284,7 @@ impl Scenario {
                     }
                     Pattern::Uniform => prng.gen_range(0, lines_total),
                     Pattern::Zipf { .. } => {
-                        let page = zipf_sample(&mut prng, cdf);
+                        let page = zipf.sample(prng.gen_f64());
                         page * LINES_PER_PAGE + prng.gen_range(0, LINES_PER_PAGE)
                     }
                 };
@@ -412,10 +412,46 @@ fn zipf_cdf(pages: u64, skew: f64) -> Vec<f64> {
     cdf
 }
 
-/// Sample a page rank from a precomputed CDF.
-fn zipf_sample(rng: &mut Pcg32, cdf: &[f64]) -> u64 {
-    let u = rng.gen_f64();
-    cdf.partition_point(|&c| c <= u) as u64
+/// A Zipf CDF with a guide table for drawing ranks from it (DESIGN.md
+/// §13): `guide[i]` is the first rank whose cumulative weight passes
+/// `i / n`, so a draw starts next to its answer instead of binary
+/// searching all `n` ranks.
+#[derive(Default)]
+struct ZipfTable {
+    cdf: Vec<f64>,
+    guide: Vec<u32>,
+}
+
+impl ZipfTable {
+    fn new(cdf: Vec<f64>) -> Self {
+        let n = cdf.len();
+        let mut guide = Vec::with_capacity(n);
+        let mut k = 0;
+        for i in 0..n {
+            let u = i as f64 / n as f64;
+            while k < n && cdf[k] <= u {
+                k += 1;
+            }
+            guide.push(k as u32);
+        }
+        ZipfTable { cdf, guide }
+    }
+
+    /// The rank `u` in `[0, 1)` falls on: exactly
+    /// `cdf.partition_point(|&c| c <= u)`. The walk from the guide
+    /// entry goes either way, so rounding in `u * n` cannot move it.
+    #[inline]
+    fn sample(&self, u: f64) -> u64 {
+        let n = self.cdf.len();
+        let mut k = self.guide[((u * n as f64) as usize).min(n - 1)] as usize;
+        while k < n && self.cdf[k] <= u {
+            k += 1;
+        }
+        while k > 0 && self.cdf[k - 1] > u {
+            k -= 1;
+        }
+        k as u64
+    }
 }
 
 #[cfg(test)]
@@ -479,6 +515,36 @@ mod tests {
             })
             .collect();
         assert_eq!(lines, (0..64).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn guide_table_draws_match_partition_point() {
+        let check = |t: &ZipfTable, u: f64| {
+            let want = t.cdf.partition_point(|&c| c <= u) as u64;
+            assert_eq!(t.sample(u), want, "u {u} over {} ranks", t.cdf.len());
+        };
+        let tables: Vec<ZipfTable> = [(4096, 0.9), (1000, 0.0), (1, 0.8), (777, 1.3), (3, 40.0)]
+            .into_iter()
+            .map(|(pages, skew)| ZipfTable::new(zipf_cdf(pages, skew)))
+            .collect();
+        let mut rng = Pcg32::new(0x21BF, 0);
+        for i in 0..1_000_000 {
+            check(&tables[i % tables.len()], rng.gen_f64());
+        }
+        // Draws exactly on, and one ulp either side of, every CDF value
+        // and every guide-bucket edge `i / n`.
+        for t in &tables {
+            let n = t.cdf.len();
+            let edges = (0..n).map(|i| i as f64 / n as f64);
+            for x in t.cdf.iter().copied().chain(edges) {
+                let bits = x.to_bits();
+                for u in [x, f64::from_bits(bits.saturating_sub(1)), f64::from_bits(bits + 1)] {
+                    if (0.0..1.0).contains(&u) {
+                        check(t, u);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,12 +33,6 @@ const VERSION: u8 = 1;
 /// Text header tag.
 const TEXT_MAGIC: &str = "nwtrace-v1";
 
-/// Record tags of the binary encoding (frozen).
-const TAG_COMPUTE: u8 = 0;
-const TAG_READ: u8 = 1;
-const TAG_WRITE: u8 = 2;
-const TAG_BARRIER: u8 = 3;
-
 /// A materialized workload: per-processor ordered action records plus
 /// the metadata the simulator needs to address them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -281,7 +275,7 @@ impl Trace {
         c.str(&mut self.name)?;
         c.u64(&mut self.data_bytes)?;
         c.list(&mut self.procs, usize::MAX, 1, "processor streams", |c, stream| {
-            c.list(stream, usize::MAX, MIN_BIN_RECORD, "records", record)
+            c.list(stream, usize::MAX, MIN_BIN_RECORD, "records", nw_apps::action_ckpt)
         })
     }
 
@@ -328,30 +322,6 @@ const MIN_BIN_RECORD: usize = 2;
 const MIN_TEXT_RECORD: usize = 3;
 /// Fewest input bytes one text processor header takes (`proc 0 0`).
 const MIN_TEXT_PROC: usize = 8;
-
-/// One record: its tag byte, then its operand.
-fn record(c: &mut Ckpt, a: &mut Action) -> Result<(), CkptError> {
-    let mut tag = match a {
-        Action::Compute(_) => TAG_COMPUTE,
-        Action::Read(_) => TAG_READ,
-        Action::Write(_) => TAG_WRITE,
-        Action::Barrier(_) => TAG_BARRIER,
-    };
-    c.u8(&mut tag)?;
-    if c.loading() {
-        *a = match tag {
-            TAG_COMPUTE => Action::Compute(0),
-            TAG_READ => Action::Read(0),
-            TAG_WRITE => Action::Write(0),
-            TAG_BARRIER => Action::Barrier(0),
-            other => return Err(c.invalid(format!("unknown record tag byte {other}"))),
-        };
-    }
-    match a {
-        Action::Compute(n) | Action::Barrier(n) => c.u32(n),
-        Action::Read(line) | Action::Write(line) => c.u64(line),
-    }
-}
 
 /// Intern a workload name so replayed builds can carry the `'static`
 /// name `AppBuild` requires. Names are deduplicated, so replaying the
@@ -522,10 +492,11 @@ mod tests {
         // proc count and proc 0's record count: then its first tag.
         let enc = sample().encode_binary();
         let at = 5 + 1 + "sample".len() + 2 + 2;
-        assert_eq!(enc[at..at + 2], [TAG_READ, 0]);
+        let read = 1;
+        assert_eq!(enc[at..at + 2], [read, 0]);
         // The same tag as a two-byte varint is not a tag.
         let mut long = enc.clone();
-        long.splice(at..at + 1, [0x80 | TAG_READ, 0]);
+        long.splice(at..at + 1, [0x80 | read, 0]);
         let err = Trace::decode(&long).unwrap_err();
         assert!(err.contains("tag byte 129"), "{err}");
     }

@@ -244,6 +244,24 @@ fn snapshot_of_restored_machine_is_byte_identical() {
     }
 }
 
+#[test]
+fn a_64_node_cell_round_trips_with_rebuilt_tlb_holder_sets() {
+    // The per-page TLB holder sets are not saved: a restore rebuilds
+    // them from the TLBs, and the resumed run's shootdowns must charge
+    // exactly the interrupts the uninterrupted run charges.
+    let cfg = nwcache::topo::TopoSpec::parse("mesh=8x8,rings=2,dirshards=2")
+        .expect("topology parses")
+        .to_config(MachineKind::NwCache, PrefetchMode::Naive, SCALE);
+    let spec = "workload:gen:zipf:0.9,ws=6144,acc=200,wf=0.5";
+    let uninterrupted = finish(build_machine(&cfg, spec));
+    let bytes = snapshot_at(&cfg, spec, 4000);
+    let mut resumed = restore(&bytes);
+    assert_eq!(machine_to_bytes(spec, &mut resumed), bytes);
+    let resumed = finish(resumed);
+    assert!(resumed.shootdowns > 0, "the cell evicts pages");
+    assert_eq!(resumed, uninterrupted);
+}
+
 /// FNV-1a 64 digests of mid-run checkpoints (800 events). The
 /// retired page tracer's TRACER section, each processor's retired
 /// write-buffer slot and the ring's retired transmitter slots stay in
@@ -355,6 +373,102 @@ fn a_page_size_other_than_4096_is_refused_on_restore() {
         assert_eq!(err.exit_code(), nwcache::ExitCode::CorruptCheckpoint, "{err}");
         assert!(err.to_string().contains(&format!("page size {size}")), "{err}");
     }
+}
+
+/// The PROCS fields the refusal rows below edit, per processor: the
+/// offset of its pending action's tag byte, and the ranges of its TLB
+/// entries' VPNs and of its L1 ways' lines.
+struct ProcFields {
+    pending_tag: Option<usize>,
+    tlb_vpns: Vec<std::ops::Range<usize>>,
+    l1_lines: Vec<std::ops::Range<usize>>,
+}
+
+fn proc_fields(p: &[u8]) -> Vec<ProcFields> {
+    let mut f = Fields { p, pos: 0 };
+    let procs = f.next();
+    (0..procs)
+        .map(|_| {
+            f.skip(1); // consumed
+            let pending_tag = (f.next() == 1).then(|| {
+                let at = f.pos;
+                f.skip(2); // tag byte, operand
+                at
+            });
+            let entries = f.next();
+            let tlb_vpns = (0..entries).map(|_| (f.take(1), f.skip(1)).0).collect();
+            f.skip(4);
+            let ways = f.next();
+            let l1_lines = (0..ways).map(|_| (f.skip(1), f.take(1), f.skip(2)).1).collect();
+            f.skip(4);
+            let ways = f.next();
+            f.skip(4 * ways + 4); // L2
+            let lines = f.next();
+            f.skip(lines + 3); // write-buffer slot
+            f.skip(7); // local time, breakdown, pending interrupt
+            if f.next() == 1 {
+                f.skip(2); // blocked
+            }
+            f.skip(1); // done
+            ProcFields { pending_tag, tlb_vpns, l1_lines }
+        })
+        .collect()
+}
+
+/// The message of the `CorruptCheckpoint` error restoring `bytes` fails
+/// with.
+fn corrupt_detail(bytes: &[u8]) -> String {
+    let err = match machine_from_bytes(bytes) {
+        Ok(_) => panic!("restore accepted the edited checkpoint"),
+        Err(e) => e,
+    };
+    assert_eq!(err.exit_code(), nwcache::ExitCode::CorruptCheckpoint, "{err}");
+    err.to_string()
+}
+
+#[test]
+fn a_long_varint_pending_action_tag_is_refused_on_restore() {
+    // An action's tag is one raw byte, as in a binary trace record:
+    // `0x80 0x00` spells the varint 0 (compute), but it is not a tag.
+    // Early in the run, processors wait on page faults.
+    let bytes = snapshot_at(&clean_cfg(1), "sor", 100);
+    let bad = with_section(&bytes, sections::PROCS, |p| {
+        let pending = proc_fields(p).iter().find_map(|f| f.pending_tag);
+        let at = pending.expect("a processor has a pending action");
+        assert!(p[at] < 4, "tag byte {}", p[at]);
+        p.splice(at..at + 1, [0x80, 0x00]);
+    });
+    let detail = corrupt_detail(&bad);
+    assert!(detail.contains("unknown action tag byte 128"), "{detail}");
+}
+
+#[test]
+fn a_cache_line_past_2_62_is_refused_on_restore() {
+    // A way packs its valid and dirty bits above a 62-bit line.
+    let bytes = snapshot_at(&clean_cfg(1), "sor", 800);
+    let with_line = |line: u64| {
+        with_section(&bytes, sections::PROCS, |p| {
+            let way = proc_fields(p)[0].l1_lines[0].clone();
+            p.splice(way, varint(line));
+        })
+    };
+    let detail = corrupt_detail(&with_line(1 << 62));
+    assert!(detail.contains("line 4611686018427387904, past 2^62"), "{detail}");
+    assert!(machine_from_bytes(&with_line((1 << 62) - 1)).is_ok());
+}
+
+#[test]
+fn a_tlb_entry_past_the_footprint_is_refused_on_restore() {
+    let bytes = snapshot_at(&clean_cfg(1), "sor", 800);
+    let npages = restore(&bytes).npages();
+    let bad = with_section(&bytes, sections::PROCS, |p| {
+        let fields = proc_fields(p);
+        let f = fields.iter().find(|f| !f.tlb_vpns.is_empty()).expect("a TLB holds a page");
+        p.splice(f.tlb_vpns[0].clone(), varint(npages));
+    });
+    let detail = corrupt_detail(&bad);
+    let want = format!("TLB caches page {npages}, past the {npages}-page footprint");
+    assert!(detail.contains(&want), "{detail}");
 }
 
 #[test]
