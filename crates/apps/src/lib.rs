@@ -14,8 +14,10 @@
 //! lines), and the stream calls it only when its block runs dry, so
 //! taking the next action is one index and one bounds check. Building
 //! an application allocates no block; the first refill does, and a
-//! block holds a few hundred to a few thousand actions. A replayed
-//! trace is a single pre-filled block, moved in without a copy.
+//! block holds a few hundred to a few thousand actions. Generated
+//! scenarios and replayed traces (`nw-workload`) stream through the
+//! same generator interface; [`AppBuild::from_actions`] moves each
+//! vector in as one pre-filled block, without a copy.
 //! Streams are pure functions of `(app, nprocs, scale, seed)`, so a
 //! checkpoint records only how many actions each processor consumed.
 //!
@@ -123,7 +125,7 @@ type Units = Box<dyn FnMut(&mut Vec<Action>) -> bool + Send>;
 /// least this many actions, so the boxed call is amortized over a
 /// few hundred references while a block stays small (this plus one
 /// unit, at most a few thousand actions at full scale).
-const BLOCK_FILL: usize = 256;
+pub const BLOCK_FILL: usize = 256;
 
 /// A per-processor action stream, generated a block at a time.
 /// Exhaustion means the processor is done.

@@ -175,29 +175,6 @@ impl Machine {
     /// Dispatch one event. Errors surface protocol inconsistencies and
     /// exhausted fault-recovery retries; a clean run never produces one.
     pub(crate) fn dispatch(&mut self, ev: Event) -> Result<(), SimError> {
-        #[cfg(debug_assertions)]
-        if let Ok(v) = std::env::var("NWC_TRACE_VPN") {
-            let target: Vpn = v.parse().unwrap_or(u64::MAX);
-            let hit = match &ev {
-                Event::DiskRequest { vpn, .. }
-                | Event::DiskReadReady { vpn, .. }
-                | Event::PageArrive { vpn }
-                | Event::SwapWriteArrive { vpn, .. }
-                | Event::SwapAck { vpn, .. }
-                | Event::SwapOk { vpn, .. }
-                | Event::RingInsertDone { vpn, .. }
-                | Event::IfaceEnqueue { vpn, .. }
-                | Event::DrainCopied { vpn, .. }
-                | Event::RingAck { vpn, .. }
-                | Event::CancelMsg { vpn, .. }
-                | Event::SwapTimeout { vpn, .. }
-                | Event::SpecHint { vpn, .. } => *vpn == target,
-                _ => false,
-            };
-            if hit {
-                eprintln!("[{}] {:?} state={:?}", self.queue.now(), ev, self.pt[target as usize].state);
-            }
-        }
         match ev {
             Event::Resume(p) => {
                 self.step_proc(p);

@@ -93,29 +93,51 @@ impl Machine {
     /// scheduled event is a check of the same disk at the same time,
     /// the check joins that entry's run instead of taking a new one.
     pub(crate) fn schedule_flush_check(&mut self, at: Time, disk: u32) {
-        let next = self.queue.next_seq();
-        let runs = &mut self.flush_runs;
-        if let Some(t) = runs.tail {
-            if t.seq + 1 == next
-                && t.at == at
-                && t.disk == disk
-                && runs.counts[t.run as usize] < MAX_FLUSH_RUN
-            {
-                runs.counts[t.run as usize] += 1;
-                return;
-            }
-        }
-        let run = runs.open(1);
-        runs.set_tail(next, at, disk, run);
-        self.queue
-            .schedule_at(at, super::Event::FlushCheck { disk, run });
+        self.schedule_flush_checks(at, disk, 1);
     }
 
-    /// Deliver flush-check run `run`: the check, once per check the
-    /// run stands for.
+    /// Schedule `k` flush checks of `disk` at `at` back to back, in one
+    /// step: exactly the entries and multiplicities `k` calls of
+    /// [`Machine::schedule_flush_check`] leave, a run splitting at
+    /// [`MAX_FLUSH_RUN`].
+    pub(crate) fn schedule_flush_checks(&mut self, at: Time, disk: u32, mut k: u32) {
+        while k > 0 {
+            let next = self.queue.next_seq();
+            let runs = &mut self.flush_runs;
+            if let Some(t) = runs.tail {
+                let count = &mut runs.counts[t.run as usize];
+                if t.seq + 1 == next && t.at == at && t.disk == disk && *count < MAX_FLUSH_RUN {
+                    let add = k.min(MAX_FLUSH_RUN - *count);
+                    *count += add;
+                    k -= add;
+                    continue;
+                }
+            }
+            let run = runs.open(1);
+            runs.set_tail(next, at, disk, run);
+            self.queue
+                .schedule_at(at, super::Event::FlushCheck { disk, run });
+            k -= 1;
+        }
+    }
+
+    /// Deliver flush-check run `run`: give the controller a chance to
+    /// flush dirty pages to disk, once per check the run stands for.
+    /// Reads have priority: a check that finds the arm busy is
+    /// re-polled when it frees up, or dropped when nothing is dirty.
+    /// Such a check changes nothing, so every check after it reads the
+    /// same state: they join its re-poll (or drop with it) in one step.
     pub(crate) fn on_flush_run(&mut self, disk: u32, run: u32) {
-        for _ in 0..self.flush_runs.take(run) {
-            self.on_flush_check(disk);
+        let t = self.queue.now();
+        for left in (1..=self.flush_runs.take(run)).rev() {
+            let free_at = self.disks[disk as usize].arm_free_at(t);
+            if free_at > t {
+                if self.disks[disk as usize].has_pending_dirty() {
+                    self.schedule_flush_checks(free_at, disk, left);
+                }
+                return;
+            }
+            self.start_flush(disk);
         }
     }
 
@@ -348,19 +370,11 @@ impl Machine {
         Ok(())
     }
 
-    /// Give the controller a chance to flush dirty pages to disk.
-    /// Reads have priority: if the arm is busy the check is re-polled
-    /// when it frees up.
-    pub(crate) fn on_flush_check(&mut self, disk: u32) {
+    /// A flush check that found disk `disk`'s arm free: flush a run of
+    /// dirty pages, if the controller has one.
+    fn start_flush(&mut self, disk: u32) {
         let t = self.queue.now();
         let io = self.disk_homes[disk as usize];
-        let free_at = self.disks[disk as usize].arm_free_at(t);
-        if free_at > t {
-            if self.disks[disk as usize].has_pending_dirty() {
-                self.schedule_flush_check(free_at, disk);
-            }
-            return;
-        }
         if let Some(res) = self.disks[disk as usize].try_flush(t) {
             self.obs_span(
                 res.start,

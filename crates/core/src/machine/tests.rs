@@ -250,6 +250,53 @@ fn flush_checks_merge_only_when_scheduled_back_to_back() {
     assert_eq!(pending(&m), vec![(50, 2, 1)]);
 }
 
+#[test]
+fn a_run_against_a_busy_arm_repolls_as_one_entry() {
+    use super::io::MAX_FLUSH_RUN;
+    let cfg = MachineConfig::scaled_paper(MachineKind::Standard, PrefetchMode::Naive, SCALE);
+    // Disk 0's arm busy with a read, and a dirty page to flush: a
+    // check at t=10 re-polls at `free_at`. With `tail` checks already
+    // pending there, the run's `k` checks join them up to the cap.
+    let deliver = |k: u32, tail: u32, dirty: bool| {
+        let mut m = Machine::new(cfg.clone(), AppId::Sor);
+        m.disks[0].read_page(0, 0, 0);
+        if dirty {
+            m.disks[0].write_page(0, 1, 1, 0);
+        }
+        let free_at = m.disks[0].arm_free_at(10);
+        assert!(free_at > 10);
+        m.schedule_flush_checks(10, 0, k);
+        m.schedule_flush_checks(free_at, 0, tail);
+        let Some((10, Event::FlushCheck { disk: 0, run })) = m.queue.pop() else {
+            panic!("expected the run at t=10");
+        };
+        m.on_flush_run(0, run);
+        (free_at, pending(&m))
+    };
+    for k in [1, 2, 7, MAX_FLUSH_RUN] {
+        let (free_at, left) = deliver(k, 0, true);
+        assert_eq!(left, vec![(free_at, 0, k)], "{k} checks");
+        // Nothing dirty: every check drops.
+        assert_eq!(deliver(k, 0, false).1, vec![], "{k} checks");
+    }
+    let (free_at, left) = deliver(MAX_FLUSH_RUN, 5, true);
+    assert_eq!(left, vec![(free_at, 0, MAX_FLUSH_RUN), (free_at, 0, 5)]);
+    let (free_at, left) = deliver(3, MAX_FLUSH_RUN - 1, true);
+    assert_eq!(left, vec![(free_at, 0, MAX_FLUSH_RUN), (free_at, 0, 2)]);
+
+    // Scheduling `k` checks in one step leaves what `k` single calls do.
+    for (tail, k) in [(0, 3), (1, MAX_FLUSH_RUN), (MAX_FLUSH_RUN - 2, 5), (MAX_FLUSH_RUN, 1)] {
+        let mut one = Machine::new(cfg.clone(), AppId::Sor);
+        let mut many = Machine::new(cfg.clone(), AppId::Sor);
+        for m in [&mut one, &mut many] {
+            m.schedule_flush_checks(40, 1, tail);
+        }
+        (0..k).for_each(|_| one.schedule_flush_check(40, 1));
+        many.schedule_flush_checks(40, 1, k);
+        assert_eq!(pending(&one), pending(&many), "{tail} then {k}");
+    }
+}
+
 /// The flush-check storm cell: radix on the standard machine with
 /// windowed prefetching, where swap-outs crowd the 4-slot controller
 /// cache and every admitted write polls the busy disk arm.

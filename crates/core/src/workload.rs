@@ -107,7 +107,7 @@ impl AppSel {
                 sc.validate_for(cfg.nodes as usize).map_err(SimError::BadConfig)?;
                 Ok(sc.build(cfg.nodes as usize, cfg.seed))
             }
-            AppSel::Replay(tr) => Ok(Arc::as_ref(tr).clone().into_build()),
+            AppSel::Replay(tr) => Ok(tr.replay()),
         }
     }
 }

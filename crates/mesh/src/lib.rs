@@ -107,6 +107,8 @@ pub struct Delivery {
 #[derive(Debug)]
 pub struct Mesh {
     cfg: MeshConfig,
+    /// Each node's coordinates, so routing divides nothing.
+    coords: Vec<Coord>,
     links: Vec<Resource>,
     messages: u64,
     bytes: u64,
@@ -120,6 +122,7 @@ impl Mesh {
         let n = cfg.nodes() as usize;
         Mesh {
             cfg,
+            coords: (0..cfg.nodes()).map(|id| Coord::of(cfg.width, id)).collect(),
             links: (0..n * 4).map(|_| Resource::new()).collect(),
             messages: 0,
             bytes: 0,
@@ -145,7 +148,7 @@ impl Mesh {
         let w = self.cfg.width;
         assert!(src < self.cfg.nodes(), "src {src} out of range");
         assert!(dst < self.cfg.nodes(), "dst {dst} out of range");
-        let (a, b) = (Coord::of(w, src), Coord::of(w, dst));
+        let (a, b) = (self.coords[src as usize], self.coords[dst as usize]);
         let corner = Coord { x: b.x, y: a.y }.id(w) as usize;
         let (xdir, xstep) = if b.x > a.x { (Dir::East, 4) } else { (Dir::West, -4) };
         let row = 4 * w as isize;

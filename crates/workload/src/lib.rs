@@ -20,13 +20,15 @@
 //!   encodings implemented in-tree (no external deps). A recorder
 //!   captures any existing app through the [`nw_apps::AppBuild`] /
 //!   [`nw_apps::Action`] layer.
-//! * **replay** — [`Trace::into_build`] presents a recorded or
-//!   generated trace as a normal app to the simulator, so traces flow
-//!   through sweeps, fault plans, observability tracing, and the
-//!   `reproduce` harness unchanged.
+//! * **replay** — [`Trace::replay`] presents a recorded or generated
+//!   trace as a normal app to the simulator, streaming it a block at a
+//!   time from a shared [`std::sync::Arc`], so traces flow through
+//!   sweeps, fault plans, observability tracing, and the `reproduce`
+//!   harness unchanged.
 //!
 //! ```
 //! use nw_workload::{Scenario, Trace};
+//! use std::sync::Arc;
 //!
 //! // Parse a two-phase scenario: a zipf-skewed read-mostly phase,
 //! // then a sequential write-heavy flush phase.
@@ -40,7 +42,7 @@
 //! let bin = trace.encode_binary();
 //! assert_eq!(Trace::decode(text.as_bytes()).unwrap(), trace);
 //! assert_eq!(Trace::decode(&bin).unwrap(), trace);
-//! let app = trace.into_build();
+//! let app = Arc::new(trace).replay();
 //! assert_eq!(app.streams.len(), 4);
 //! ```
 

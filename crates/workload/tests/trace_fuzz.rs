@@ -2,11 +2,12 @@
 //! mutates a valid encoding (truncation, bit flips, a random span, or
 //! a spliced-in huge number) and decodes it: the decoder must return
 //! `Ok` or `Err`, never panic, and any `Ok` trace that validates must
-//! replay through `into_build` to exactly its decoded actions.
+//! replay through `Trace::replay` to exactly its decoded actions.
 
 use nw_apps::{build, AppId};
 use nw_sim::Pcg32;
 use nw_workload::{Scenario, Trace};
+use std::sync::Arc;
 
 /// Mutated inputs per encoding and seed trace.
 const CASES: u64 = 4000;
@@ -78,7 +79,7 @@ fn fuzz(binary: bool) {
             if decoded.validate().is_err() {
                 continue;
             }
-            let (_, data_bytes, actions) = decoded.clone().into_build().into_actions();
+            let (_, data_bytes, actions) = Arc::new(decoded.clone()).replay().into_actions();
             assert_eq!(data_bytes, decoded.data_bytes, "case {case}");
             assert_eq!(actions, decoded.procs, "case {case}");
             replayed += 1;

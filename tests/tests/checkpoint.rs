@@ -190,25 +190,40 @@ fn with_legacy_tracer(bytes: &[u8]) -> Vec<u8> {
     with_section(bytes, sections::TRACER, |p| *p = LEGACY_TRACER.to_vec())
 }
 
+/// Stop `spec` on `cfg` half-way, where restore's fast-forward of
+/// processor 0 must end inside a generated block, not on a block
+/// boundary, and check the resumed run finishes like the
+/// uninterrupted one.
+fn round_trips_from_a_mid_block_stop(cfg: &MachineConfig, spec: &str) {
+    let mut m = build_machine(cfg, spec);
+    let uninterrupted = finish_in_place(&mut m);
+    let bytes = snapshot_at(cfg, spec, m.events_dispatched() / 2);
+    let consumed = proc0_consumed(&bytes);
+    let sel = AppSel::parse(spec).expect("spec parses");
+    let mut s = sel.build(cfg).expect("workload builds").streams.remove(0);
+    assert_eq!(s.advance(consumed), consumed, "{spec}");
+    assert!(s.buffered() > 0, "{spec}: proc 0 stopped on a block boundary");
+    let resumed = finish(restore(&bytes));
+    assert_eq!(uninterrupted, resumed, "{spec}: resumed run diverged");
+}
+
 #[test]
 fn every_app_round_trips_from_a_mid_block_stop() {
     let cfg = clean_cfg(5);
     for app in AppId::ALL {
-        let spec = app.name();
-        let mut m = build_machine(&cfg, spec);
-        let uninterrupted = finish_in_place(&mut m);
-        // Stop half-way, where restore's fast-forward of processor 0
-        // must end inside a generated block, not on a block boundary.
-        let bytes = snapshot_at(&cfg, spec, m.events_dispatched() / 2);
-        let consumed = proc0_consumed(&bytes);
-        let mut s = nw_apps::build(app, cfg.nodes as usize, cfg.app_scale, cfg.seed)
-            .streams
-            .remove(0);
-        assert_eq!(s.advance(consumed), consumed, "{spec}");
-        assert!(s.buffered() > 0, "{spec}: proc 0 stopped on a block boundary");
-        let resumed = finish(restore(&bytes));
-        assert_eq!(uninterrupted, resumed, "{spec}: resumed run diverged");
+        round_trips_from_a_mid_block_stop(&cfg, app.name());
     }
+    // A generated scenario on 64 nodes.
+    let wide = nwcache::topo::TopoSpec::parse("mesh=8x8,rings=2,dirshards=2")
+        .expect("topology parses")
+        .to_config(MachineKind::NwCache, PrefetchMode::Naive, SCALE);
+    round_trips_from_a_mid_block_stop(&wide, "workload:gen:zipf:0.9,ws=6144,acc=200,wf=0.5");
+    // A replayed trace, which restore reads from its file again.
+    let trace = nwcache::workload::record(&cfg, &AppSel::parse("sor").unwrap()).unwrap();
+    let path = std::env::temp_dir().join(format!("nwckpt-replay-{}.nwtrace", std::process::id()));
+    std::fs::write(&path, trace.encode_binary()).unwrap();
+    round_trips_from_a_mid_block_stop(&cfg, &format!("workload:{}", path.display()));
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -376,12 +391,20 @@ fn a_page_size_other_than_4096_is_refused_on_restore() {
 }
 
 /// The PROCS fields the refusal rows below edit, per processor: the
-/// offset of its pending action's tag byte, and the ranges of its TLB
-/// entries' VPNs and of its L1 ways' lines.
+/// offset of its pending action's tag byte, the ranges of its TLB
+/// entries' VPNs, and its L1 and L2 ways.
 struct ProcFields {
     pending_tag: Option<usize>,
     tlb_vpns: Vec<std::ops::Range<usize>>,
-    l1_lines: Vec<std::ops::Range<usize>>,
+    l1_ways: Vec<WayFields>,
+    l2_ways: Vec<WayFields>,
+}
+
+/// A cache way in a PROCS payload: its valid flag and the range of its
+/// line field.
+struct WayFields {
+    valid: bool,
+    line: std::ops::Range<usize>,
 }
 
 fn proc_fields(p: &[u8]) -> Vec<ProcFields> {
@@ -398,11 +421,21 @@ fn proc_fields(p: &[u8]) -> Vec<ProcFields> {
             let entries = f.next();
             let tlb_vpns = (0..entries).map(|_| (f.take(1), f.skip(1)).0).collect();
             f.skip(4);
-            let ways = f.next();
-            let l1_lines = (0..ways).map(|_| (f.skip(1), f.take(1), f.skip(2)).1).collect();
-            f.skip(4);
-            let ways = f.next();
-            f.skip(4 * ways + 4); // L2
+            let cache = |f: &mut Fields| {
+                let ways = f.next();
+                let ways = (0..ways)
+                    .map(|_| {
+                        let valid = f.next() == 1;
+                        let line = f.take(1);
+                        f.skip(2); // dirty, last use
+                        WayFields { valid, line }
+                    })
+                    .collect();
+                f.skip(4); // clock and statistics
+                ways
+            };
+            let l1_ways = cache(&mut f);
+            let l2_ways = cache(&mut f);
             let lines = f.next();
             f.skip(lines + 3); // write-buffer slot
             f.skip(7); // local time, breakdown, pending interrupt
@@ -410,7 +443,7 @@ fn proc_fields(p: &[u8]) -> Vec<ProcFields> {
                 f.skip(2); // blocked
             }
             f.skip(1); // done
-            ProcFields { pending_tag, tlb_vpns, l1_lines }
+            ProcFields { pending_tag, tlb_vpns, l1_ways, l2_ways }
         })
         .collect()
 }
@@ -442,19 +475,61 @@ fn a_long_varint_pending_action_tag_is_refused_on_restore() {
     assert!(detail.contains("unknown action tag byte 128"), "{detail}");
 }
 
+/// Sets of the L1, a 16 KB direct-mapped cache of 64-byte lines.
+const L1_SETS: u64 = 256;
+
 #[test]
 fn a_cache_line_past_2_62_is_refused_on_restore() {
     // A way packs its valid and dirty bits above a 62-bit line.
     let bytes = snapshot_at(&clean_cfg(1), "sor", 800);
     let with_line = |line: u64| {
         with_section(&bytes, sections::PROCS, |p| {
-            let way = proc_fields(p)[0].l1_lines[0].clone();
+            let way = proc_fields(p)[0].l1_ways[0].line.clone();
             p.splice(way, varint(line));
         })
     };
     let detail = corrupt_detail(&with_line(1 << 62));
     assert!(detail.contains("line 4611686018427387904, past 2^62"), "{detail}");
-    assert!(machine_from_bytes(&with_line((1 << 62) - 1)).is_ok());
+    // The largest line set 0 can hold.
+    assert!(machine_from_bytes(&with_line((1 << 62) - L1_SETS)).is_ok());
+}
+
+#[test]
+fn a_cache_line_in_another_set_is_refused_on_restore() {
+    // No probe would find the line, and no page purge would drop it.
+    let bytes = snapshot_at(&clean_cfg(1), "sor", 800);
+    let mut want = String::new();
+    let bad = with_section(&bytes, sections::PROCS, |p| {
+        let ways = &proc_fields(p)[0].l1_ways;
+        let set = ways.iter().position(|w| w.valid).expect("a valid L1 way");
+        let field = ways[set].line.clone();
+        let line = read_varint(p, &mut field.start.clone()).unwrap() + 1;
+        want = format!("set {set} holds line {line} of another set");
+        p.splice(field, varint(line));
+    });
+    let detail = corrupt_detail(&bad);
+    assert!(detail.contains(&want), "{detail}");
+}
+
+#[test]
+fn a_cache_line_in_two_ways_of_one_set_is_refused_on_restore() {
+    // A purge would invalidate one copy and leave the other.
+    let bytes = snapshot_at(&clean_cfg(1), "sor", 800);
+    let mut want = String::new();
+    let bad = with_section(&bytes, sections::PROCS, |p| {
+        let ways = &proc_fields(p)[0].l2_ways;
+        // The L2 is 4-way: find a set with two valid ways.
+        let set = (0..ways.len() / 4)
+            .find(|s| ways[4 * s..4 * s + 4].iter().filter(|w| w.valid).count() >= 2)
+            .expect("an L2 set with two valid ways");
+        let mut valid = ways[4 * set..4 * set + 4].iter().filter(|w| w.valid);
+        let (first, second) = (valid.next().unwrap(), valid.next().unwrap());
+        let line = read_varint(p, &mut first.line.start.clone()).unwrap();
+        want = format!("set {set} holds line {line} in two ways");
+        p.splice(second.line.clone(), varint(line));
+    });
+    let detail = corrupt_detail(&bad);
+    assert!(detail.contains(&want), "{detail}");
 }
 
 #[test]
