@@ -266,7 +266,7 @@ pub fn machine_to_bytes(spec: &str, m: &mut Machine) -> Vec<u8> {
     let mut head = CkptMeta {
         spec: spec.to_string(),
         app: m.app_name.to_string(),
-        events: m.events_dispatched,
+        events: m.events_dispatched(),
         now: m.queue.now(),
     };
     meta(c, &mut head)
@@ -294,12 +294,13 @@ fn decode(bytes: &[u8], origin: &str) -> Result<(CkptMeta, Machine), SimError> {
     let mut m = Machine::try_from_build(cfg, build)?;
     m.ckpt(&mut Ckpt::Load(&mut r)).map_err(corrupt)?;
     r.finish().map_err(corrupt)?;
-    if m.events_dispatched != head.events {
+    if m.events_dispatched() != head.events {
         return Err(SimError::CheckpointCorrupt {
             path: origin.to_string(),
             detail: format!(
                 "META says {} events dispatched, ENGINE restored {}",
-                head.events, m.events_dispatched
+                head.events,
+                m.events_dispatched()
             ),
         });
     }

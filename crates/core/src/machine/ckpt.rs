@@ -216,7 +216,9 @@ impl Machine {
                 }
             }
             c.bool(&mut self.started)?;
-            c.u64(&mut self.events_dispatched)?;
+            // The retired dispatched-event slot: the queue's delivered
+            // count, written again and discarded on restore.
+            c.u64(&mut self.events_dispatched())?;
             c.u64(&mut self.last_time)?;
             c.u64(&mut self.same_time_events)
         })?;

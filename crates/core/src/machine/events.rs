@@ -162,10 +162,11 @@ pub enum Event {
     },
 }
 
-// Calendar-wheel buckets store events inline, so `Event`'s size sets
-// the queue's memory traffic. Box (or split) any future variant that
-// would inflate it past 32 bytes — today the widest (`DrainCopied`,
-// `SwapTimeout`) pack three words of payload plus the discriminant.
+// Heap entries store events inline and move on every sift, so
+// `Event`'s size sets the queue's memory traffic. Box (or split) any
+// future variant that would inflate it past 32 bytes — today the widest
+// (`DrainCopied`, `SwapTimeout`) pack three words of payload plus the
+// discriminant.
 const _: () = assert!(
     std::mem::size_of::<Event>() <= 32,
     "Event grew past 32 bytes; box the offending variant's payload"

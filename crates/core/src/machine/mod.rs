@@ -165,8 +165,6 @@ pub struct Machine {
     /// Whether the initial events (per-proc resumes, scheduled ring
     /// failures) have been placed on the queue.
     pub(crate) started: bool,
-    /// Events dispatched so far.
-    pub(crate) events_dispatched: u64,
     /// Timestamp of the last dispatched event (stall watchdog).
     pub(crate) last_time: Time,
     /// Consecutive events at `last_time` (stall watchdog).
@@ -341,9 +339,8 @@ impl Machine {
         let tlb_holders = TlbHolders::of(npages, procs.iter().map(|p| &p.tlb));
         let m = Machine {
             cfg,
-            // Pre-size the far tier for the simultaneously outstanding
-            // long-latency events (disk mechanics, watchdogs, staged
-            // faults): a handful per node covers steady state.
+            // Pre-size the heap for the simultaneously outstanding
+            // events: a handful per node covers steady state.
             queue: EventQueue::with_capacity(16 * n),
             mesh: Mesh::new(mesh_cfg),
             procs,
@@ -376,7 +373,6 @@ impl Machine {
             npages,
             finished: 0,
             started: false,
-            events_dispatched: 0,
             last_time: 0,
             same_time_events: 0,
             flush_runs: io::FlushRuns::default(),
@@ -580,7 +576,7 @@ impl Machine {
 
     /// Events dispatched so far (across every `try_run_events` call).
     pub fn events_dispatched(&self) -> u64 {
-        self.events_dispatched
+        self.queue.total_delivered()
     }
 
     /// Dispatch at most `budget` further events. Returns
@@ -604,7 +600,6 @@ impl Machine {
         while self.finished != self.procs.len() && remaining > 0 {
             let Some((t, ev)) = self.queue.pop() else { break };
             remaining -= 1;
-            self.events_dispatched += 1;
             // Opportunistic sampling: piggyback on the event being
             // popped instead of scheduling sampler events, so the
             // event order (and therefore the simulation) is identical
@@ -617,7 +612,7 @@ impl Machine {
                 if self.same_time_events > STALL_EVENT_LIMIT {
                     return Err(SimError::Stalled {
                         at: t,
-                        events: self.events_dispatched,
+                        events: self.events_dispatched(),
                     });
                 }
             } else {
@@ -628,8 +623,7 @@ impl Machine {
             if let Some(e) = self.fatal.take() {
                 return Err(e);
             }
-            if faults_active && self.events_dispatched.is_multiple_of(CONSERVATION_CHECK_PERIOD)
-            {
+            if faults_active && self.events_dispatched().is_multiple_of(CONSERVATION_CHECK_PERIOD) {
                 self.check_page_conservation()?;
             }
         }
@@ -717,7 +711,7 @@ impl Machine {
     }
 
     fn collect_metrics(&self) -> RunMetrics {
-        crate::observe::record_completed_run(self.events_dispatched, self.exec_time());
+        crate::observe::record_completed_run(self.events_dispatched(), self.exec_time());
         let exec = self.exec_time();
         let mut combining = Tally::new();
         for d in &self.disks {

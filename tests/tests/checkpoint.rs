@@ -707,6 +707,68 @@ fn legacy_write_buffer_and_transmitter_slots_restore_and_finish_identically() {
     assert_eq!(finish(resumed), finish(build_machine(&cfg, spec)));
 }
 
+/// The ENGINE payload ranges of its three retired counter slots: the
+/// event queue's third and fourth fields (the calendar wheel's cursor
+/// and the scheduled-event count) and the machine's dispatched-event
+/// count, the third field from the end. Every scalar is a varint, and
+/// a varint's last byte is the only one with its high bit clear, so
+/// the trailing fields can be found from the end.
+fn retired_engine_slots(p: &[u8]) -> [std::ops::Range<usize>; 3] {
+    let mut f = Fields { p, pos: 0 };
+    f.skip(2); // now, seq
+    let (cursor, scheduled) = (f.take(1), f.take(1));
+    let ends: Vec<usize> = (0..p.len()).filter(|&i| p[i] & 0x80 == 0).map(|i| i + 1).collect();
+    let dispatched = ends[ends.len() - 4]..ends[ends.len() - 3];
+    [cursor, scheduled, dispatched]
+}
+
+/// Rewrite ENGINE retired slot `which` (an index into
+/// `retired_engine_slots`) of a mid-run paper-cell checkpoint with
+/// each of `values(now, seq)`, and check the restored machine saves
+/// the canonical bytes again and finishes like the uninterrupted run.
+fn retired_engine_slot_is_ignored(which: usize, values: impl Fn(u64, u64) -> Vec<u64>) {
+    let cfg = clean_cfg(1);
+    let mut m = build_machine(&cfg, "sor");
+    let uninterrupted = finish_in_place(&mut m);
+    let half = m.events_dispatched() / 2;
+    let bytes = snapshot_at(&cfg, "sor", half);
+    let engine = ckpt_sections(&bytes).into_iter().find(|s| s.0 == sections::ENGINE);
+    let p = engine.expect("checkpoint has an ENGINE section").1;
+    let mut head = Fields { p: &p, pos: 0 };
+    let (now, seq) = (head.next(), head.next());
+    // A save writes the cursor as `now >> 6`, the scheduled count as
+    // the next sequence number, and the dispatched count.
+    let slot = retired_engine_slots(&p)[which].clone();
+    let saved = read_varint(&p, &mut slot.start.clone()).unwrap();
+    assert_eq!(saved, [now >> 6, seq, half][which]);
+    for value in values(now, seq) {
+        assert_ne!(value, saved);
+        let edited = with_section(&bytes, sections::ENGINE, |p| {
+            p.splice(slot.clone(), varint(value));
+        });
+        let mut resumed = restore(&edited);
+        assert_eq!(machine_to_bytes("sor", &mut resumed), bytes, "slot {which} = {value}");
+        assert_eq!(finish(resumed), uninterrupted, "slot {which} = {value}");
+    }
+}
+
+/// A cursor ahead of the clock used to be trusted, and the restored
+/// queue delivered events out of time order.
+#[test]
+fn a_rewritten_engine_cursor_slot_is_ignored_on_restore() {
+    retired_engine_slot_is_ignored(0, |now, _| vec![(now >> 6) + 100, (now >> 6) + 1023, 0]);
+}
+
+#[test]
+fn a_rewritten_engine_scheduled_count_slot_is_ignored_on_restore() {
+    retired_engine_slot_is_ignored(1, |_, seq| vec![0, seq + 5]);
+}
+
+#[test]
+fn a_rewritten_engine_dispatched_count_slot_is_ignored_on_restore() {
+    retired_engine_slot_is_ignored(2, |_, _| vec![0]);
+}
+
 #[test]
 fn chunked_runs_pause_at_exact_budgets_and_match_unbounded() {
     // `--checkpoint-every N` autosaves rely on a bounded run pausing
