@@ -377,7 +377,9 @@ struct ProcGen {
     /// The sequential sweep's offset into its range.
     offset: u64,
     /// The next of phase `k`'s barriers, counted from 1, and the
-    /// access count it falls on (`u64::MAX` once none is left).
+    /// access count it falls on (`u64::MAX` once none is left). With
+    /// more barriers than accesses the first falls on count 0, and is
+    /// emitted after the first access.
     boundary: u64,
     barrier_at: u64,
     /// The id of phase `k`'s first barrier.
@@ -473,7 +475,7 @@ impl ProcGen {
         if ph.burst_len > 0 && ph.idle > 0 && i.is_multiple_of(ph.burst_len as u64) {
             out.push(Action::Compute(ph.idle));
         }
-        while i == self.barrier_at {
+        while self.barrier_at <= i {
             out.push(Action::Barrier(self.next_barrier_id + self.boundary as u32 - 1));
             self.next_boundary();
         }
@@ -581,6 +583,23 @@ mod tests {
         assert_eq!(seqs[0], vec![0, 1, 2, 3, 4]);
         for s in &seqs[1..] {
             assert_eq!(s, &seqs[0]);
+        }
+    }
+
+    #[test]
+    fn more_barriers_than_accesses_emits_every_barrier() {
+        let sc = Scenario::parse("seq,ws=16,acc=3,bar=5;uniform,ws=16,acc=4,bar=2").unwrap();
+        let t = sc.to_trace(8, 1);
+        assert!(t.validate().is_ok());
+        for s in &t.procs {
+            assert_eq!(count_kinds(s).3, vec![0, 1, 2, 3, 4, 5, 6]);
+            // The phase's last barrier closes it: it follows the
+            // phase's third access, and the second phase's first
+            // access follows it.
+            let access = |a: &Action| matches!(a, Action::Read(_) | Action::Write(_));
+            let close = s.iter().position(|a| *a == Action::Barrier(4)).unwrap();
+            assert_eq!(s[..close].iter().filter(|a| access(a)).count(), 3, "{s:?}");
+            assert!(access(&s[close + 1]), "{s:?}");
         }
     }
 
