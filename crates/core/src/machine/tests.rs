@@ -245,6 +245,8 @@ fn flush_checks_merge_only_when_scheduled_back_to_back() {
     let Some((50, Event::FlushCheck { disk: 2, run })) = m.queue.pop() else {
         panic!("expected the run at t=50");
     };
+    // The queue's delivered count is the machine's one event count.
+    assert_eq!(m.events_dispatched(), 1);
     m.on_flush_run(2, run);
     m.schedule_flush_check(50, 2);
     assert_eq!(pending(&m), vec![(50, 2, 1)]);
