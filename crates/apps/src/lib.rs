@@ -68,7 +68,7 @@ pub type Line = u64;
 pub const LINE_BYTES: u64 = 64;
 
 /// One step of a processor's execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Run for this many pcycles without touching shared memory.
     Compute(u32),

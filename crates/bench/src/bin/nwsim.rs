@@ -147,7 +147,7 @@ fn app_of(p: &Parsed) -> Result<AppSel, Usage> {
 
 /// Write `trace` to `--out` in the encoding `--binary` selects, then
 /// report what landed on disk.
-fn write_trace(trace: &Trace, p: &Parsed) {
+fn write_trace(trace: &mut Trace, p: &Parsed) {
     let path = p.get("--out").unwrap_or("workload.nwtrace");
     let binary = p.has("--binary");
     let bytes = if binary {
@@ -202,7 +202,7 @@ fn workload_cmd(p: &Parsed) -> Result<(), Usage> {
             let seed = p.value("--seed")?.unwrap_or_else(|| {
                 MachineConfig::paper_default(MachineKind::NwCache, PrefetchMode::Naive).seed
             });
-            write_trace(&sc.to_trace(procs, seed), p);
+            write_trace(&mut sc.to_trace(procs, seed), p);
         }
         "workload record" => {
             let mut cfg = build_config(p)?;
@@ -211,8 +211,8 @@ fn workload_cmd(p: &Parsed) -> Result<(), Usage> {
                 cfg.io_nodes = (cfg.nodes / 2).max(1);
             }
             let sel = app_of(p)?;
-            let trace = nwcache::workload::record(&cfg, &sel).unwrap_or_else(|e| die_err(&e));
-            write_trace(&trace, p);
+            let mut trace = nwcache::workload::record(&cfg, &sel).unwrap_or_else(|e| die_err(&e));
+            write_trace(&mut trace, p);
         }
         _ => {
             let path = p.require("--trace")?;

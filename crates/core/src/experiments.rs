@@ -17,7 +17,9 @@ use crate::error::SimError;
 use crate::metrics::RunMetrics;
 use crate::workload::AppSel;
 use nw_apps::AppId;
+use nw_workload::Trace;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// The identity of one simulation cell. A run is a pure function of
 /// its config and workload, so two cells with equal keys have equal
@@ -39,8 +41,9 @@ enum Workload {
     /// The scenario's derived `Debug` form, which spells out every
     /// phase dial exactly; its `name` alone is not an identity.
     Gen(String),
-    /// The trace's binary encoding; a digest alone is not an identity.
-    Replay(Vec<u8>),
+    /// The trace, hashed and compared by value; a digest alone is not
+    /// an identity.
+    Replay(Arc<Trace>),
 }
 
 impl Key {
@@ -48,7 +51,7 @@ impl Key {
         let workload = match sel {
             AppSel::Table(app) => Workload::Table(*app),
             AppSel::Gen(sc) => Workload::Gen(format!("{sc:?}")),
-            AppSel::Replay(tr) => Workload::Replay(tr.encode_binary()),
+            AppSel::Replay(tr) => Workload::Replay(Arc::clone(tr)),
         };
         Key {
             config: crate::checkpoint::config_to_bytes(cfg),

@@ -26,7 +26,7 @@
 //!   restore rebuilds them after PROCS, refusing a TLB entry past the
 //!   footprint.
 
-use super::io::{FlushRuns, MAX_FLUSH_RUN};
+use super::io::MAX_FLUSH_RUN;
 use super::{BlockKind, Event, FaultSource, Machine};
 use crate::checkpoint::sections;
 use crate::vm::{PageState, TlbHolders, Vpn};
@@ -46,7 +46,7 @@ impl Default for Event {
 
 /// One queued event: its tag, then the variant's fields. A flush check
 /// standing for a run of `k >= 2` checks carries `k` after the disk.
-fn event(c: &mut Ckpt, ev: &mut Event, runs: &mut FlushRuns) -> Result<(), CkptError> {
+fn event(c: &mut Ckpt, ev: &mut Event) -> Result<(), CkptError> {
     use Event as E;
     let tag = match *ev {
         E::Resume(_) => 0,
@@ -56,7 +56,7 @@ fn event(c: &mut Ckpt, ev: &mut Event, runs: &mut FlushRuns) -> Result<(), CkptE
         E::SwapWriteArrive { .. } => 4,
         E::SwapAck { .. } => 5,
         E::SwapOk { .. } => 6,
-        E::FlushCheck { run, .. } if runs.count(run) == 1 => 7,
+        E::FlushCheck { checks: 1, .. } => 7,
         E::FlushCheck { .. } => TAG_FLUSH_RUN,
         E::NackRecheck { .. } => 8,
         E::RingInsertDone { .. } => 9,
@@ -79,7 +79,7 @@ fn event(c: &mut Ckpt, ev: &mut Event, runs: &mut FlushRuns) -> Result<(), CkptE
             4 => E::SwapWriteArrive { disk: 0, vpn: 0, from: 0 },
             5 => E::SwapAck { node: 0, vpn: 0 },
             6 => E::SwapOk { node: 0, vpn: 0, disk: 0 },
-            7 | TAG_FLUSH_RUN => E::FlushCheck { disk: 0, run: 0 },
+            7 | TAG_FLUSH_RUN => E::FlushCheck { disk: 0, checks: 1 },
             8 => E::NackRecheck { disk: 0 },
             9 => E::RingInsertDone { node: 0, vpn: 0 },
             10 => E::IfaceEnqueue { disk: 0, ch: 0, vpn: 0 },
@@ -116,19 +116,15 @@ fn event(c: &mut Ckpt, ev: &mut Event, runs: &mut FlushRuns) -> Result<(), CkptE
             c.u64(vpn)?;
             c.u32(disk)
         }
-        E::FlushCheck { disk, run } => {
+        E::FlushCheck { disk, checks } => {
             c.u32(disk)?;
-            let mut k = if c.loading() { 1 } else { runs.count(*run) };
             if tag == TAG_FLUSH_RUN {
-                c.u32(&mut k)?;
-                if !(2..=MAX_FLUSH_RUN).contains(&k) {
+                c.u32(checks)?;
+                if !(2..=MAX_FLUSH_RUN).contains(checks) {
                     return Err(c.invalid(format!(
-                        "flush-check run of {k} checks (must be 2..={MAX_FLUSH_RUN})"
+                        "flush-check run of {checks} checks (must be 2..={MAX_FLUSH_RUN})"
                     )));
                 }
-            }
-            if c.loading() {
-                *run = runs.open(k);
             }
             Ok(())
         }
@@ -203,18 +199,7 @@ impl Machine {
     pub(crate) fn ckpt(&mut self, c: &mut Ckpt) -> Result<(), CkptError> {
         // ENGINE: queue counters + pending events + run-loop state.
         c.section(sections::ENGINE, |c| {
-            let runs = &mut self.flush_runs;
-            if c.loading() {
-                runs.clear();
-            }
-            self.queue.ckpt(c, |c, ev| event(c, ev, runs))?;
-            // The run scheduled last can still grow, exactly as it
-            // could in the run that was saved.
-            if c.loading() {
-                if let Some((at, seq, &Event::FlushCheck { disk, run })) = self.queue.last_scheduled() {
-                    self.flush_runs.set_tail(seq, at, disk, run);
-                }
-            }
+            self.queue.ckpt(c, event)?;
             c.bool(&mut self.started)?;
             // The retired dispatched-event slot: the queue's delivered
             // count, written again and discarded on restore.
@@ -426,11 +411,10 @@ mod tests {
     /// number of checks it stands for.
     fn decode(bytes: &[u8]) -> Result<(Event, u32), CkptError> {
         let mut r = CkptReader::new(bytes)?;
-        let mut runs = FlushRuns::default();
         let mut ev = Event::default();
-        Ckpt::Load(&mut r).section(sections::ENGINE, |c| event(c, &mut ev, &mut runs))?;
+        Ckpt::Load(&mut r).section(sections::ENGINE, |c| event(c, &mut ev))?;
         let k = match ev {
-            Event::FlushCheck { run, .. } => runs.count(run),
+            Event::FlushCheck { checks, .. } => checks,
             _ => 1,
         };
         Ok((ev, k))
@@ -447,14 +431,10 @@ mod tests {
     #[test]
     fn flush_runs_round_trip_and_runs_of_one_keep_tag_7() {
         for k in [1, 2, 3, 1000, MAX_FLUSH_RUN] {
-            let mut runs = FlushRuns::default();
-            let mut ev = Event::FlushCheck {
-                disk: 3,
-                run: runs.open(k),
-            };
+            let mut ev = Event::FlushCheck { disk: 3, checks: k };
             let mut w = CkptWriter::new();
             Ckpt::Save(&mut w)
-                .section(sections::ENGINE, |c| event(c, &mut ev, &mut runs))
+                .section(sections::ENGINE, |c| event(c, &mut ev))
                 .expect("saving cannot fail");
             let bytes = w.finish();
             // Payload starts after magic, version, section id, length.

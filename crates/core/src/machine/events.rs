@@ -57,13 +57,13 @@ pub enum Event {
     },
     /// The controller should try to flush dirty pages to the platters.
     /// One entry stands for a run of consecutive checks of the disk at
-    /// the same time, delivered back to back (see `FlushRuns`).
+    /// the same time, delivered back to back (see
+    /// `Machine::schedule_flush_checks`).
     FlushCheck {
         /// The disk.
         disk: u32,
-        /// Run id: how many checks the entry stands for is kept by the
-        /// machine under this id.
-        run: u32,
+        /// How many checks the entry stands for, `1..=MAX_FLUSH_RUN`.
+        checks: u32,
     },
     /// A flush completed: hand freed slots to NACKed requesters that
     /// queued while the flush was in flight.
@@ -190,8 +190,8 @@ impl Machine {
             }
             Event::SwapAck { node, vpn } => self.on_swap_ack(node, vpn),
             Event::SwapOk { node, vpn, disk } => self.on_swap_ok(node, vpn, disk),
-            Event::FlushCheck { disk, run } => {
-                self.on_flush_run(disk, run);
+            Event::FlushCheck { disk, checks } => {
+                self.on_flush_run(disk, checks);
                 Ok(())
             }
             Event::NackRecheck { disk } => {

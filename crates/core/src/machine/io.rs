@@ -17,77 +17,6 @@ use nw_sim::Time;
 /// the multiplicity a checkpoint decoder has to accept.
 pub(crate) const MAX_FLUSH_RUN: u32 = 1 << 16;
 
-/// Flush-check runs: one queue entry standing for `k` consecutive
-/// [`super::Event::FlushCheck`]s of the same disk at the same time.
-///
-/// Sequence numbers are global and strictly increasing, so when a
-/// check is scheduled right after another check of the same disk at
-/// the same time — no event scheduled in between — nothing can ever be
-/// delivered between the two. Running the check `k` times back to
-/// back from one entry is then the same event sequence as `k`
-/// entries. The payload carries a run id; the multiplicity lives here.
-#[derive(Debug, Default)]
-pub(crate) struct FlushRuns {
-    /// Checks each pending run stands for, indexed by run id.
-    counts: Vec<u32>,
-    /// Run ids free for reuse.
-    free: Vec<u32>,
-    /// The most recently scheduled run, while it can still grow.
-    tail: Option<RunTail>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct RunTail {
-    seq: u64,
-    at: Time,
-    disk: u32,
-    run: u32,
-}
-
-impl FlushRuns {
-    /// Allocate a run id standing for `k` checks.
-    pub(crate) fn open(&mut self, k: u32) -> u32 {
-        match self.free.pop() {
-            Some(run) => {
-                self.counts[run as usize] = k;
-                run
-            }
-            None => {
-                self.counts.push(k);
-                (self.counts.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Checks run `run` stands for.
-    pub(crate) fn count(&self, run: u32) -> u32 {
-        self.counts[run as usize]
-    }
-
-    /// Retire a delivered run, returning its multiplicity. A delivered
-    /// run can no longer grow.
-    fn take(&mut self, run: u32) -> u32 {
-        if self.tail.is_some_and(|t| t.run == run) {
-            self.tail = None;
-        }
-        self.free.push(run);
-        self.counts[run as usize]
-    }
-
-    /// Let the pending run scheduled as `(at, seq)` for `disk` grow
-    /// (a restored queue re-derives its tail with this).
-    pub(crate) fn set_tail(&mut self, seq: u64, at: Time, disk: u32, run: u32) {
-        self.tail = Some(RunTail { seq, at, disk, run });
-    }
-
-    /// Forget every run (restore rebuilds them from the queue).
-    pub(crate) fn clear(&mut self) {
-        self.counts.clear();
-        self.free.clear();
-        self.tail = None;
-    }
-}
-
 impl Machine {
     /// Schedule a flush check of `disk` at `at`. When the most recently
     /// scheduled event is a check of the same disk at the same time,
@@ -100,36 +29,39 @@ impl Machine {
     /// step: exactly the entries and multiplicities `k` calls of
     /// [`Machine::schedule_flush_check`] leave, a run splitting at
     /// [`MAX_FLUSH_RUN`].
+    ///
+    /// Sequence numbers are global and strictly increasing, so when a
+    /// check is scheduled right after another check of the same disk
+    /// at the same time — no event scheduled in between, the first not
+    /// yet delivered — nothing can ever be delivered between the two.
+    /// Running the check `k` times back to back from one entry is then
+    /// the same event sequence as `k` entries, so the checks join the
+    /// queue's last entry while it is such a check.
     pub(crate) fn schedule_flush_checks(&mut self, at: Time, disk: u32, mut k: u32) {
-        while k > 0 {
-            let next = self.queue.next_seq();
-            let runs = &mut self.flush_runs;
-            if let Some(t) = runs.tail {
-                let count = &mut runs.counts[t.run as usize];
-                if t.seq + 1 == next && t.at == at && t.disk == disk && *count < MAX_FLUSH_RUN {
-                    let add = k.min(MAX_FLUSH_RUN - *count);
-                    *count += add;
-                    k -= add;
-                    continue;
-                }
+        if let Some((t, super::Event::FlushCheck { disk: d, checks })) = self.queue.last_mut() {
+            if t == at && *d == disk {
+                let add = k.min(MAX_FLUSH_RUN - *checks);
+                *checks += add;
+                k -= add;
             }
-            let run = runs.open(1);
-            runs.set_tail(next, at, disk, run);
+        }
+        while k > 0 {
+            let checks = k.min(MAX_FLUSH_RUN);
             self.queue
-                .schedule_at(at, super::Event::FlushCheck { disk, run });
-            k -= 1;
+                .schedule_at(at, super::Event::FlushCheck { disk, checks });
+            k -= checks;
         }
     }
 
-    /// Deliver flush-check run `run`: give the controller a chance to
-    /// flush dirty pages to disk, once per check the run stands for.
-    /// Reads have priority: a check that finds the arm busy is
+    /// Deliver a flush-check entry standing for `checks` checks: give
+    /// the controller a chance to flush dirty pages to disk, once per
+    /// check. Reads have priority: a check that finds the arm busy is
     /// re-polled when it frees up, or dropped when nothing is dirty.
     /// Such a check changes nothing, so every check after it reads the
     /// same state: they join its re-poll (or drop with it) in one step.
-    pub(crate) fn on_flush_run(&mut self, disk: u32, run: u32) {
+    pub(crate) fn on_flush_run(&mut self, disk: u32, checks: u32) {
         let t = self.queue.now();
-        for left in (1..=self.flush_runs.take(run)).rev() {
+        for left in (1..=checks).rev() {
             let free_at = self.disks[disk as usize].arm_free_at(t);
             if free_at > t {
                 if self.disks[disk as usize].has_pending_dirty() {

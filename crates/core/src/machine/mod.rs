@@ -169,9 +169,6 @@ pub struct Machine {
     pub(crate) last_time: Time,
     /// Consecutive events at `last_time` (stall watchdog).
     pub(crate) same_time_events: u64,
-    /// Multiplicities of pending flush-check runs (see `io::FlushRuns`);
-    /// checkpointed as part of the ENGINE queue entries.
-    pub(crate) flush_runs: io::FlushRuns,
     // fault-injection state (all idle under an inactive FaultPlan)
     /// Per-disk media-error / stuck-request injectors.
     pub(crate) disk_faults: Vec<DiskFaultInjector>,
@@ -375,7 +372,6 @@ impl Machine {
             started: false,
             last_time: 0,
             same_time_events: 0,
-            flush_runs: io::FlushRuns::default(),
             disk_faults,
             mesh_faults,
             pinned: HashSet::new(),

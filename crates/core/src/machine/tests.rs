@@ -209,7 +209,7 @@ fn pending(m: &Machine) -> Vec<(u64, u32, u32)> {
         .pending()
         .into_iter()
         .map(|(at, _, ev)| match *ev {
-            Event::FlushCheck { disk, run } => (at, disk, m.flush_runs.count(run)),
+            Event::FlushCheck { disk, checks } => (at, disk, checks),
             _ => (at, u32::MAX, 1),
         })
         .collect()
@@ -242,12 +242,12 @@ fn flush_checks_merge_only_when_scheduled_back_to_back() {
     let mut m = Machine::new(m.cfg.clone(), AppId::Sor);
     m.schedule_flush_check(50, 2);
     m.schedule_flush_check(50, 2);
-    let Some((50, Event::FlushCheck { disk: 2, run })) = m.queue.pop() else {
+    let Some((50, Event::FlushCheck { disk: 2, checks })) = m.queue.pop() else {
         panic!("expected the run at t=50");
     };
     // The queue's delivered count is the machine's one event count.
     assert_eq!(m.events_dispatched(), 1);
-    m.on_flush_run(2, run);
+    m.on_flush_run(2, checks);
     m.schedule_flush_check(50, 2);
     assert_eq!(pending(&m), vec![(50, 2, 1)]);
 }
@@ -269,10 +269,10 @@ fn a_run_against_a_busy_arm_repolls_as_one_entry() {
         assert!(free_at > 10);
         m.schedule_flush_checks(10, 0, k);
         m.schedule_flush_checks(free_at, 0, tail);
-        let Some((10, Event::FlushCheck { disk: 0, run })) = m.queue.pop() else {
+        let Some((10, Event::FlushCheck { disk: 0, checks })) = m.queue.pop() else {
             panic!("expected the run at t=10");
         };
-        m.on_flush_run(0, run);
+        m.on_flush_run(0, checks);
         (free_at, pending(&m))
     };
     for k in [1, 2, 7, MAX_FLUSH_RUN] {
@@ -324,9 +324,8 @@ fn storm_finish(mut m: Machine) -> String {
 
 /// True when the most recently scheduled pending entry is a run of
 /// more than one check — a run the next flush check could still join.
-fn growable_run_pending(m: &Machine) -> bool {
-    matches!(m.queue.last_scheduled(),
-        Some((_, _, &Event::FlushCheck { run, .. })) if m.flush_runs.count(run) > 1)
+fn growable_run_pending(m: &mut Machine) -> bool {
+    matches!(m.queue.last_mut(), Some((_, &mut Event::FlushCheck { checks, .. })) if checks > 1)
 }
 
 #[test]
@@ -335,8 +334,7 @@ fn storm_cell_merges_checks_into_runs_without_losing_any() {
     let mut checks = 0u64;
     let mut longest = 0;
     loop {
-        if let Some((_, &Event::FlushCheck { run, .. })) = m.queue.peek() {
-            let k = m.flush_runs.count(run);
+        if let Some((_, &Event::FlushCheck { checks: k, .. })) = m.queue.peek() {
             longest = longest.max(k);
             checks += k as u64;
         } else {
@@ -363,7 +361,7 @@ fn storm_cell_checkpoints_restore_and_resave_identically() {
     // it where a run of several checks is pending and can still grow.
     let mut m = storm_machine();
     storm_pause_at(&mut m, STORM_EVENTS / 3);
-    while !growable_run_pending(&m) {
+    while !growable_run_pending(&mut m) {
         let next = m.events_dispatched() + 1;
         storm_pause_at(&mut m, next);
     }

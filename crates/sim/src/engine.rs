@@ -7,9 +7,11 @@
 //! in insertion order.
 //!
 //! The queue is one binary heap keyed by `(time, seq)` packed into one
-//! `u128`. Processors run inline for a quantum, so only the messages,
-//! disk operations and resumes that cross between components pass
-//! through it, and its share of a run is small.
+//! `u128`, plus the entry scheduled last, held outside the heap until
+//! the next schedule so its payload can still be edited
+//! ([`EventQueue::last_mut`]). Processors run inline for a quantum, so
+//! only the messages, disk operations and resumes that cross between
+//! components pass through it, and its share of a run is small.
 
 use crate::ckpt::{Ckpt, CkptError};
 use crate::time::Time;
@@ -63,6 +65,9 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// The entry scheduled last (sequence `seq - 1`) while it is still
+    /// pending; every other pending entry is in `heap`.
+    last: Option<Entry<E>>,
     seq: u64,
     now: Time,
     delivered: u64,
@@ -84,7 +89,13 @@ impl<E> EventQueue<E> {
     /// outstanding events, so a simulation run does not grow the heap
     /// incrementally.
     pub fn with_capacity(pending: usize) -> Self {
-        EventQueue { heap: BinaryHeap::with_capacity(pending), seq: 0, now: 0, delivered: 0 }
+        EventQueue {
+            heap: BinaryHeap::with_capacity(pending),
+            last: None,
+            seq: 0,
+            now: 0,
+            delivered: 0,
+        }
     }
 
     /// Current simulated time: the timestamp of the last popped event.
@@ -102,18 +113,28 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: at={at} now={}",
             self.now
         );
-        self.heap.push(Reverse(Entry::new(at, self.seq, event)));
+        if let Some(prev) = self.last.replace(Entry::new(at, self.seq, event)) {
+            self.heap.push(Reverse(prev));
+        }
         self.seq += 1;
     }
 
-    /// Schedule `event` `delay` pcycles from now.
-    pub fn schedule_in(&mut self, delay: Time, event: E) {
-        self.schedule_at(self.now + delay, event);
+    /// True when the next entry to deliver is `last` rather than the
+    /// heap's top.
+    fn last_is_next(&self) -> bool {
+        match (&self.last, self.heap.peek()) {
+            (Some(l), Some(Reverse(h))) => l.key < h.key,
+            (last, _) => last.is_some(),
+        }
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let Reverse(entry) = self.heap.pop()?;
+        let entry = if self.last_is_next() {
+            self.last.take()?
+        } else {
+            self.heap.pop()?.0
+        };
         let at = entry.at();
         debug_assert!(at >= self.now);
         self.now = at;
@@ -124,24 +145,22 @@ impl<E> EventQueue<E> {
     /// Peek at the next event without popping it: exactly what
     /// [`EventQueue::pop`] would deliver next.
     pub fn peek(&self) -> Option<(Time, &E)> {
-        self.heap.peek().map(|Reverse(e)| (e.at(), &e.event))
+        let entry = if self.last_is_next() {
+            self.last.as_ref()
+        } else {
+            self.heap.peek().map(|Reverse(e)| e)
+        };
+        entry.map(|e| (e.at(), &e.event))
     }
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.last.is_some() as usize
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Sequence number the next scheduled event will get, which is
-    /// also the number of events ever scheduled. The event with
-    /// sequence `next_seq() - 1` is the most recently scheduled.
-    pub fn next_seq(&self) -> u64 {
-        self.seq
+        self.last.is_none() && self.heap.is_empty()
     }
 
     /// Total number of events delivered via [`EventQueue::pop`].
@@ -149,19 +168,17 @@ impl<E> EventQueue<E> {
         self.delivered
     }
 
-    /// The entry scheduled last, as `(at, seq, &event)`, while it is
-    /// still pending.
-    pub fn last_scheduled(&self) -> Option<(Time, u64, &E)> {
-        let seq = self.seq.checked_sub(1)?;
-        self.heap
-            .iter()
-            .find(|Reverse(e)| e.seq() == seq)
-            .map(|Reverse(e)| (e.at(), seq, &e.event))
+    /// The entry scheduled last, as `(at, &mut event)`, while it is
+    /// still pending: nothing scheduled since, and not yet delivered.
+    /// Only the payload is editable; the delivery key stays put.
+    pub fn last_mut(&mut self) -> Option<(Time, &mut E)> {
+        self.last.as_mut().map(|e| (e.at(), &mut e.event))
     }
 
     /// Every pending entry as `(at, seq, &event)`, in delivery order.
     pub fn pending(&self) -> Vec<(Time, u64, &E)> {
-        let mut v: Vec<&Entry<E>> = self.heap.iter().map(|Reverse(e)| e).collect();
+        let heap = self.heap.iter().map(|Reverse(e)| e);
+        let mut v: Vec<&Entry<E>> = heap.chain(&self.last).collect();
         v.sort_unstable_by_key(|e| e.key);
         v.into_iter().map(|e| (e.at(), e.seq(), &e.event)).collect()
     }
@@ -171,7 +188,9 @@ impl<E> EventQueue<E> {
     /// the payload. A restore discards the current contents and
     /// refuses entries out of delivery order, before the clock, or
     /// numbered at or past the next sequence number, so a restored
-    /// queue can never run time backwards.
+    /// queue can never run time backwards. The entry numbered
+    /// `seq - 1`, when pending, is restored as the last entry, so
+    /// [`EventQueue::last_mut`] sees what it saw in the saved run.
     ///
     /// The third and fourth counters are retired: the calendar wheel's
     /// delivery cursor, which always equalled `now >> 6` at a save,
@@ -210,7 +229,15 @@ impl<E> EventQueue<E> {
         })?;
         if c.loading() {
             self.heap.clear();
-            self.heap.extend(entries.into_iter().map(|(at, seq, ev)| Reverse(Entry::new(at, seq, ev))));
+            self.last = None;
+            for (at, seq, ev) in entries {
+                let entry = Entry::new(at, seq, ev);
+                if seq + 1 == next_seq {
+                    self.last = Some(entry);
+                } else {
+                    self.heap.push(Reverse(entry));
+                }
+            }
         }
         Ok(())
     }
@@ -249,15 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_in(10, 1u32);
-        assert_eq!(q.pop(), Some((10, 1)));
-        q.schedule_in(5, 2);
-        assert_eq!(q.pop(), Some((15, 2)));
-    }
-
-    #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn rejects_past_events() {
         let mut q = EventQueue::new();
@@ -269,14 +287,17 @@ mod tests {
     #[test]
     fn counters_track_traffic() {
         let mut q = EventQueue::new();
-        q.schedule_at(1, ());
-        q.schedule_at(2, ());
-        assert_eq!(q.next_seq(), 2);
+        q.schedule_at(1, 0);
+        q.schedule_at(2, 0);
+        save_edited(&mut q, |c, _| assert_eq!(c[1], 2, "sequence numbers issued"));
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
         q.pop();
         assert_eq!(q.total_delivered(), 1);
-        assert_eq!(q.peek(), Some((2, &())));
+        assert_eq!(q.peek(), Some((2, &0)));
+        q.pop();
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -284,7 +305,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(10, "first");
         q.pop();
-        q.schedule_in(0, "second");
+        q.schedule_at(q.now(), "second");
         assert_eq!(q.pop(), Some((10, "second")));
     }
 
@@ -456,8 +477,8 @@ mod tests {
         for _ in 0..50 {
             q.pop();
         }
-        q.schedule_in(5, 2000); // same-time FIFO across the snapshot
-        q.schedule_in(5, 2001);
+        q.schedule_at(q.now() + 5, 2000); // same-time FIFO across the snapshot
+        q.schedule_at(q.now() + 5, 2001);
 
         let mut restored = load(&save(&mut q)).expect("round trip");
         assert_eq!(restored.now(), q.now());
@@ -471,12 +492,13 @@ mod tests {
             }
             // Scheduling after restore stays deterministic too.
             if q.now() % 7 == 0 {
-                q.schedule_in(q.now() % 13 + 1, 9_999);
-                restored.schedule_in(restored.now() % 13 + 1, 9_999);
+                q.schedule_at(q.now() + q.now() % 13 + 1, 9_999);
+                restored.schedule_at(restored.now() + restored.now() % 13 + 1, 9_999);
             }
         }
         assert_eq!(restored.total_delivered(), q.total_delivered());
-        assert_eq!(restored.next_seq(), q.next_seq());
+        // Equal counters and no entries left: the same bytes.
+        assert_eq!(save(&mut restored), save(&mut q));
     }
 
     #[test]
@@ -523,6 +545,41 @@ mod tests {
         // Equal times keep their seq order and load.
         let bytes = save_edited(&mut q, |_, e| e[1][0] = e[0][0]);
         assert_eq!(load(&bytes).expect("tie").pop(), Some((400, 400)));
+    }
+
+    #[test]
+    fn last_mut_edits_only_the_pending_entry_scheduled_last() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.last_mut(), None);
+        q.schedule_at(50, 1u64);
+        q.schedule_at(20, 2);
+        // The entry scheduled last need not be the next to deliver.
+        *q.last_mut().expect("pending").1 += 10;
+        assert_eq!(q.peek(), Some((20, &12)));
+        q.schedule_at(40, 3);
+        assert_eq!(q.last_mut().map(|(at, e)| (at, *e)), Some((40, 3)));
+        assert_eq!(q.pop(), Some((20, 12)));
+        assert_eq!(q.pop(), Some((40, 3)));
+        // Delivered, it cannot be edited, even with nothing scheduled
+        // since.
+        assert_eq!(q.last_mut(), None);
+        assert_eq!(q.pop(), Some((50, 1)));
+    }
+
+    #[test]
+    fn restore_reseats_the_entry_scheduled_last() {
+        let mut q = EventQueue::new();
+        for (at, e) in [(30, 0), (10, 1), (20, 2)] {
+            q.schedule_at(at, e);
+        }
+        let mut r = load(&save(&mut q)).expect("round trip");
+        assert_eq!(r.last_mut().map(|(at, e)| (at, *e)), Some((20, 2)));
+        q.pop();
+        q.pop();
+        let mut r = load(&save(&mut q)).expect("round trip");
+        assert_eq!(r.last_mut(), None);
+        assert_eq!(r.pop(), Some((30, 0)));
+        assert_eq!(r.pop(), None);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! needs no external test dependencies. Each test sweeps a fixed set
 //! of seeded cases; failures therefore reproduce exactly.
 
+use nw_sim::ckpt::{Ckpt, CkptReader, CkptWriter};
 use nw_sim::stats::Tally;
 use nw_sim::{EventQueue, Pcg32, Resource};
 
@@ -51,51 +52,106 @@ fn queue_fifo_on_ties() {
     }
 }
 
+/// `q` saved into one section and restored into a fresh queue.
+fn save_restore(q: &mut EventQueue<u64>) -> EventQueue<u64> {
+    let mut w = CkptWriter::new();
+    w.begin_section(1);
+    q.ckpt(&mut Ckpt::Save(&mut w), |c, e| c.u64(e)).expect("saving cannot fail");
+    w.end_section();
+    let bytes = w.finish();
+    let mut r = CkptReader::new(&bytes).expect("valid container");
+    r.begin_section(1).expect("section 1");
+    let mut restored = EventQueue::new();
+    restored.ckpt(&mut Ckpt::Load(&mut r), |c, e| c.u64(e)).expect("round trip");
+    r.end_section().expect("section consumed");
+    restored
+}
+
 /// The queue agrees pop-for-pop with a plain binary-heap reference
-/// model under random interleavings of schedule and pop, with delays
-/// from a few pcycles to several long delays. Also
-/// checks `now()` stays monotone and every event comes back exactly
-/// once.
+/// model under random interleavings of schedule, pop, an edit of the
+/// last-scheduled entry's payload through `last_mut`, and a save →
+/// restore, with delays from a few pcycles to several long delays.
+/// Also checks `now()` stays monotone, every event comes back exactly
+/// once, and `last_mut` sees the entry scheduled last until it pops,
+/// across a restore too.
 #[test]
 fn queue_matches_heap_reference_model() {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+    let (mut edits, mut restores) = (0, 0);
     for case in 0..CASES {
         let mut rng = Pcg32::new(0x51F4, case);
         let mut q = EventQueue::new();
-        let mut model: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut seq = 0u64;
+        // Pending `(at, seq)` keys; `payload[seq]` is what entry `seq`
+        // carries now, and `last` is the key scheduled last while it is
+        // pending.
+        let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut payload: Vec<u64> = Vec::new();
+        let mut last: Option<(u64, u64)> = None;
         let mut now = 0u64;
-        let mut id = 0usize;
         for _ in 0..rng.gen_range(50, 400) {
-            if model.is_empty() || rng.gen_below(3) != 0 {
-                // Near, around one long delay, or far-future delays.
-                let delay = match rng.gen_below(4) {
-                    0 => rng.gen_range(0, 64),
-                    1 => rng.gen_range(0, LONG),
-                    2 => LONG - 1 + rng.gen_range(0, 3),
-                    _ => rng.gen_range(LONG, 8 * LONG),
-                };
-                let at = now + delay;
-                q.schedule_at(at, id);
-                model.push(Reverse((at, seq, id)));
-                seq += 1;
-                id += 1;
-            } else {
-                let Reverse((at, _, want)) = model.pop().expect("model non-empty");
-                assert_eq!(q.pop(), Some((at, want)), "case {case}: wrong event");
-                assert!(at >= now, "case {case}: time went backwards");
-                now = at;
-                assert_eq!(q.now(), now, "case {case}");
+            match rng.gen_below(12) {
+                step if model.is_empty() || step < 7 => {
+                    // Near, around one long delay, or far-future delays.
+                    let delay = match rng.gen_below(4) {
+                        0 => rng.gen_range(0, 64),
+                        1 => rng.gen_range(0, LONG),
+                        2 => LONG - 1 + rng.gen_range(0, 3),
+                        _ => rng.gen_range(LONG, 8 * LONG),
+                    };
+                    let (at, seq) = (now + delay, payload.len() as u64);
+                    q.schedule_at(at, seq);
+                    model.push(Reverse((at, seq)));
+                    payload.push(seq);
+                    last = Some((at, seq));
+                }
+                7..=9 => {
+                    let Reverse((at, seq)) = model.pop().expect("model non-empty");
+                    let want = payload[seq as usize];
+                    assert_eq!(q.pop(), Some((at, want)), "case {case}: wrong event");
+                    assert!(at >= now, "case {case}: time went backwards");
+                    now = at;
+                    assert_eq!(q.now(), now, "case {case}");
+                    if last.is_some_and(|(_, s)| s == seq) {
+                        last = None;
+                    }
+                }
+                10 => {
+                    let got = q.last_mut().map(|(at, e)| {
+                        *e += 1 << 32;
+                        (at, *e)
+                    });
+                    let want = last.map(|(at, seq)| {
+                        payload[seq as usize] += 1 << 32;
+                        (at, payload[seq as usize])
+                    });
+                    assert_eq!(got, want, "case {case}: wrong last entry");
+                    edits += got.is_some() as u32;
+                }
+                _ => {
+                    let mut restored = save_restore(&mut q);
+                    assert_eq!(restored.now(), q.now(), "case {case}");
+                    assert_eq!(restored.len(), q.len(), "case {case}");
+                    assert_eq!(
+                        restored.last_mut().map(|(at, e)| (at, *e)),
+                        q.last_mut().map(|(at, e)| (at, *e)),
+                        "case {case}: restore moved the last entry"
+                    );
+                    q = restored;
+                    restores += 1;
+                }
             }
         }
         // Drain: every remaining event must come out, in model order.
-        while let Some(Reverse((at, _, want))) = model.pop() {
+        while let Some(Reverse((at, seq))) = model.pop() {
+            let want = payload[seq as usize];
             assert_eq!(q.pop(), Some((at, want)), "case {case}: event lost");
         }
         assert_eq!(q.pop(), None, "case {case}: phantom event");
         assert!(q.is_empty(), "case {case}");
+        assert_eq!(q.last_mut(), None, "case {case}");
     }
+    assert!(edits > 0 && restores > 0, "{edits} edits, {restores} restores");
 }
 
 /// Events clustered just below, at, and just beyond one long delay are

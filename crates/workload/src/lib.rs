@@ -37,7 +37,7 @@
 //!
 //! // Materialize it for 4 processors, round-trip through both
 //! // encodings, and get back a bit-identical action stream.
-//! let trace = sc.to_trace(4, 42);
+//! let mut trace = sc.to_trace(4, 42);
 //! let text = trace.encode_text();
 //! let bin = trace.encode_binary();
 //! assert_eq!(Trace::decode(text.as_bytes()).unwrap(), trace);

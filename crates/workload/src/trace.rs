@@ -35,7 +35,7 @@ const TEXT_MAGIC: &str = "nwtrace-v1";
 
 /// A materialized workload: per-processor ordered action records plus
 /// the metadata the simulator needs to address them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Trace {
     /// Workload name (an app name like `gauss`, or a scenario spec).
     pub name: String,
@@ -276,15 +276,14 @@ impl Trace {
 
     // ---- binary encoding -----------------------------------------------
 
-    /// Encode as the compact length-prefixed binary form.
-    pub fn encode_binary(&self) -> Vec<u8> {
+    /// Encode as the compact length-prefixed binary form. The codec
+    /// visitor takes `&mut` in both directions; saving leaves the
+    /// trace as it was.
+    pub fn encode_binary(&mut self) -> Vec<u8> {
         let mut w = CkptWriter::headerless();
         w.raw(BIN_MAGIC);
         w.u8(VERSION);
-        // The visitor takes `&mut` in both directions; saving walks a copy.
-        self.clone()
-            .body(&mut Ckpt::Save(&mut w))
-            .expect("saving cannot fail");
+        self.body(&mut Ckpt::Save(&mut w)).expect("saving cannot fail");
         w.finish()
     }
 
@@ -396,7 +395,7 @@ mod tests {
 
     #[test]
     fn binary_round_trips() {
-        let t = sample();
+        let mut t = sample();
         let enc = t.encode_binary();
         assert!(enc.starts_with(b"NWTR"));
         assert_eq!(Trace::decode(&enc).unwrap(), t);
@@ -412,7 +411,7 @@ mod tests {
 
     #[test]
     fn binary_is_smaller_than_text() {
-        let t = sample();
+        let mut t = sample();
         assert!(t.encode_binary().len() < t.encode_text().len());
     }
 
@@ -476,7 +475,7 @@ mod tests {
         assert_eq!(capped(5, 1000, MIN_BIN_RECORD), 5);
         assert_eq!(capped(usize::MAX, 16, 1), 16);
         // An honest trace reserves exactly its record count.
-        let t = sample();
+        let mut t = sample();
         let enc = t.encode_binary();
         let n = t.procs[0].len();
         assert_eq!(capped(n, enc.len(), MIN_BIN_RECORD), n);
@@ -549,7 +548,7 @@ mod tests {
     #[test]
     fn varints_cover_the_range() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let t = Trace {
+            let mut t = Trace {
                 name: "v".into(),
                 data_bytes: v,
                 procs: vec![vec![Action::Read(v), Action::Compute(v as u32)]],

@@ -56,7 +56,7 @@ const ROWS: [(usize, usize, u64, u64, u64); 20] = [
 ];
 
 fn digest(spec: usize, nprocs: usize, seed: u64) -> (u64, u64) {
-    let trace = Scenario::parse(SPECS[spec])
+    let mut trace = Scenario::parse(SPECS[spec])
         .expect("spec parses")
         .to_trace(nprocs, seed);
     let actions = trace.procs.iter().map(|p| p.len() as u64).sum();

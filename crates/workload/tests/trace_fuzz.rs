@@ -64,7 +64,7 @@ fn mutated(valid: &[u8], binary: bool, case: u64) -> Vec<u8> {
 
 fn fuzz(binary: bool) {
     let (mut ok, mut replayed) = (0, 0);
-    for trace in seeds() {
+    for mut trace in seeds() {
         let valid = if binary {
             trace.encode_binary()
         } else {

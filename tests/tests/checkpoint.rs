@@ -219,7 +219,7 @@ fn every_app_round_trips_from_a_mid_block_stop() {
         .to_config(MachineKind::NwCache, PrefetchMode::Naive, SCALE);
     round_trips_from_a_mid_block_stop(&wide, "workload:gen:zipf:0.9,ws=6144,acc=200,wf=0.5");
     // A replayed trace, which restore reads from its file again.
-    let trace = nwcache::workload::record(&cfg, &AppSel::parse("sor").unwrap()).unwrap();
+    let mut trace = nwcache::workload::record(&cfg, &AppSel::parse("sor").unwrap()).unwrap();
     let path = std::env::temp_dir().join(format!("nwckpt-replay-{}.nwtrace", std::process::id()));
     std::fs::write(&path, trace.encode_binary()).unwrap();
     round_trips_from_a_mid_block_stop(&cfg, &format!("workload:{}", path.display()));

@@ -52,7 +52,7 @@ fn parallel_jobs() -> usize {
 
 /// Decode(encode(trace)) through both codecs, asserting losslessness
 /// of the representations themselves before any simulation.
-fn both_codecs(trace: &Trace) -> (Trace, Trace) {
+fn both_codecs(trace: &mut Trace) -> (Trace, Trace) {
     let text = Trace::decode(trace.encode_text().as_bytes()).expect("text decode");
     let bin = Trace::decode(&trace.encode_binary()).expect("binary decode");
     assert_eq!(&text, trace, "text codec is lossy");
@@ -66,8 +66,8 @@ fn generated_replay_is_bit_identical_across_seeds() {
     for seed in [1u64, 2, 3] {
         let c = cfg(seed);
         let direct = try_run_sel(&c, &AppSel::Gen(Arc::new(sc.clone()))).expect("direct");
-        let trace = sc.to_trace(c.nodes as usize, c.seed);
-        let (text, bin) = both_codecs(&trace);
+        let mut trace = sc.to_trace(c.nodes as usize, c.seed);
+        let (text, bin) = both_codecs(&mut trace);
         let via_text = try_run_sel(&c, &AppSel::Replay(Arc::new(text))).expect("text replay");
         let via_bin = try_run_sel(&c, &AppSel::Replay(Arc::new(bin))).expect("binary replay");
         // Full-state equality: every counter, histogram bucket, and
@@ -87,8 +87,8 @@ fn generated_replay_survives_a_fault_plan() {
         direct.disk_media_errors > 0 || direct.mesh_dropped > 0,
         "fault plan was a no-op"
     );
-    let trace = sc.to_trace(c.nodes as usize, c.seed);
-    let (text, bin) = both_codecs(&trace);
+    let mut trace = sc.to_trace(c.nodes as usize, c.seed);
+    let (text, bin) = both_codecs(&mut trace);
     let via_text = try_run_sel(&c, &AppSel::Replay(Arc::new(text))).expect("text replay");
     let via_bin = try_run_sel(&c, &AppSel::Replay(Arc::new(bin))).expect("binary replay");
     assert_eq!(direct, via_text, "faulted text round-trip diverged");
@@ -100,9 +100,9 @@ fn recorded_paper_apps_replay_exactly() {
     for app in [AppId::Gauss, AppId::Mg] {
         let c = cfg(0x1999);
         let direct = nwcache::try_run_app(&c, app).expect("direct run");
-        let trace = record(&c, &AppSel::Table(app)).expect("record");
+        let mut trace = record(&c, &AppSel::Table(app)).expect("record");
         assert_eq!(trace.name, app.name());
-        let (text, bin) = both_codecs(&trace);
+        let (text, bin) = both_codecs(&mut trace);
         let via_text = try_run_sel(&c, &AppSel::Replay(Arc::new(text))).expect("text replay");
         let via_bin = try_run_sel(&c, &AppSel::Replay(Arc::new(bin))).expect("binary replay");
         assert_eq!(direct, via_text, "{}: text replay diverged", app.name());
